@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.config.dtype import astype as _astype
+from repro.config.dtype import astype as _astype, fits_in_place
 from repro.parallel.seeding import ensure_rng
 from repro.sanitize import guards as sanitize_guards
 
@@ -59,12 +59,26 @@ class SigmoidNeuron:
             self._offsets = np.zeros_like(self.bias)
 
     def apply(self, analog_in: np.ndarray) -> np.ndarray:
-        """Gain, bias, static mismatch offset, then sigmoid."""
+        """Gain, bias, static mismatch offset, then sigmoid.
+
+        Computes ``1 / (1 + exp(-clip(gain * x + bias + offsets)))``
+        step by step in one buffer it owns (the gain product), so a
+        ``(trials, samples, ports)`` stack costs one allocation instead
+        of one per operation; ``analog_in`` is only read.
+        """
         analog_in = _astype(analog_in)
         sanitize_guards.check_finite("periphery", "neuron_in", analog_in)
-        pre = self.gain * analog_in + self.bias + self._offsets
-        pre = np.clip(pre, -60.0, 60.0)
-        return 1.0 / (1.0 + np.exp(-pre))
+        pre = self.gain * analog_in
+        if fits_in_place(pre, self.bias, self._offsets):
+            pre += self.bias
+            pre += self._offsets
+        else:  # promotes, e.g. float64 mismatch offsets on a float32 stack
+            pre = pre + self.bias + self._offsets
+        np.clip(pre, -60.0, 60.0, out=pre)
+        np.negative(pre, out=pre)
+        np.exp(pre, out=pre)
+        pre += 1.0
+        return np.divide(1.0, pre, out=pre)
 
 
 @dataclass

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Optional, Union
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.config import knobs
 
@@ -29,6 +30,7 @@ __all__ = [
     "DTYPE_NAMES",
     "active_dtype",
     "astype",
+    "fits_in_place",
     "resolve_dtype",
     "set_active_dtype",
 ]
@@ -83,3 +85,24 @@ def astype(x: object) -> np.ndarray:
     it as ``_astype``.
     """
     return np.asarray(x, dtype=active_dtype())
+
+
+def fits_in_place(buf: np.ndarray, *operands: ArrayLike) -> bool:
+    """Whether ``buf`` can take elementwise ops with ``operands`` in place.
+
+    An in-place ufunc (``buf *= g``) casts its result back to
+    ``buf.dtype`` and cannot grow ``buf``; the out-of-place form
+    (``buf * g``) promotes and broadcasts.  The two give the same bits
+    when ``buf`` is writable, already has the promoted dtype (not, e.g.,
+    a float32 stack scaled by a ``np.float64`` gain) and each operand's
+    shape is a trailing part of ``buf``'s.  Cheap enough for the
+    one-sample serving path: no broadcast object is built.
+    """
+    return (
+        buf.flags.writeable
+        and np.result_type(buf, *operands) == buf.dtype
+        and all(
+            len(shape) <= buf.ndim and buf.shape[buf.ndim - len(shape):] == shape
+            for shape in map(np.shape, operands)
+        )
+    )

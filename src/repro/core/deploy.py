@@ -28,6 +28,7 @@ from repro.device.variation import (
     NonIdealFactors,
     TrialSpec,
     lognormal_factor_stack,
+    regenerated_bit_stack,
     trial_indices,
 )
 from repro.nn.network import MLP
@@ -324,9 +325,12 @@ class AnalogMLP:
             out = self.forward(base)
             return np.broadcast_to(out, (len(indices),) + out.shape).copy()
         rngs = [noise.rng(t) for t in indices]
-        if noise.sigma_sf > 0:
-            fluctuated = base * lognormal_factor_stack(base.shape, noise.sigma_sf, rngs)
-            out = (fluctuated >= 0.5).astype(float) if self.digital_input else fluctuated
+        if noise.sigma_sf > 0 and self.digital_input:
+            # Digital receivers regenerate 0/1 levels: only the
+            # threshold decision of each fluctuated level is needed.
+            out = regenerated_bit_stack(base, noise.sigma_sf, rngs)
+        elif noise.sigma_sf > 0:
+            out = base * lognormal_factor_stack(base.shape, noise.sigma_sf, rngs)
         else:
             out = np.broadcast_to(base, (len(rngs),) + base.shape)
         pv_only = None

@@ -27,6 +27,7 @@ from typing import Callable, List, Optional, Protocol
 
 import numpy as np
 
+from repro.config.dtype import fits_in_place
 from repro.device.variation import IDEAL, NonIdealFactors, TrialSpec, trial_indices
 from repro.nn.datasets import resample
 from repro.nn.trainer import TrainConfig
@@ -297,6 +298,9 @@ class SAAB:
         ``trial * K + k``), and the alpha-weighted vote is taken over
         the whole ``(trials, samples, ports)`` stack at once.  Slice
         ``[t]`` is bit-identical to ``predict_bits(x, noise, trial=t)``.
+        Each member's bit stack is taken as fresh scratch (MEI's and
+        RCS's are): it is scaled by its vote weight in place and
+        accumulated into the first member's.
         """
         if not self.is_trained:
             raise RuntimeError("train() must run before predict_bits_trials()")
@@ -319,7 +323,16 @@ class SAAB:
                     [learner.predict_bits(x, noise, trial=t) for t in learner_trials]
                 )
             )
-            votes = weight * bits if votes is None else votes + weight * bits
+            if fits_in_place(bits, weight):
+                bits *= weight
+            else:
+                bits = weight * bits
+            if votes is None:
+                votes = bits
+            elif fits_in_place(votes, bits):
+                votes += bits
+            else:
+                votes = votes + bits
         return (votes >= 0.5 * total).astype(float)
 
     def predict(

@@ -73,9 +73,15 @@ class RRAMDevice:
         f_um = self.feature_nm * 1e-3
         return 4.0 * f_um * f_um
 
-    def clip_conductance(self, g: np.ndarray) -> np.ndarray:
-        """Clip conductances into the device's programmable window."""
-        return np.clip(_astype(g), self.g_min, self.g_max)
+    def clip_conductance(
+        self, g: np.ndarray, out: "np.ndarray | None" = None
+    ) -> np.ndarray:
+        """Clip conductances into the device's programmable window.
+
+        ``out`` (e.g. ``g`` itself, at the active dtype) receives the
+        result in place.
+        """
+        return np.clip(_astype(g), self.g_min, self.g_max, out=out)
 
     def discretize(self, g: np.ndarray) -> np.ndarray:
         """Snap conductances to the nearest programmable level.

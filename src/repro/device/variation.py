@@ -18,6 +18,7 @@ paper finds MEI far more robust to SF than the analog AD/DA interface.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Union
 
@@ -29,6 +30,8 @@ __all__ = [
     "NonIdealFactors",
     "lognormal_factors",
     "lognormal_factor_stack",
+    "exp_at_least_half",
+    "regenerated_bit_stack",
     "trial_indices",
     "IDEAL",
 ]
@@ -88,6 +91,69 @@ def lognormal_factor_stack(
     out = np.empty((len(rngs),) + shape)
     for t, rng in enumerate(rngs):
         out[t] = rng.lognormal(mean=0.0, sigma=sigma, size=shape)
+    return out
+
+
+_LOG_HALF = math.log(0.5)
+_EXACT_BAND = 1e-9
+"""Half-width around ``log(0.5)`` inside which ``exp`` is evaluated.
+
+Outside it ``exp(x)`` sits at least a relative 1e-9 away from 0.5,
+millions of ulps, so any faithfully rounded ``exp`` decides
+``exp(x) >= 0.5`` the same way the comparison ``x >= log(0.5)`` does."""
+
+
+def exp_at_least_half(x: np.ndarray) -> np.ndarray:
+    """``exp(x) >= 0.5`` elementwise, bit-exact, without the exp.
+
+    Decides by comparing ``x`` with ``log(0.5)``; the rare values within
+    ``1e-9`` of it are re-decided with :func:`math.exp`, the C library
+    ``exp`` that NumPy's ``Generator.lognormal`` calls, so the answer
+    equals thresholding the generator's own lognormal draw.  (NumPy's
+    vectorized ``np.exp`` is not a stand-in: its SIMD kernel can differ
+    from the C library's in the last ulp.)
+    """
+    x = np.asarray(x, dtype=np.float64)
+    high = x >= _LOG_HALF + _EXACT_BAND
+    maybe = x >= _LOG_HALF - _EXACT_BAND
+    if np.count_nonzero(maybe) != np.count_nonzero(high):
+        for i in np.flatnonzero(maybe & ~high):
+            high.flat[i] = math.exp(float(x.flat[i])) >= 0.5
+    return high
+
+
+def regenerated_bit_stack(
+    base: np.ndarray,
+    sigma: float,
+    rngs: "Sequence[np.random.Generator]",
+) -> np.ndarray:
+    """Digital 0/1 inputs after signal fluctuation and receiver regeneration.
+
+    Equals ``(base * lognormal_factor_stack(base.shape, sigma, rngs)
+    >= 0.5).astype(float)`` bit for bit, and consumes each generator
+    identically, but skips the exp: ``Generator.lognormal(0, sigma)``
+    is ``exp(0 + sigma * z)`` over the same standard normals ``z`` that
+    ``standard_normal`` draws, so for a 0/1 input a "1" survives iff
+    ``exp(sigma * z) >= 0.5`` (:func:`exp_at_least_half`) and a "0"
+    never turns on.  Inputs other than 0/1 take the multiply-and-compare
+    path.  The result is a float64 ``(trials,) + base.shape`` stack.
+    """
+    if sigma <= 0:
+        raise ValueError(f"sigma must be > 0, got {sigma}")
+    base = np.asarray(base, dtype=np.float64)
+    on = base != 0
+    if not np.all(base[on] == 1):
+        return (base * lognormal_factor_stack(base.shape, sigma, rngs) >= 0.5).astype(
+            np.float64
+        )
+    out = np.empty((len(rngs),) + base.shape)
+    z = np.empty(base.shape)
+    for t, rng in enumerate(rngs):
+        rng.standard_normal(out=z)
+        z *= sigma
+        high = exp_at_least_half(z)
+        high &= on
+        out[t] = high
     return out
 
 

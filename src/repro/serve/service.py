@@ -126,7 +126,14 @@ class InferenceService:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            length = -1
+        if length < 0:
+            return _json_error(400, "Bad Request",
+                               f"invalid Content-Length {raw_length!r}")
         if length > _MAX_BODY_BYTES:
             return _json_error(413, "Payload Too Large",
                                f"body over {_MAX_BODY_BYTES} bytes")

@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.config.dtype import astype as _astype
+from repro.config.dtype import astype as _astype, fits_in_place
 from repro.device.rram import HFOX_DEVICE, RRAMDevice
 from repro.device.variation import NonIdealFactors, lognormal_factor_stack
 from repro.sanitize import guards as sanitize_guards
@@ -246,7 +246,10 @@ class Crossbar:
             Optional precomputed process-variation factor stack of
             shape ``(trials, rows, cols)``; when given, the per-trial
             PV draws are skipped (the caller already consumed the
-            generators — see :meth:`consume_pv_factors`).
+            generators — see :meth:`consume_pv_factors`).  The stack
+            is *consumed*: a writable one is overwritten with the
+            perturbed conductances and coefficients, so pass a copy to
+            keep it.
 
         Returns
         -------
@@ -273,16 +276,24 @@ class Crossbar:
             v_in = sinh_nonlinearity(v_in, self.nonlinearity)
         if noise is not None and noise.sigma_pv > 0:
             # Per-trial draws stay in the serial order (bit-identity);
-            # the multiply/clip/normalize run once on the whole stack.
+            # the multiply/clip/normalize run once on the whole stack,
+            # in the factor stack itself (scratch this call owns).
             factors = pv_factors
             if factors is None:
                 factors = lognormal_factor_stack(
                     self.conductances.shape, noise.sigma_pv, rngs
                 )
-            g = self.device.clip_conductance(self.conductances * factors)
+            if fits_in_place(factors, self.conductances):
+                factors *= self.conductances
+            else:
+                factors = factors * self.conductances
+            g = _astype(factors)
+            self.device.clip_conductance(g, out=g)
             if self.wire_resistance > 0:
                 g = effective_conductances(g, self.wire_resistance)
-            c = g / (self.g_s + g.sum(axis=1, keepdims=True))
+            denominator = g.sum(axis=1, keepdims=True)
+            denominator += self.g_s
+            c = np.divide(g, denominator, out=g)
         else:
             c = self.coefficients()
         return v_in @ c

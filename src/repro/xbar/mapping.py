@@ -33,7 +33,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.config.dtype import astype as _astype
+from repro.config.dtype import astype as _astype, fits_in_place
 from repro.device.rram import HFOX_DEVICE, RRAMDevice
 from repro.device.variation import (
     NonIdealFactors,
@@ -223,6 +223,15 @@ def _choose_scale(weights: np.ndarray, config: MappingConfig, base: float) -> fl
     return min(ceiling_budget / max_cell, budget / max_col)
 
 
+def _scaled_difference(pos: np.ndarray, neg: np.ndarray, gain: float) -> np.ndarray:
+    """``(pos - neg) * gain``, built in ``pos`` (a fresh ``apply`` output)."""
+    if not fits_in_place(pos, neg, gain):
+        return (pos - neg) * gain
+    pos -= neg
+    pos *= gain
+    return pos
+
+
 class DifferentialCrossbar:
     """A positive/negative crossbar pair realizing a signed matrix.
 
@@ -326,10 +335,11 @@ class DifferentialCrossbar:
                 rng = noise.rng()
             x = noise.perturb_signal(x, rng)
             pv_only = NonIdealFactors(sigma_pv=noise.sigma_pv, sigma_sf=0.0, seed=noise.seed)
-            out = self.positive.apply(x, pv_only, rng) - self.negative.apply(x, pv_only, rng)
+            pos = self.positive.apply(x, pv_only, rng)
+            neg = self.negative.apply(x, pv_only, rng)
         else:
-            out = self.positive.apply(x) - self.negative.apply(x)
-        return out * self.gain
+            pos, neg = self.positive.apply(x), self.negative.apply(x)
+        return _scaled_difference(pos, neg, self.gain)
 
     def pv_shapes(self) -> "list":
         """Conductance-array shapes, in per-trial PV draw order."""
@@ -368,12 +378,11 @@ class DifferentialCrossbar:
                 x = x * lognormal_factor_stack(x.shape[1:], noise.sigma_sf, rngs)
             pv_pos, pv_neg = pv_factors if pv_factors is not None else (None, None)
             pv_only = NonIdealFactors(sigma_pv=noise.sigma_pv, sigma_sf=0.0, seed=noise.seed)
-            out = self.positive.apply_trials(
-                x, pv_only, rngs, pv_factors=pv_pos
-            ) - self.negative.apply_trials(x, pv_only, rngs, pv_factors=pv_neg)
+            pos = self.positive.apply_trials(x, pv_only, rngs, pv_factors=pv_pos)
+            neg = self.negative.apply_trials(x, pv_only, rngs, pv_factors=pv_neg)
         else:
-            out = self.positive.apply_trials(x) - self.negative.apply_trials(x)
-        return out * self.gain
+            pos, neg = self.positive.apply_trials(x), self.negative.apply_trials(x)
+        return _scaled_difference(pos, neg, self.gain)
 
 
 class ExactDifferentialCrossbar:

@@ -7,7 +7,9 @@ OpenMetrics exposition of the ``serve_*`` families.
 """
 
 import json
+import socket
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import numpy as np
@@ -90,6 +92,40 @@ class TestPredictRoute:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
         assert excinfo.value.code == 400
+
+
+def _raw_request(url, head):
+    """Send raw request bytes; return the status code and JSON body."""
+    parts = urllib.parse.urlsplit(url)
+    with socket.create_connection((parts.hostname, parts.port), timeout=30) as sock:
+        sock.sendall(head)
+        response = b""
+        while chunk := sock.recv(65536):
+            response += chunk
+    status_line, _, rest = response.partition(b"\r\n")
+    _, _, body = rest.partition(b"\r\n\r\n")
+    return int(status_line.split()[1]), json.loads(body)
+
+
+class TestContentLength:
+    @pytest.mark.parametrize("length", [b"abc", b"-5"])
+    def test_bad_content_length_is_400(self, server, length):
+        status, body = _raw_request(
+            server.url,
+            b"POST /v1/predict HTTP/1.1\r\nContent-Length: " + length + b"\r\n\r\n",
+        )
+        assert status == 400
+        assert "Content-Length" in body["error"]
+
+    def test_valid_content_length_still_served(self, server):
+        payload = json.dumps({"inputs": [[0.25, 0.75]]}).encode()
+        status, body = _raw_request(
+            server.url,
+            b"POST /v1/predict HTTP/1.1\r\nContent-Length: "
+            + str(len(payload)).encode() + b"\r\n\r\n" + payload,
+        )
+        assert status == 200
+        assert body["samples"] == 1
 
 
 class TestOtherRoutes:
