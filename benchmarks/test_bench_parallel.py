@@ -2,12 +2,12 @@
 
 Measures the two levels on this machine and archives the numbers:
 
-* level 1 — the vectorized Monte-Carlo robustness evaluation
-  (``predict_trials``) against the serial per-trial reference loop, at
-  the paper-scale trial count;
+* level 1 — the trial-stacked Monte-Carlo robustness evaluation
+  (one ``predict_trials`` call) against one ``predict(trial=t)`` call
+  per trial, at the paper-scale trial count;
 * level 2 — a multi-worker seed-repeat sweep on the full engine
-  (vectorized evaluation, training bookkeeping off) against the
-  serial, fully-tracked baseline.
+  (stacked evaluation, training bookkeeping off) against the
+  serial, fully-tracked, one-call-per-trial baseline.
 
 Both comparisons assert bit-identical outputs before reporting any
 speedup.  Results go to ``BENCH_parallel.json`` (repo root, mirrored
@@ -67,6 +67,11 @@ def _dataset(seed, n=SAMPLES):
     return x, y
 
 
+def _looped_values(system, x, y, noise, trials):
+    """Per-trial metric values, one ``predict`` call per trial."""
+    return np.array([_mae(system.predict(x, noise, trial=t), y) for t in range(trials)])
+
+
 def _train_rcs(seed, x, y, tracked):
     cfg = TrainConfig(
         epochs=10,
@@ -81,24 +86,19 @@ def _train_rcs(seed, x, y, tracked):
 def _sweep_run(seed, optimized):
     """One seed of the sweep: train an RCS, score it at several PV levels.
 
-    The two variants differ only in engine knobs whose results are
-    guaranteed unchanged (loss bookkeeping, vectorized evaluation), so
-    their returned errors must agree bit for bit.
+    The two variants differ only in choices whose results are
+    guaranteed unchanged (loss bookkeeping, one stacked call vs one
+    call per trial), so their returned errors must agree bit for bit.
     """
     x, y = _dataset(seed)
     rcs = _train_rcs(seed, x, y, tracked=not optimized)
-    level_means = [
-        evaluate_under_noise(
-            rcs,
-            x,
-            y,
-            _mae,
-            NonIdealFactors(sigma_pv=sigma, seed=7),
-            trials=TRIALS,
-            vectorize=optimized,
-        ).mean
-        for sigma in SWEEP_SIGMAS
-    ]
+    level_means = []
+    for sigma in SWEEP_SIGMAS:
+        noise = NonIdealFactors(sigma_pv=sigma, seed=7)
+        if optimized:
+            level_means.append(evaluate_under_noise(rcs, x, y, _mae, noise, trials=TRIALS).mean)
+        else:
+            level_means.append(float(np.mean(_looped_values(rcs, x, y, noise, TRIALS))))
     # Fixed-order sum of per-level means: still bit-deterministic.
     return float(np.sum(level_means))
 
@@ -119,18 +119,14 @@ def _save_json(payload):
 
 
 def test_bench_parallel(save_report):
-    # -- level 1: looped vs vectorized Monte-Carlo evaluation ----------
+    # -- level 1: one call per trial vs one stacked call ---------------
     x, y = _dataset(0)
     rcs = _train_rcs(0, x, y, tracked=False)
-    t_looped, looped = _timeit(
-        lambda: evaluate_under_noise(
-            rcs, x, y, _mae, NOISE, trials=TRIALS, vectorize=False
-        )
-    )
+    t_looped, looped = _timeit(lambda: _looped_values(rcs, x, y, NOISE, TRIALS))
     t_vectorized, vectorized = _timeit(
         lambda: evaluate_under_noise(rcs, x, y, _mae, NOISE, trials=TRIALS)
     )
-    assert np.array_equal(looped.values, vectorized.values)
+    assert np.array_equal(looped, vectorized.values)
     eval_speedup = t_looped / t_vectorized
 
     # -- level 2: serial tracked baseline vs multi-worker engine -------

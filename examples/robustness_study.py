@@ -55,7 +55,7 @@ def main() -> None:
             errors = []
             for sigma in SIGMAS:
                 evaluation = evaluate_under_noise(
-                    lambda x, n, t: system.predict(x, n, t),
+                    system,
                     data.x_test, data.y_test,
                     bench.error_normalized,
                     make_noise(sigma),

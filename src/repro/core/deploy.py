@@ -28,6 +28,7 @@ from repro.device.variation import (
     NonIdealFactors,
     TrialSpec,
     lognormal_factor_stack,
+    pv_factor_stacks,
     regenerated_bit_stack,
     trial_indices,
 )
@@ -241,49 +242,10 @@ class AnalogMLP:
         return sum(xbar.device_count for xbar in self.crossbars)
 
     def forward(
-        self,
-        x: np.ndarray,
-        noise: NonIdealFactors = IDEAL,
-        trial: int = 0,
+        self, x: np.ndarray, noise: NonIdealFactors = IDEAL, trial: int = 0
     ) -> np.ndarray:
-        """Analog forward pass under one Monte-Carlo noise draw.
-
-        The raw output is the last sigmoid stage's analog level; the
-        architecture layer (AD/DA's ADC or MEI's comparator) digitizes
-        it.
-        """
-        out = np.atleast_2d(np.asarray(x, dtype=float))
-        if out.shape[1] != self.in_dim:
-            raise ValueError(f"input has {out.shape[1]} ports, network expects {self.in_dim}")
-        # One analog MAC per RRAM cell per sample (Eq. 2's column sums).
-        obs_metrics.counter("crossbar_macs").inc(self.device_count * out.shape[0])
-        obs_metrics.counter("forward_passes").inc()
-        t0 = time.perf_counter()
-        rng = noise.rng(trial) if not noise.is_ideal else None
-        # Signal fluctuation is *interface* noise (Sec. 5.3: "noise to
-        # the electrical signal, such as the input signal"): it
-        # corrupts the signals arriving at the accelerator's input
-        # ports.  On-chip inter-layer wires are short and shielded;
-        # device-level disturbance is covered by PV.
-        if rng is not None and noise.sigma_sf > 0:
-            fluctuated = noise.perturb_signal(out, rng)
-            # Digital receivers regenerate 0/1 levels: only noise that
-            # crosses the logic threshold survives — MEI's Fig. 5
-            # advantage.
-            out = (fluctuated >= 0.5).astype(float) if self.digital_input else fluctuated
-        pv_only = None
-        if rng is not None and noise.sigma_pv > 0:
-            pv_only = NonIdealFactors(sigma_pv=noise.sigma_pv, sigma_sf=0.0, seed=noise.seed)
-        for xbar, neuron in zip(self.crossbars, self.neurons):
-            analog = xbar.apply(out, pv_only, rng)
-            out = neuron.apply(analog)
-        if self.output_correction is not None:
-            gain, offset = self.output_correction
-            out = np.clip(gain * out + offset, 0.0, 1.0)
-        obs_metrics.histogram("forward_latency_seconds").observe(
-            time.perf_counter() - t0
-        )
-        return out
+        """Analog forward pass under one noise draw: one-trial view of :meth:`forward_trials`."""
+        return self.forward_trials(x, noise, [trial])[0]
 
     def forward_trials(
         self,
@@ -291,12 +253,15 @@ class AnalogMLP:
         noise: NonIdealFactors = IDEAL,
         trials: TrialSpec = 1,
     ) -> np.ndarray:
-        """Batched analog forward pass over many Monte-Carlo trials.
+        """Analog forward pass over a stack of Monte-Carlo trials.
 
         Draws every trial's variation tensors up front (one generator
-        per trial, consumed in the serial order) and pushes one
-        ``(trials, samples, ports)`` stack through the layer chain, so
-        the per-trial Python loop collapses into stacked matmuls.
+        per trial: input signal fluctuation, then every array's process
+        variation in :meth:`arrays` order) and pushes one
+        ``(trials, samples, ports)`` stack through the layer chain.
+        Noise-free, one 1-trial pass is computed and repeated.  The raw
+        output is the last sigmoid stage's analog level; the
+        architecture layer (AD/DA's ADC or MEI's comparator) digitizes it.
 
         Parameters
         ----------
@@ -310,59 +275,49 @@ class AnalogMLP:
 
         Returns
         -------
-        Stack of shape ``(trials, samples, out_dim)``; slice ``[t]`` is
-        bit-identical to ``forward(x, noise, trial=t)``.
+        Stack of shape ``(trials, samples, out_dim)``; slice ``[t]``
+        depends only on ``noise.rng(trial)`` for that trial's index.
         """
         base = np.atleast_2d(np.asarray(x, dtype=float))
         if base.shape[1] != self.in_dim:
             raise ValueError(f"input has {base.shape[1]} ports, network expects {self.in_dim}")
         indices = trial_indices(trials)
-        obs_metrics.counter("crossbar_macs").inc(
-            self.device_count * base.shape[0] * len(indices)
-        )
+        rngs = None if noise.is_ideal else noise.rngs(indices)
+        passes = 1 if rngs is None else len(rngs)
+        # One analog MAC per RRAM cell per sample (Eq. 2's column sums).
+        obs_metrics.counter("crossbar_macs").inc(self.device_count * base.shape[0] * passes)
+        obs_metrics.counter("forward_passes").inc()
         t0 = time.perf_counter()
-        if noise.is_ideal:
-            out = self.forward(base)
-            return np.broadcast_to(out, (len(indices),) + out.shape).copy()
-        rngs = [noise.rng(t) for t in indices]
-        if noise.sigma_sf > 0 and self.digital_input:
-            # Digital receivers regenerate 0/1 levels: only the
-            # threshold decision of each fluctuated level is needed.
+        # Signal fluctuation is *interface* noise (Sec. 5.3: "noise to
+        # the electrical signal, such as the input signal"): it
+        # corrupts the signals arriving at the accelerator's input
+        # ports.  On-chip inter-layer wires are short and shielded;
+        # device-level disturbance is covered by PV.
+        if rngs is not None and noise.sigma_sf > 0 and self.digital_input:
+            # Digital receivers regenerate 0/1 levels: only noise that
+            # crosses the logic threshold survives — MEI's Fig. 5
+            # advantage.
             out = regenerated_bit_stack(base, noise.sigma_sf, rngs)
-        elif noise.sigma_sf > 0:
+        elif rngs is not None and noise.sigma_sf > 0:
             out = base * lognormal_factor_stack(base.shape, noise.sigma_sf, rngs)
         else:
-            out = np.broadcast_to(base, (len(rngs),) + base.shape)
+            out = np.broadcast_to(base, (passes,) + base.shape)
         pv_only = None
         pv_factor_args: "List" = [None] * len(self.crossbars)
-        if noise.sigma_pv > 0:
+        if rngs is not None and noise.sigma_pv > 0:
             pv_only = NonIdealFactors(sigma_pv=noise.sigma_pv, sigma_sf=0.0, seed=noise.seed)
-            # Consolidate the whole network's PV draws into ONE
-            # generator call per trial: generator streams are
-            # call-size-agnostic, so one draw of `total` factors equals
-            # the serial per-array draw sequence bit for bit.  The flat
-            # buffer is then split back into per-array stacks.
-            shapes = [s for xbar in self.crossbars for s in xbar.pv_shapes()]
-            sizes = [int(np.prod(s)) for s in shapes]
-            total = int(sum(sizes))
-            flat = np.empty((len(rngs), total))
-            for t, rng in enumerate(rngs):
-                flat[t] = rng.lognormal(mean=0.0, sigma=noise.sigma_pv, size=total)
-            offsets = np.cumsum([0] + sizes)
-            chunks = iter(
-                flat[:, offsets[i]:offsets[i + 1]].reshape((len(rngs),) + tuple(shapes[i]))
-                for i in range(len(shapes))
-            )
-            pv_factor_args = [xbar.consume_pv_factors(chunks) for xbar in self.crossbars]
+            pv_factor_args = pv_factor_stacks(self.crossbars, noise.sigma_pv, rngs)
         for xbar, neuron, pv_factors in zip(self.crossbars, self.neurons, pv_factor_args):
             analog = xbar.apply_trials(out, pv_only, rngs, pv_factors=pv_factors)
             out = neuron.apply(analog)
         if self.output_correction is not None:
             gain, offset = self.output_correction
             out = np.clip(gain * out + offset, 0.0, 1.0)
-        obs_metrics.histogram("forward_trials_latency_seconds").observe(
+        obs_metrics.histogram("forward_latency_seconds").observe(
             time.perf_counter() - t0
         )
+        if passes < len(indices):
+            out = np.broadcast_to(out, (len(indices),) + out.shape[1:]).copy()
         return out
 
     def freeze_variation(

@@ -272,20 +272,10 @@ class MEI:
     # -- inference ---------------------------------------------------------
 
     def predict_bits(
-        self,
-        x: np.ndarray,
-        noise: NonIdealFactors = IDEAL,
-        trial: int = 0,
+        self, x: np.ndarray, noise: NonIdealFactors = IDEAL, trial: int = 0
     ) -> np.ndarray:
-        """Digital-in digital-out path: bits -> crossbars -> comparator."""
-        if self.analog is None:
-            raise RuntimeError("train() or deploy() must run before predict_bits()")
-        x_bits = self.encode_inputs(x)
-        analog_out = self.analog.forward(x_bits, noise, trial)
-        hard = self.comparator.apply(analog_out)
-        if self.out_bits < self.bits:
-            hard = hard * self.out_mask
-        return hard
+        """Digital-in digital-out path: one-trial view of :meth:`predict_bits_trials`."""
+        return self.predict_bits_trials(x, noise, [trial])[0]
 
     def predict_bits_trials(
         self,
@@ -293,11 +283,10 @@ class MEI:
         noise: NonIdealFactors = IDEAL,
         trials: TrialSpec = 1,
     ) -> np.ndarray:
-        """Batched digital path over Monte-Carlo trials.
+        """Digital-in digital-out path over Monte-Carlo trials.
 
-        Returns a ``(trials, samples, ports)`` stack whose slice ``[t]``
-        is bit-identical to ``predict_bits(x, noise, trial=t)``; the
-        per-trial loop is replaced by one stacked crossbar pass.
+        Bits -> crossbars -> comparator, as one stacked crossbar pass;
+        returns a ``(trials, samples, ports)`` stack.
         """
         if self.analog is None:
             raise RuntimeError("train() or deploy() must run before predict_bits_trials()")

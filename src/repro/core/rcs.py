@@ -103,20 +103,10 @@ class TraditionalRCS:
     # -- inference -------------------------------------------------------
 
     def predict(
-        self,
-        x: np.ndarray,
-        noise: NonIdealFactors = IDEAL,
-        trial: int = 0,
+        self, x: np.ndarray, noise: NonIdealFactors = IDEAL, trial: int = 0
     ) -> np.ndarray:
-        """Full mixed-signal path: DAC -> analog ANN -> ADC.
-
-        Returns unit-interval values quantized to the interface grid.
-        """
-        if self.analog is None:
-            raise RuntimeError("train() or deploy() must run before predict()")
-        analog_in = self.dac.convert(np.asarray(x, dtype=float))
-        analog_out = self.analog.forward(analog_in, noise, trial)
-        return self.adc.convert(analog_out)
+        """Full mixed-signal path: one-trial view of :meth:`predict_trials`."""
+        return self.predict_trials(x, noise, [trial])[0]
 
     def predict_trials(
         self,
@@ -124,12 +114,11 @@ class TraditionalRCS:
         noise: NonIdealFactors = IDEAL,
         trials: TrialSpec = 1,
     ) -> np.ndarray:
-        """Batched mixed-signal path over Monte-Carlo trials.
+        """Full mixed-signal path over Monte-Carlo trials: DAC -> analog ANN -> ADC.
 
-        Returns ``(trials, samples, outputs)``; slice ``[t]`` is
-        bit-identical to ``predict(x, noise, trial=t)`` for ideal
-        converters (``noise_lsb == 0``, the default — converter noise
-        is drawn from unseeded generators on both paths).
+        Returns ``(trials, samples, outputs)`` unit-interval values
+        quantized to the interface grid.  Converter noise
+        (``noise_lsb > 0``) is drawn from unseeded generators.
         """
         if self.analog is None:
             raise RuntimeError("train() or deploy() must run before predict_trials()")
@@ -151,7 +140,7 @@ class TraditionalRCS:
         self, x: np.ndarray, noise: NonIdealFactors = IDEAL, trial: int = 0
     ) -> np.ndarray:
         """Outputs as bit arrays (the ADC's digital code words)."""
-        return self.codec.encode(self.predict(x, noise, trial))
+        return self.predict_bits_trials(x, noise, [trial])[0]
 
     def predict_bits_trials(
         self, x: np.ndarray, noise: NonIdealFactors = IDEAL, trials: TrialSpec = 1

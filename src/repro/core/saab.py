@@ -15,7 +15,7 @@ from textbook AdaBoost, all taken from the paper:
   voting, executable by the attached digital system).
 
 The implementation is generic over the learner type: anything exposing
-``train / predict_bits / target_bits / out_groups / bits_per_group``
+``train / predict_bits_trials / target_bits / out_groups / bits_per_group``
 works, so both :class:`repro.core.mei.MEI` and
 :class:`repro.core.rcs.TraditionalRCS` learners can be boosted.
 """
@@ -49,8 +49,8 @@ class BoostableLearner(Protocol):
 
     def train(self, x: np.ndarray, y: np.ndarray, config: Optional[TrainConfig] = None): ...
 
-    def predict_bits(
-        self, x: np.ndarray, noise: NonIdealFactors = IDEAL, trial: int = 0
+    def predict_bits_trials(
+        self, x: np.ndarray, noise: NonIdealFactors = IDEAL, trials: TrialSpec = 1
     ) -> np.ndarray: ...
 
     def target_bits(self, y: np.ndarray) -> np.ndarray: ...
@@ -189,7 +189,7 @@ class SAAB:
                     learner.train(x, y, effective_config, sample_weights=probabilities * n)
 
                 # Line 6: relaxed, noise-aware error on the *original* set.
-                predicted = learner.predict_bits(x, self.config.noise, trial=k)
+                predicted = learner.predict_bits_trials(x, self.config.noise, [k])[0]
                 correct = msb_match(
                     predicted,
                     learner.target_bits(y),
@@ -211,7 +211,7 @@ class SAAB:
                     # designed to avoid): updating weights with a negative
                     # alpha would *reinforce* the errors.  Standard
                     # AdaBoost.M1 practice: reset the distribution and
-                    # keep the learner out of the vote (see predict_bits).
+                    # keep the learner out of the vote (see predict_bits_trials).
                     self._weights = np.full(n, 1.0 / n)
 
                 self.learners.append(learner)
@@ -252,10 +252,16 @@ class SAAB:
     # -- inference (Line 10) -------------------------------------------------
 
     def predict_bits(
+        self, x: np.ndarray, noise: NonIdealFactors = IDEAL, trial: int = 0
+    ) -> np.ndarray:
+        """Weighted per-bit vote: one-trial view of :meth:`predict_bits_trials`."""
+        return self.predict_bits_trials(x, noise, [trial])[0]
+
+    def predict_bits_trials(
         self,
         x: np.ndarray,
         noise: NonIdealFactors = IDEAL,
-        trial: int = 0,
+        trials: TrialSpec = 1,
     ) -> np.ndarray:
         """Weighted per-bit majority vote of the learners' outputs.
 
@@ -270,37 +276,14 @@ class SAAB:
         majority vote (after an epsilon >= 0.5 round the distribution
         was reset to uniform, so the members are plain bootstrap
         learners and majority voting still masks individual failures).
-        """
-        if not self.is_trained:
-            raise RuntimeError("train() must run before predict_bits()")
-        vote_weights = np.maximum(self.alphas, 0.0)
-        if vote_weights.sum() <= 0:
-            vote_weights = np.ones(len(self.learners))
-        total = vote_weights.sum()
-        votes = None
-        for k, (learner, weight) in enumerate(zip(self.learners, vote_weights)):
-            if weight == 0.0:
-                continue
-            bits = learner.predict_bits(x, noise, trial=trial * len(self.learners) + k)
-            votes = weight * bits if votes is None else votes + weight * bits
-        return (votes >= 0.5 * total).astype(float)
-
-    def predict_bits_trials(
-        self,
-        x: np.ndarray,
-        noise: NonIdealFactors = IDEAL,
-        trials: TrialSpec = 1,
-    ) -> np.ndarray:
-        """Batched weighted vote over Monte-Carlo trials.
 
         Each learner pushes all its trials through the crossbars in one
-        stacked pass (keeping the serial trial numbering
-        ``trial * K + k``), and the alpha-weighted vote is taken over
-        the whole ``(trials, samples, ports)`` stack at once.  Slice
-        ``[t]`` is bit-identical to ``predict_bits(x, noise, trial=t)``.
-        Each member's bit stack is taken as fresh scratch (MEI's and
-        RCS's are): it is scaled by its vote weight in place and
-        accumulated into the first member's.
+        stacked pass, learner ``k`` of ``K`` drawing trial ``t`` as
+        ``t * K + k``, and the vote is taken over the whole
+        ``(trials, samples, ports)`` stack at once.  Each member's bit
+        stack is taken as fresh scratch (MEI's and RCS's are): it is
+        scaled by its vote weight in place and accumulated into the
+        first member's.
         """
         if not self.is_trained:
             raise RuntimeError("train() must run before predict_bits_trials()")
@@ -314,14 +297,8 @@ class SAAB:
         for k, (learner, weight) in enumerate(zip(self.learners, vote_weights)):
             if weight == 0.0:
                 continue
-            learner_trials = [t * n_learners + k for t in indices]
-            batched = getattr(learner, "predict_bits_trials", None)
-            bits = (
-                batched(x, noise, trials=learner_trials)
-                if batched is not None
-                else np.stack(
-                    [learner.predict_bits(x, noise, trial=t) for t in learner_trials]
-                )
+            bits = learner.predict_bits_trials(
+                x, noise, trials=[t * n_learners + k for t in indices]
             )
             if fits_in_place(bits, weight):
                 bits *= weight

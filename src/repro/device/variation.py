@@ -30,6 +30,7 @@ __all__ = [
     "NonIdealFactors",
     "lognormal_factors",
     "lognormal_factor_stack",
+    "pv_factor_stacks",
     "exp_at_least_half",
     "regenerated_bit_stack",
     "trial_indices",
@@ -92,6 +93,30 @@ def lognormal_factor_stack(
     for t, rng in enumerate(rngs):
         out[t] = rng.lognormal(mean=0.0, sigma=sigma, size=shape)
     return out
+
+
+def pv_factor_stacks(
+    stages: Sequence,
+    sigma: float,
+    rngs: "Sequence[np.random.Generator]",
+) -> list:
+    """Process-variation factors for a chain of crossbar stages.
+
+    Each trial draws every array's factors, in the stages' ``pv_shapes()``
+    order, with ONE lognormal call on its generator (streams are
+    call-size-agnostic: this equals drawing array by array).  The draw is
+    split into ``(trials,) + shape`` stacks, one result per stage from
+    its ``consume_pv_factors``.
+    """
+    shapes = [tuple(shape) for stage in stages for shape in stage.pv_shapes()]
+    sizes = [math.prod(shape) for shape in shapes]
+    flat = lognormal_factor_stack(sum(sizes), sigma, rngs)
+    offsets = np.cumsum([0] + sizes)
+    chunks = iter(
+        flat[:, offsets[i]:offsets[i + 1]].reshape((len(rngs),) + shape)
+        for i, shape in enumerate(shapes)
+    )
+    return [stage.consume_pv_factors(chunks) for stage in stages]
 
 
 _LOG_HALF = math.log(0.5)

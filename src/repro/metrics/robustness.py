@@ -12,38 +12,27 @@ so ``gamma`` in (0, 1] and larger is more robust (1 = noise changes
 nothing).  The definition matters only as a monotone ranking — the DSE
 compares candidates under the *same* metric.
 
-Performance: :func:`evaluate_under_noise` prefers a *batched* predictor
-(``predict_trials`` on the deployed systems) that pushes a
-``(trials, samples, ports)`` stack through the crossbars in one pass —
-bit-identical to the serial per-trial loop under fixed seeds (see
-``docs/performance.md``).  :func:`noise_sweep` optionally fans the
-noise levels out over a :mod:`repro.parallel` executor.
+Performance: :func:`evaluate_under_noise` calls the system's
+``predict_trials``, which pushes a ``(trials, samples, ports)`` stack
+through the crossbars in one pass (see ``docs/performance.md``).
+:func:`noise_sweep` optionally fans the noise levels out over a
+:mod:`repro.parallel` executor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.device.variation import NonIdealFactors, TrialSpec
+from repro.device.variation import NonIdealFactors
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 
 __all__ = ["NoisyEvaluation", "evaluate_under_noise", "robustness_index", "noise_sweep"]
 
-Predictor = Callable[[np.ndarray, NonIdealFactors, int], np.ndarray]
-"""Signature: (inputs, noise, trial) -> predictions."""
-
-BatchPredictor = Callable[[np.ndarray, NonIdealFactors, TrialSpec], np.ndarray]
-"""Signature: (inputs, noise, trials) -> stacked (trials, ...) predictions."""
-
 Metric = Callable[[np.ndarray, np.ndarray], float]
-
-PredictorLike = Union[Predictor, object]
-"""A per-trial callable, or a system object exposing ``predict`` (and
-ideally ``predict_trials`` for the vectorized path)."""
 
 
 @dataclass(frozen=True)
@@ -68,16 +57,14 @@ class NoisyEvaluation:
 
 
 def evaluate_under_noise(
-    predictor: PredictorLike,
+    system,
     x: np.ndarray,
     y_true: np.ndarray,
     metric: Metric,
     noise: NonIdealFactors,
     trials: int = 30,
-    batch_predictor: Optional[BatchPredictor] = None,
-    vectorize: bool = True,
 ) -> NoisyEvaluation:
-    """Run the predictor ``trials`` times under fresh noise draws.
+    """Score a system over ``trials`` fresh noise draws.
 
     Each trial re-draws process variation and signal fluctuation (via
     the trial index fed to the noise object's RNG), mirroring the
@@ -85,38 +72,23 @@ def evaluate_under_noise(
 
     Parameters
     ----------
-    predictor:
-        Either a callable ``(x, noise, trial) -> predictions`` or a
-        deployed system object (``MEI``/``SAAB``/``TraditionalRCS``)
-        exposing ``predict``.
-    batch_predictor:
-        Explicit ``(x, noise, trials) -> (trials, ...)`` stack
-        predictor.  Defaults to the predictor's own ``predict_trials``
-        (when present and ``vectorize`` is true), which draws all
-        trials' variation tensors up front and replaces the per-trial
-        loop with stacked matmuls — bit-identical under fixed seeds.
-    vectorize:
-        Set False to force the serial per-trial reference loop.
+    system:
+        A deployed system (``MEI``/``SAAB``/``TraditionalRCS``) or any
+        object exposing ``predict_trials(x, noise, trials)`` that
+        returns a ``(trials, ...)`` prediction stack.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if noise.is_ideal:
         trials = 1
-    if batch_predictor is None and vectorize:
-        batch_predictor = getattr(predictor, "predict_trials", None)
     with span(
         "noise-eval",
         trials=trials,
         sigma_pv=float(noise.sigma_pv),
         sigma_sf=float(noise.sigma_sf),
-        vectorized=batch_predictor is not None,
     ) as sp:
-        if batch_predictor is not None:
-            stack = np.asarray(batch_predictor(x, noise, trials))
-            values = np.array([metric(stack[t], y_true) for t in range(trials)])
-        else:
-            fn = predictor if callable(predictor) else predictor.predict
-            values = np.array([metric(fn(x, noise, t), y_true) for t in range(trials)])
+        stack = np.asarray(system.predict_trials(x, noise, trials))
+        values = np.array([metric(stack[t], y_true) for t in range(trials)])
         sp.set(mean=float(values.mean()), std=float(values.std()))
     obs_metrics.counter("mc_trials_evaluated").inc(trials)
     return NoisyEvaluation(noise=noise, trials=trials, values=values)
@@ -138,24 +110,20 @@ def robustness_index(clean_error: float, noisy_error: float) -> float:
 
 def _sweep_task(args) -> NoisyEvaluation:
     """One noise level of a sweep (module-level for pickling)."""
-    predictor, x, y_true, metric, noise, trials, vectorize = args
-    return evaluate_under_noise(
-        predictor, x, y_true, metric, noise, trials, vectorize=vectorize
-    )
+    return evaluate_under_noise(*args)
 
 
 def noise_sweep(
-    predictor: PredictorLike,
+    system,
     x: np.ndarray,
     y_true: np.ndarray,
     metric: Metric,
     noises: Sequence[NonIdealFactors],
     trials: int = 30,
-    vectorize: bool = True,
     workers: Optional[int] = None,
     executor=None,
 ) -> List[NoisyEvaluation]:
-    """Evaluate a predictor across a list of noise levels (Fig. 5 axis).
+    """Evaluate a system across a list of noise levels (Fig. 5 axis).
 
     The noise levels are embarrassingly parallel; pass ``workers`` (or
     set ``REPRO_WORKERS``) or an explicit :mod:`repro.parallel`
@@ -165,5 +133,5 @@ def noise_sweep(
     from repro.parallel import get_executor
 
     executor = executor if executor is not None else get_executor(workers)
-    tasks = [(predictor, x, y_true, metric, n, trials, vectorize) for n in noises]
+    tasks = [(system, x, y_true, metric, n, trials) for n in noises]
     return executor.map(_sweep_task, tasks)

@@ -23,19 +23,20 @@ them (positive/negative) realizes signed matrices, handled by
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
 from repro.config.dtype import astype as _astype, fits_in_place
 from repro.device.rram import HFOX_DEVICE, RRAMDevice
 from repro.device.variation import NonIdealFactors, lognormal_factor_stack
-from repro.sanitize import guards as sanitize_guards
+from repro.sanitize import enabled as sanitize_enabled, guards as sanitize_guards
 
 __all__ = [
     "Crossbar",
     "coefficients_from_conductance",
     "effective_conductances",
+    "one_trial_apply",
     "sinh_nonlinearity",
 ]
 
@@ -85,6 +86,21 @@ def sinh_nonlinearity(v: np.ndarray, alpha: float) -> np.ndarray:
     if alpha == 0:
         return v
     return np.sinh(alpha * v) / np.sinh(alpha)
+
+
+def one_trial_apply(
+    self: Any,
+    x: np.ndarray,
+    noise: Optional[NonIdealFactors] = None,
+    rng: Optional[np.random.Generator] = None,
+) -> np.ndarray:
+    """Every crossbar stage's ``apply``: slice ``[0]`` of a 1-trial ``apply_trials``.
+
+    ``x`` is ``(batch, ports)`` or ``(ports,)``; ``rng`` (default: the
+    noise object's trial-0 generator) draws the trial's SF and PV.
+    """
+    rngs = None if noise is None else [rng if rng is not None else noise.rng()]
+    return self.apply_trials(np.atleast_2d(x)[None], noise, rngs)[0]
 
 
 def coefficients_from_conductance(g: np.ndarray, g_s: float) -> np.ndarray:
@@ -158,51 +174,33 @@ class Crossbar:
         so PV on one cell shifts every coefficient in its row — a
         second-order effect SPICE would capture and we preserve.
         """
-        g = self.conductances
         if noise is not None and noise.sigma_pv > 0:
-            g = self.device.clip_conductance(noise.perturb_conductance(g, rng))
-        if self.wire_resistance > 0:
-            g = effective_conductances(g, self.wire_resistance)
+            rngs = [rng if rng is not None else noise.rng()]
+            factors = lognormal_factor_stack(self.conductances.shape, noise.sigma_pv, rngs)
+            return self._perturbed_coefficients(factors)[0]
+        g = effective_conductances(self.conductances, self.wire_resistance)
         return coefficients_from_conductance(g, self.g_s)
 
-    def apply(
-        self,
-        v_in: np.ndarray,
-        noise: Optional[NonIdealFactors] = None,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
-        """Analog matrix-vector product on a batch of input vectors.
+    def _perturbed_coefficients(self, factors: np.ndarray) -> np.ndarray:
+        """Eq. 2 coefficients of a ``(trials, rows, cols)`` PV factor stack.
 
-        Parameters
-        ----------
-        v_in:
-            Input voltages, shape ``(batch, rows)`` or ``(rows,)``.
-        noise:
-            Optional non-ideal factors; PV perturbs the conductances,
-            SF perturbs the input voltages.
-        rng:
-            Generator for one Monte-Carlo trial (defaults to the noise
-            object's own seeding).
+        Multiply, clip to the device window, optional wire attenuation,
+        then the column-sum normalization — all in the factor stack
+        itself when it is writable scratch of the right dtype.
         """
-        v_in = np.atleast_2d(_astype(v_in))
-        if v_in.shape[1] != self.rows:
-            raise ValueError(f"input has {v_in.shape[1]} ports, crossbar has {self.rows} rows")
-        # The programmed states were clipped at construction; catch any
-        # post-construction drift (fault injection, manual edits) that
-        # left the physical window before it silently skews Eq. 2.
-        sanitize_guards.check_range(
-            "crossbar", "conductances", self.conductances,
-            self.device.g_min, self.device.g_max,
-        )
-        sanitize_guards.check_finite("crossbar", "v_in", v_in)
-        if noise is not None:
-            if rng is None:
-                rng = noise.rng()
-            v_in = noise.perturb_signal(v_in, rng)
-        if self.nonlinearity > 0:
-            v_in = sinh_nonlinearity(v_in, self.nonlinearity)
-        c = self.coefficients(noise, rng)
-        return v_in @ c
+        if fits_in_place(factors, self.conductances):
+            factors *= self.conductances
+        else:
+            factors = factors * self.conductances
+        g = _astype(factors)
+        self.device.clip_conductance(g, out=g)
+        if self.wire_resistance > 0:
+            g = effective_conductances(g, self.wire_resistance)
+        denominator = g.sum(axis=-2, keepdims=True)
+        denominator += self.g_s
+        return np.divide(g, denominator, out=g)
+
+    apply = one_trial_apply
 
     def pv_shapes(self) -> "list":
         """Conductance-array shapes, in per-trial PV draw order."""
@@ -213,9 +211,9 @@ class Crossbar:
 
         ``chunks`` yields ``(trials,) + shape`` stacks in
         :meth:`pv_shapes` order (see
-        :meth:`repro.core.deploy.AnalogMLP.forward_trials`, which draws
-        the whole network's PV factors with one generator call per
-        trial and splits them here).
+        :func:`repro.device.variation.pv_factor_stacks`, which draws a
+        whole chain's PV factors with one generator call per trial and
+        splits them here).
         """
         return next(chunks)
 
@@ -226,7 +224,7 @@ class Crossbar:
         rngs: "Optional[list]" = None,
         pv_factors: "Optional[np.ndarray]" = None,
     ) -> np.ndarray:
-        """Batched Monte-Carlo matrix-vector product over noise trials.
+        """Analog matrix-vector product over a stack of Monte-Carlo trials.
 
         Parameters
         ----------
@@ -234,14 +232,13 @@ class Crossbar:
             Input voltage stack of shape ``(trials, batch, rows)``;
             broadcasting views (e.g. ``np.broadcast_to``) are accepted.
         noise:
-            Optional non-ideal factors shared by all trials.
+            Optional non-ideal factors shared by all trials; SF perturbs
+            the input voltages, PV the conductances.
         rngs:
             One generator per trial (see
             :meth:`repro.device.variation.NonIdealFactors.rngs`);
-            required whenever ``noise`` is given.  Each generator is
-            consumed in the same order as one serial :meth:`apply`
-            call, so the stacked result is bit-identical to looping
-            ``apply`` over the trials.
+            required whenever ``noise`` is given.  Each trial's
+            generator draws its SF factors, then its PV factors.
         pv_factors:
             Optional precomputed process-variation factor stack of
             shape ``(trials, rows, cols)``; when given, the per-trial
@@ -254,13 +251,22 @@ class Crossbar:
         Returns
         -------
         Output voltages of shape ``(trials, batch, cols)``, computed
-        with one stacked matmul instead of a per-trial Python loop.
+        with one stacked matmul.
         """
         v_in = _astype(v_in)
         if v_in.ndim != 3:
             raise ValueError(f"trial stack must be 3-D, got shape {v_in.shape}")
         if v_in.shape[2] != self.rows:
             raise ValueError(f"input has {v_in.shape[2]} ports, crossbar has {self.rows} rows")
+        if sanitize_enabled():
+            # The programmed states were clipped at construction; catch
+            # any post-construction drift (fault injection, manual edits)
+            # that left the physical window before it silently skews Eq. 2.
+            sanitize_guards.check_range(
+                "crossbar", "conductances", self.conductances,
+                self.device.g_min, self.device.g_max,
+            )
+            sanitize_guards.check_finite("crossbar", "v_in", v_in)
         if noise is not None:
             if rngs is None:
                 raise ValueError("rngs (one per trial) are required when noise is given")
@@ -275,25 +281,11 @@ class Crossbar:
         if self.nonlinearity > 0:
             v_in = sinh_nonlinearity(v_in, self.nonlinearity)
         if noise is not None and noise.sigma_pv > 0:
-            # Per-trial draws stay in the serial order (bit-identity);
-            # the multiply/clip/normalize run once on the whole stack,
-            # in the factor stack itself (scratch this call owns).
-            factors = pv_factors
-            if factors is None:
-                factors = lognormal_factor_stack(
+            if pv_factors is None:
+                pv_factors = lognormal_factor_stack(
                     self.conductances.shape, noise.sigma_pv, rngs
                 )
-            if fits_in_place(factors, self.conductances):
-                factors *= self.conductances
-            else:
-                factors = factors * self.conductances
-            g = _astype(factors)
-            self.device.clip_conductance(g, out=g)
-            if self.wire_resistance > 0:
-                g = effective_conductances(g, self.wire_resistance)
-            denominator = g.sum(axis=1, keepdims=True)
-            denominator += self.g_s
-            c = np.divide(g, denominator, out=g)
+            c = self._perturbed_coefficients(pv_factors)
         else:
             c = self.coefficients()
         return v_in @ c

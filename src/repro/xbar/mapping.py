@@ -38,11 +38,11 @@ from repro.device.rram import HFOX_DEVICE, RRAMDevice
 from repro.device.variation import (
     NonIdealFactors,
     lognormal_factor_stack,
-    lognormal_factors,
+    pv_factor_stacks,
 )
 from repro.obs import metrics as obs_metrics
 from repro.sanitize import guards as sanitize_guards
-from repro.xbar.crossbar import Crossbar
+from repro.xbar.crossbar import Crossbar, one_trial_apply
 
 __all__ = [
     "MappingConfig",
@@ -223,15 +223,6 @@ def _choose_scale(weights: np.ndarray, config: MappingConfig, base: float) -> fl
     return min(ceiling_budget / max_cell, budget / max_col)
 
 
-def _scaled_difference(pos: np.ndarray, neg: np.ndarray, gain: float) -> np.ndarray:
-    """``(pos - neg) * gain``, built in ``pos`` (a fresh ``apply`` output)."""
-    if not fits_in_place(pos, neg, gain):
-        return (pos - neg) * gain
-    pos -= neg
-    pos *= gain
-    return pos
-
-
 class DifferentialCrossbar:
     """A positive/negative crossbar pair realizing a signed matrix.
 
@@ -317,29 +308,7 @@ class DifferentialCrossbar:
         """Total RRAM cells used (the ``2 (I+O) H`` factor of Eq. 6)."""
         return self.positive.conductances.size + self.negative.conductances.size
 
-    def apply(
-        self,
-        x: np.ndarray,
-        noise: Optional[NonIdealFactors] = None,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
-        """Compute ``x @ W`` (gain already restored) under optional noise.
-
-        Signal fluctuation is applied once to the shared input voltages
-        (both arrays see the same fluctuated signal, as in hardware);
-        process variation is drawn independently per array.
-        """
-        x = np.atleast_2d(_astype(x))
-        if noise is not None:
-            if rng is None:
-                rng = noise.rng()
-            x = noise.perturb_signal(x, rng)
-            pv_only = NonIdealFactors(sigma_pv=noise.sigma_pv, sigma_sf=0.0, seed=noise.seed)
-            pos = self.positive.apply(x, pv_only, rng)
-            neg = self.negative.apply(x, pv_only, rng)
-        else:
-            pos, neg = self.positive.apply(x), self.negative.apply(x)
-        return _scaled_difference(pos, neg, self.gain)
+    apply = one_trial_apply
 
     def pv_shapes(self) -> "list":
         """Conductance-array shapes, in per-trial PV draw order."""
@@ -359,13 +328,14 @@ class DifferentialCrossbar:
         rngs: "Optional[list]" = None,
         pv_factors: "Optional[tuple]" = None,
     ) -> np.ndarray:
-        """Batched Monte-Carlo ``x @ W`` over a ``(trials, batch, in)`` stack.
+        """Monte-Carlo ``x @ W`` (gain restored) over a ``(trials, batch, in)`` stack.
 
-        Per trial the generator is consumed in the serial order
-        (shared-input signal fluctuation, then positive-array PV, then
-        negative-array PV), so the stack is bit-identical to looping
-        :meth:`apply` with the same generators.  ``pv_factors`` is the
-        optional precomputed ``(positive, negative)`` factor pair from
+        Signal fluctuation is applied once to the shared input voltages
+        (both arrays see the same fluctuated signal, as in hardware);
+        process variation is drawn independently per array.  Each
+        trial's generator draws the SF factors, then the positive-array
+        PV, then the negative-array PV.  ``pv_factors`` is the optional
+        precomputed ``(positive, negative)`` factor pair from
         :meth:`consume_pv_factors`.
         """
         x = _astype(x)
@@ -376,13 +346,20 @@ class DifferentialCrossbar:
                 raise ValueError("rngs (one per trial) are required when noise is given")
             if noise.sigma_sf > 0:
                 x = x * lognormal_factor_stack(x.shape[1:], noise.sigma_sf, rngs)
+            if noise.sigma_pv > 0 and pv_factors is None:
+                (pv_factors,) = pv_factor_stacks([self], noise.sigma_pv, rngs)
             pv_pos, pv_neg = pv_factors if pv_factors is not None else (None, None)
             pv_only = NonIdealFactors(sigma_pv=noise.sigma_pv, sigma_sf=0.0, seed=noise.seed)
             pos = self.positive.apply_trials(x, pv_only, rngs, pv_factors=pv_pos)
             neg = self.negative.apply_trials(x, pv_only, rngs, pv_factors=pv_neg)
         else:
             pos, neg = self.positive.apply_trials(x), self.negative.apply_trials(x)
-        return _scaled_difference(pos, neg, self.gain)
+        # (pos - neg) * gain, built in pos (a fresh apply_trials output).
+        if not fits_in_place(pos, neg, self.gain):
+            return (pos - neg) * self.gain
+        pos -= neg
+        pos *= self.gain
+        return pos
 
 
 class ExactDifferentialCrossbar:
@@ -439,26 +416,7 @@ class ExactDifferentialCrossbar:
         """Cells the real pair would use (area accounting stays honest)."""
         return 2 * self.weights.size
 
-    def apply(
-        self,
-        x: np.ndarray,
-        noise: Optional[NonIdealFactors] = None,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
-        x = np.atleast_2d(_astype(x))
-        if x.shape[1] != self.in_dim:
-            raise ValueError(
-                f"input has {x.shape[1]} ports, matrix has {self.in_dim} rows"
-            )
-        if noise is not None:
-            if rng is None:
-                rng = noise.rng()
-            x = noise.perturb_signal(x, rng)
-            if noise.sigma_pv > 0:
-                f_pos = lognormal_factors(self.weights.shape, noise.sigma_pv, rng)
-                f_neg = lognormal_factors(self.weights.shape, noise.sigma_pv, rng)
-                return x @ (self.w_pos * f_pos - self.w_neg * f_neg)
-        return x @ self.weights
+    apply = one_trial_apply
 
     def pv_shapes(self) -> "list":
         """Conductance-array shapes, in per-trial PV draw order."""
@@ -475,29 +433,27 @@ class ExactDifferentialCrossbar:
         rngs: "Optional[list]" = None,
         pv_factors: "Optional[tuple]" = None,
     ) -> np.ndarray:
+        """``x @ W`` over a ``(trials, batch, in)`` stack, PV on each half.
+
+        Same draw order as :meth:`DifferentialCrossbar.apply_trials`:
+        shared SF, then positive-array PV, then negative-array PV.
+        """
         x = _astype(x)
         if x.ndim != 3:
             raise ValueError(f"trial stack must be 3-D, got shape {x.shape}")
+        if x.shape[2] != self.in_dim:
+            raise ValueError(
+                f"input has {x.shape[2]} ports, matrix has {self.in_dim} rows"
+            )
         if noise is not None:
             if rngs is None:
                 raise ValueError("rngs (one per trial) are required when noise is given")
             if noise.sigma_sf > 0:
                 x = x * lognormal_factor_stack(x.shape[1:], noise.sigma_sf, rngs)
             if noise.sigma_pv > 0:
-                if pv_factors is not None:
-                    f_pos, f_neg = pv_factors
-                else:
-                    # Interleave per trial to match the serial apply()
-                    # draw order (pos then neg from one generator).
-                    f_pos = np.empty((len(rngs),) + self.weights.shape, dtype=x.dtype)
-                    f_neg = np.empty_like(f_pos)
-                    for t, rng in enumerate(rngs):
-                        f_pos[t] = lognormal_factors(
-                            self.weights.shape, noise.sigma_pv, rng
-                        )
-                        f_neg[t] = lognormal_factors(
-                            self.weights.shape, noise.sigma_pv, rng
-                        )
+                if pv_factors is None:
+                    (pv_factors,) = pv_factor_stacks([self], noise.sigma_pv, rngs)
+                f_pos, f_neg = pv_factors
                 return x @ (self.w_pos[None] * f_pos - self.w_neg[None] * f_neg)
         return x @ self.weights
 

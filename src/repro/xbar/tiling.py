@@ -23,6 +23,7 @@ import numpy as np
 from repro.config.dtype import astype as _astype
 from repro.device.rram import HFOX_DEVICE, RRAMDevice
 from repro.device.variation import NonIdealFactors
+from repro.xbar.crossbar import one_trial_apply
 from repro.xbar.mapping import DifferentialCrossbar, MappingConfig
 
 __all__ = ["TiledDifferentialCrossbar"]
@@ -80,21 +81,7 @@ class TiledDifferentialCrossbar:
         """Tiles restore their own gains; the stack needs none."""
         return 1.0
 
-    def apply(
-        self,
-        x: np.ndarray,
-        noise: Optional[NonIdealFactors] = None,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
-        """Compute ``x @ W`` by summing the tiles' output currents."""
-        x = np.atleast_2d(_astype(x))
-        if x.shape[1] != self.in_dim:
-            raise ValueError(f"input has {x.shape[1]} ports, matrix has {self.in_dim} rows")
-        total = None
-        for rows, tile in zip(self._row_slices, self.tiles):
-            partial = tile.apply(x[:, rows], noise, rng)
-            total = partial if total is None else total + partial
-        return total
+    apply = one_trial_apply
 
     def pv_shapes(self) -> "list":
         """Conductance-array shapes, in per-trial PV draw order."""
@@ -111,13 +98,12 @@ class TiledDifferentialCrossbar:
         rngs: "Optional[list]" = None,
         pv_factors: "Optional[list]" = None,
     ) -> np.ndarray:
-        """Batched Monte-Carlo apply over a ``(trials, batch, in)`` stack.
+        """``x @ W`` over a ``(trials, batch, in)`` stack, summing the tiles' currents.
 
-        Tiles are visited in the same order as :meth:`apply`, so each
-        trial's generator sees the serial draw sequence (per tile:
-        signal fluctuation, positive PV, negative PV) and the result is
-        bit-identical to looping over trials.  ``pv_factors`` is the
-        optional per-tile list from :meth:`consume_pv_factors`.
+        Tiles are visited in row order, so each trial's generator draws,
+        per tile: signal fluctuation, positive PV, negative PV.
+        ``pv_factors`` is the optional per-tile list from
+        :meth:`consume_pv_factors`.
         """
         x = _astype(x)
         if x.ndim != 3:

@@ -27,6 +27,7 @@ from repro.device.variation import (
 from repro.nn.network import MLP
 from repro.nn.trainer import TrainConfig
 from repro.xbar.mapping import DifferentialCrossbar
+from tests import reference_chain as oracle
 
 NOISE = NonIdealFactors(sigma_pv=0.08, sigma_sf=0.05, seed=11)
 PV_ONLY = NonIdealFactors(sigma_pv=0.08, seed=11)
@@ -40,8 +41,8 @@ def dtype(request):
 
 
 def _assert_matches_serial(batched, serial, dtype):
-    """Bit-identical at float64; float32 is a tolerance opt-out (where
-    the serial oracle may also run some stages in float64)."""
+    """Bit-identical at float64; float32 is a tolerance opt-out (the
+    per-trial reference oracle runs some stages in float64)."""
     if dtype == np.float64:
         assert batched.dtype == serial.dtype
         assert np.array_equal(batched, serial)
@@ -182,7 +183,8 @@ class TestNoAliasing:
         assert np.array_equal(x, before)
         assert np.array_equal(pair.apply_trials(_read_only(x), NOISE, NOISE.rngs(3)), noisy)
         for t in range(3):
-            _assert_matches_serial(noisy[t], pair.apply(x[t], NOISE, NOISE.rng(t)), dtype)
+            serial = oracle.layer_apply(pair, x[t], NOISE, NOISE.rng(t))
+            _assert_matches_serial(noisy[t], serial, dtype)
 
     def test_forward_trials(self, dtype):
         mlp = MLP([6, 5, 3], rng=0)
@@ -197,7 +199,7 @@ class TestNoAliasing:
             assert np.array_equal(x, before)
             assert np.array_equal(analog.forward_trials(_read_only(x), NOISE, trials=3), out)
             for t in range(3):
-                _assert_matches_serial(out[t], analog.forward(x, NOISE, trial=t), dtype)
+                _assert_matches_serial(out[t], oracle.forward(analog, x, NOISE, t), dtype)
 
     def test_saab_predict_bits_trials(self, dtype):
         rng = np.random.default_rng(7)
@@ -213,4 +215,4 @@ class TestNoAliasing:
         assert out.dtype == np.float64
         assert np.array_equal(saab.predict_bits_trials(_read_only(probe), NOISE, trials=3), out)
         for t in range(3):
-            assert np.array_equal(out[t], saab.predict_bits(probe, NOISE, trial=t))
+            assert np.array_equal(out[t], oracle.saab_bits(saab, probe, NOISE, t))

@@ -603,10 +603,16 @@ _ALL_CODES = sorted(
 )
 
 
+@pytest.fixture(scope="module")
+def repo_findings():
+    """Every finding on the shipped package, from one pass over the tree."""
+    return run_paths([default_target()])
+
+
 @pytest.mark.parametrize("rule", _ALL_CODES)
-def test_repo_is_clean(rule):
+def test_repo_is_clean(rule, repo_findings):
     """The enforcement gate: the shipped package has zero findings."""
-    findings = [f for f in run_paths([default_target()]) if f.rule == rule]
+    findings = [f for f in repo_findings if f.rule == rule]
     assert findings == [], "\n".join(f.format() for f in findings)
 
 

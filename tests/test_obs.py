@@ -241,6 +241,26 @@ class TestMetrics:
         assert snap["histograms"]["h"]["count"] == 1
 
 
+class TestForwardAccounting:
+    def test_each_real_crossbar_pass_counts_once(self):
+        from repro.core.mei import MEI, MEIConfig
+        from repro.device.variation import IDEAL, NonIdealFactors
+
+        mei = MEI(MEIConfig(2, 1, 5, bits=4), seed=0)
+        mei.deploy()
+        x = np.random.default_rng(0).uniform(size=(7, 2))
+        noisy = NonIdealFactors(sigma_pv=0.1, seed=0)
+        # Noise-free (the serving path) is one pass; each noisy trial is one.
+        for noise, trials, passes in ((IDEAL, 1, 1), (noisy, 3, 3)):
+            before = obs_metrics.snapshot()
+            mei.predict_trials(x, noise, trials=trials)
+            delta = obs_metrics.diff(before, obs_metrics.snapshot())
+            assert delta["counters"]["crossbar_macs"] == mei.analog.device_count * 7 * passes
+            assert delta["counters"]["forward_passes"] == 1
+            assert delta["histograms"]["forward_latency_seconds"]["count"] == 1
+            assert "forward_trials_latency_seconds" not in delta["histograms"]
+
+
 def _worker_task(item):
     """Module-level (picklable) task: produces a span and a counter."""
     with span(f"task:{item}", item=item):

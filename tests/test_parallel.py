@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.dse import DSEConfig, _make_candidate_mei, search_hidden_size
-from repro.device.variation import NonIdealFactors
+from repro.device.variation import NonIdealFactors, trial_indices
 from repro.experiments.runner import repeat_with_seeds
 from repro.metrics.robustness import noise_sweep
 from repro.nn.trainer import TrainConfig
@@ -27,6 +27,7 @@ from repro.parallel import (
     resolve_workers,
 )
 from repro.parallel.executor import EXECUTOR_ENV, WORKERS_ENV
+from tests import reference_chain as oracle
 
 
 def _square(v):
@@ -39,10 +40,14 @@ def _seeded_value(seed):
     return float(np.random.default_rng(seed).normal())
 
 
-def _noisy_identity(x, noise, trial):
-    """A fake per-trial system: identity plus seeded noise."""
-    rng = noise.rng(trial)
-    return x + rng.normal(0.0, noise.sigma_pv + noise.sigma_sf + 1e-12, x.shape)
+class _NoisyIdentity:
+    """A fake system: identity plus seeded per-trial noise (module-level
+    so process pools can pickle it)."""
+
+    def predict_trials(self, x, noise, trials):
+        scale = noise.sigma_pv + noise.sigma_sf + 1e-12
+        return np.stack([x + noise.rng(t).normal(0.0, scale, x.shape)
+                         for t in trial_indices(trials)])
 
 
 def _mae(pred, true):
@@ -183,9 +188,9 @@ class TestNoiseSweepExecutors:
     def test_parallel_sweep_matches_serial(self, rng):
         x = rng.uniform(0, 1, (40, 2))
         noises = [NonIdealFactors(sigma_pv=s, seed=3) for s in (0.02, 0.1, 0.3)]
-        serial = noise_sweep(_noisy_identity, x, x, _mae, noises, trials=6)
+        serial = noise_sweep(_NoisyIdentity(), x, x, _mae, noises, trials=6)
         threaded = noise_sweep(
-            _noisy_identity, x, x, _mae, noises, trials=6,
+            _NoisyIdentity(), x, x, _mae, noises, trials=6,
             executor=ThreadExecutor(3),
         )
         for a, b in zip(serial, threaded):
@@ -195,16 +200,17 @@ class TestNoiseSweepExecutors:
         monkeypatch.setenv(EXECUTOR_ENV, "thread")
         x = rng.uniform(0, 1, (20, 2))
         noises = [NonIdealFactors(sigma_pv=s, seed=3) for s in (0.05, 0.2)]
-        serial = noise_sweep(_noisy_identity, x, x, _mae, noises, trials=4)
-        parallel = noise_sweep(_noisy_identity, x, x, _mae, noises, trials=4, workers=2)
+        serial = noise_sweep(_NoisyIdentity(), x, x, _mae, noises, trials=4)
+        parallel = noise_sweep(_NoisyIdentity(), x, x, _mae, noises, trials=4, workers=2)
         for a, b in zip(serial, parallel):
             assert np.array_equal(a.values, b.values)
 
 
 class TestFaultedTrialEquivalence:
-    """Differential tests: the vectorized Monte-Carlo path must stay
-    bit-identical to the serial loop when hard faults are injected —
-    stuck cells change the conductances, never the trial seeding."""
+    """Differential tests: the trial-stacked Monte-Carlo path must stay
+    bit-identical to the per-trial reference oracle when hard faults
+    are injected — stuck cells change the conductances, never the
+    trial seeding."""
 
     def _faulted_mei(self, rng, fast_train):
         from repro.core.mei import MEI, MEIConfig
@@ -226,7 +232,7 @@ class TestFaultedTrialEquivalence:
         encoded = mei.encode_inputs(x)
         stacked = mei.analog.forward_trials(encoded, noise, trials=4)
         for trial in range(4):
-            serial = mei.analog.forward(encoded, noise, trial=trial)
+            serial = oracle.forward(mei.analog, encoded, noise, trial)
             assert np.array_equal(stacked[trial], serial)
 
     def test_predict_bits_trials_matches_serial_loop(self, rng, fast_train):
@@ -234,7 +240,7 @@ class TestFaultedTrialEquivalence:
         noise = NonIdealFactors(sigma_pv=0.08, sigma_sf=0.05, seed=11)
         stacked = mei.predict_bits_trials(x, noise, trials=4)
         for trial in range(4):
-            serial = mei.predict_bits(x, noise, trial=trial)
+            serial = oracle.mei_bits(mei, x, noise, trial)
             assert np.array_equal(stacked[trial], serial)
 
     def test_faulted_saab_trials_match_serial_loop(self, rng, fast_train):
@@ -252,7 +258,7 @@ class TestFaultedTrialEquivalence:
         noise = NonIdealFactors(sigma_pv=0.05, sigma_sf=0.05, seed=2)
         stacked = saab.predict_bits_trials(x, noise, trials=3)
         for trial in range(3):
-            serial = saab.predict_bits(x, noise, trial=trial)
+            serial = oracle.saab_bits(saab, x, noise, trial)
             assert np.array_equal(stacked[trial], serial)
 
 

@@ -1,0 +1,83 @@
+"""The forward kernels and their one-trial views against the per-trial oracle.
+
+Bit for bit (float64) over plain, tiled, exact, wired (IR drop + input
+nonlinearity) and faulted deployments, analog and digital inputs, under
+PV, SF, both and neither.  MEI, RCS and SAAB systems are pinned to the
+same oracle in ``test_metrics_robustness`` and ``test_parallel``.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core.deploy import AnalogMLP
+from repro.device.faults import FaultModel, inject_faults_analog_report
+from repro.device.variation import IDEAL, NonIdealFactors
+from repro.nn.network import MLP
+from repro.xbar.mapping import MappingConfig
+from tests import reference_chain as oracle
+
+NOISES = {
+    "pv+sf": NonIdealFactors(sigma_pv=0.08, sigma_sf=0.05, seed=11),
+    "pv": NonIdealFactors(sigma_pv=0.1, seed=3),
+    "sf": NonIdealFactors(sigma_sf=0.2, seed=5),
+    "ideal": IDEAL,
+}
+FAULTS = FaultModel(stuck_on_rate=0.05, stuck_off_rate=0.05, row_failure_rate=0.05,
+                    col_failure_rate=0.05, seed=9)
+DEPLOYMENTS = {
+    "plain": ({}, None),
+    "tiled": ({"mapping_config": MappingConfig(max_rows_per_tile=4)}, None),
+    "wired": ({"mapping_config": MappingConfig(wire_resistance=2.0,
+                                               input_nonlinearity=0.7)}, None),
+    "exact": ({"exact_mapping": True}, None),
+    "faulted": ({}, FAULTS),
+    "tiled-faulted": ({"mapping_config": MappingConfig(max_rows_per_tile=5)}, FAULTS),
+}
+TRIALS = [0, 1, 6]  # an explicit index list, not range(n)
+
+
+def _deploy(kind, sizes, digital_input=False):
+    options, faults = DEPLOYMENTS[kind]
+    analog = AnalogMLP(MLP(sizes, rng=2), digital_input=digital_input, **options)
+    if faults is not None:
+        inject_faults_analog_report(analog, faults)
+    return analog
+
+
+def _inputs(digital):
+    x = np.random.default_rng(21).uniform(size=(9, 11))
+    return (x >= 0.5).astype(float) if digital else x
+
+
+def _assert_matches(stack, reference_of):
+    assert stack.shape[0] == len(TRIALS)
+    for slot, trial in enumerate(TRIALS):
+        expected = reference_of(trial)
+        assert stack[slot].dtype == expected.dtype
+        assert np.array_equal(stack[slot], expected), f"trial {trial}"
+
+
+@pytest.mark.parametrize("noise", NOISES.values(), ids=NOISES.keys())
+@pytest.mark.parametrize("kind", DEPLOYMENTS)
+@pytest.mark.parametrize("digital", [False, True], ids=["analog-in", "digital-in"])
+def test_forward_trials_matches_oracle(kind, noise, digital):
+    analog = _deploy(kind, (11, 7, 5), digital)
+    x = _inputs(digital)
+    stack = analog.forward_trials(x, noise, TRIALS)
+    _assert_matches(stack, lambda t: oracle.forward(analog, x, noise, t))
+    assert np.array_equal(np.stack([analog.forward(x, noise, trial=t) for t in TRIALS]), stack)
+
+
+@pytest.mark.parametrize("noise", NOISES.values(), ids=NOISES.keys())
+@pytest.mark.parametrize("kind", ["single", "plain", "tiled", "wired", "exact"])
+def test_matrix_stage_apply_matches_oracle(kind, noise):
+    xbar = _deploy("wired" if kind == "single" else kind, (11, 5)).crossbars[0]
+    xbar = xbar.positive if kind == "single" else xbar
+    x = _inputs(False)
+    noise_arg = None if noise.is_ideal else noise
+    rngs = None if noise.is_ideal else noise.rngs(TRIALS)
+    stack = xbar.apply_trials(np.broadcast_to(x, (3,) + x.shape), noise_arg, rngs)
+    _assert_matches(stack, lambda t: oracle.layer_apply(xbar, x, noise, noise.rng(t)))
+    assert np.array_equal(np.stack([xbar.apply(x, noise_arg, noise.rng(t)) for t in TRIALS]), stack)
+    if kind != "tiled":  # tiles share the default generator: test_xbar_tiling
+        assert np.array_equal(xbar.apply(x, noise_arg), stack[0])  # default rng: trial 0

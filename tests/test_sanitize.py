@@ -16,12 +16,13 @@ import pytest
 
 import repro.sanitize as sanitize
 from repro.core.deploy import AnalogMLP
+from repro.device.variation import NonIdealFactors
 from repro.nn.network import MLP
 from repro.nn.trainer import TrainConfig, Trainer
 from repro.obs import metrics as obs_metrics
 from repro.parallel.seeding import ensure_rng
 from repro.sanitize import guards, rng as sanitize_rng
-from repro.xbar.mapping import DifferentialCrossbar, clear_mapping_cache
+from repro.xbar.mapping import clear_mapping_cache
 
 
 @pytest.fixture(autouse=True)
@@ -145,13 +146,21 @@ class TestInjectedFaults:
         assert "trainer" in stages()
         assert "non-finite" in kinds()
 
-    def test_out_of_window_conductances_trip_the_crossbar_guard(self):
+    @pytest.mark.parametrize("path", ["apply", "apply_trials", "forward_trials"])
+    def test_out_of_window_conductances_trip_the_crossbar_guard(self, path):
         clear_mapping_cache()
-        pair = DifferentialCrossbar(np.full((3, 2), 0.5))
+        analog = AnalogMLP(MLP((3, 2), rng=0))
+        pair = analog.crossbars[0]
         # discretize() clipped at construction; simulate post-program
         # drift (what a fault campaign or a bug would produce)
         pair.positive.conductances[0, 0] = pair.device.g_max * 10
-        pair.apply(np.ones(3))
+        noise = NonIdealFactors(sigma_pv=0.05, seed=1)
+        if path == "apply":
+            pair.apply(np.ones(3))
+        elif path == "apply_trials":
+            pair.apply_trials(np.ones((2, 4, 3)), noise, noise.rngs(2))
+        else:
+            analog.forward_trials(np.ones((4, 3)), noise, trials=2)
         assert "crossbar" in stages()
         assert "range" in kinds()
 

@@ -18,6 +18,12 @@ class TestTiling:
         scale = max(float(np.max(np.abs(ideal))), 1e-12)
         assert np.max(np.abs(tiled.apply(x) - ideal)) / scale < 1e-9
 
+    def test_default_rng_is_one_trial_zero_stream_across_tiles(self, rng):
+        tiled = TiledDifferentialCrossbar(rng.normal(size=(40, 3)), max_rows=16)
+        x = rng.uniform(0, 1, (5, 40))
+        noise = NonIdealFactors(sigma_pv=0.1, sigma_sf=0.05, seed=4)
+        assert np.array_equal(tiled.apply(x, noise), tiled.apply(x, noise, noise.rng(0)))
+
     def test_tile_count(self, rng):
         tiled = TiledDifferentialCrossbar(rng.normal(size=(50, 4)), max_rows=16)
         assert tiled.n_tiles == 4  # 16+16+16+2
