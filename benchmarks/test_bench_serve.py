@@ -83,7 +83,6 @@ def test_bench_serve(scale, save_report, tmp_path):
         "interface": model.interface,
         "policy": {
             "max_batch": policy.max_batch,
-            "max_delay_seconds": policy.max_delay,
             "queue_limit": policy.queue_limit,
         },
         "loadgen": result.as_dict(),

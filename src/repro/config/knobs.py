@@ -346,16 +346,9 @@ register(
     "int",
     "64",
     "Serving micro-batcher: maximum total samples fused into one "
-    "`forward_trials` call. Requests are concatenated until this cap or "
-    "`REPRO_SERVE_MAX_DELAY_MS` is hit, whichever comes first.",
-)
-register(
-    "REPRO_SERVE_MAX_DELAY_MS",
-    "float",
-    "2.0",
-    "Serving micro-batcher: milliseconds to hold an open batch waiting for "
-    "more requests before dispatching it. `0` dispatches whatever is queued "
-    "immediately.",
+    "`forward_trials` call. Each batch takes the requests already queued, "
+    "up to this cap, the moment the evaluator is free; it never waits for "
+    "more.",
 )
 register(
     "REPRO_SERVE_QUEUE_LIMIT",

@@ -17,15 +17,15 @@ are retried with backoff, and a crashed dispatcher resubmits its
 in-flight requests — every request's future completes exactly once.
 
 Knobs (``repro.config.knobs``): ``REPRO_SERVE_MAX_BATCH``,
-``REPRO_SERVE_MAX_DELAY_MS``, ``REPRO_SERVE_QUEUE_LIMIT``,
-``REPRO_SERVE_DEADLINE_MS``.
+``REPRO_SERVE_QUEUE_LIMIT``, ``REPRO_SERVE_DEADLINE_MS``.
 
 Metrics (``repro.obs.metrics`` registry, exposed over OpenMetrics):
 ``serve_requests`` / ``serve_responses`` / ``serve_batches`` /
 ``serve_shed`` / ``serve_deadline_misses`` / ``serve_retries`` /
 ``serve_worker_restarts`` counters, ``serve_queue_depth`` /
 ``serve_batch_size`` / ``serve_batch_samples`` gauges and the
-``serve_request_latency_seconds`` histogram (p50/p99 via
+``serve_request_latency_seconds`` / ``serve_queue_wait_seconds`` /
+``serve_compute_seconds`` histograms (p50/p99 via
 ``Histogram.quantiles``).
 """
 
@@ -149,8 +149,6 @@ class BatchPolicy:
 
     max_batch: int = 64
     """Maximum total samples fused into one crossbar pass."""
-    max_delay: float = 0.002
-    """Seconds to hold an open batch for more requests (0 = no wait)."""
     queue_limit: int = 256
     """Requests queued beyond this are shed with :class:`QueueOverflow`."""
     deadline: Optional[float] = None
@@ -159,8 +157,6 @@ class BatchPolicy:
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_delay < 0:
-            raise ValueError(f"max_delay must be >= 0, got {self.max_delay}")
         if self.queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {self.queue_limit}")
         if self.deadline is not None and self.deadline <= 0:
@@ -172,7 +168,6 @@ class BatchPolicy:
         deadline_ms = knobs.get_float("REPRO_SERVE_DEADLINE_MS")
         return cls(
             max_batch=int(knobs.get_int("REPRO_SERVE_MAX_BATCH") or 64),
-            max_delay=float(knobs.get_float("REPRO_SERVE_MAX_DELAY_MS") or 0.0) / 1000.0,
             queue_limit=int(knobs.get_int("REPRO_SERVE_QUEUE_LIMIT") or 256),
             deadline=None if deadline_ms is None else float(deadline_ms) / 1000.0,
         )
@@ -194,8 +189,8 @@ class MicroBatcher:
 
     ``submit`` returns a ``concurrent.futures.Future`` (wrap with
     ``asyncio.wrap_future`` from async code).  A dispatcher thread
-    collects up to ``policy.max_batch`` samples within
-    ``policy.max_delay`` of the first dequeue and evaluates them in one
+    takes the queued requests, up to ``policy.max_batch`` samples, as
+    soon as the previous batch is done, and evaluates them in one
     ``predict_fn`` call on an isolated evaluation pool.  Use as a
     context manager so shutdown is exception-safe.
     """
@@ -301,12 +296,15 @@ class MicroBatcher:
                 self._resubmit(batch, exc)
 
     def _collect(self) -> Optional[List[_Request]]:
-        """Dequeue one batch: first request + fills within the delay window.
+        """Dequeue one batch: the first request + everything queued behind it.
 
+        Work-conserving: it never waits for more requests once it has
+        one.  Requests that arrive while a batch computes queue up, so
+        fusion grows with load and costs a lone request nothing.
         Returns ``None`` once closed and drained.  A single request
         larger than ``max_batch`` still forms its own batch.
         """
-        policy = self.policy
+        max_batch = self.policy.max_batch
         with self._cond:
             while not self._queue:
                 if self._closed:
@@ -314,19 +312,10 @@ class MicroBatcher:
                 self._cond.wait(0.1)
             batch = [self._queue.popleft()]
             total = batch[0].samples
-            horizon = time.monotonic() + policy.max_delay
-            while total < policy.max_batch:
-                if self._queue:
-                    if total + self._queue[0].samples > policy.max_batch:
-                        break
-                    request = self._queue.popleft()
-                    batch.append(request)
-                    total += request.samples
-                    continue
-                remaining = horizon - time.monotonic()
-                if remaining <= 0 or self._closed:
-                    break
-                self._cond.wait(remaining)
+            while self._queue and total + self._queue[0].samples <= max_batch:
+                request = self._queue.popleft()
+                batch.append(request)
+                total += request.samples
             obs_metrics.gauge("serve_queue_depth").set(float(len(self._queue)))
         return batch
 
@@ -344,12 +333,17 @@ class MicroBatcher:
                 live.append(request)
         if not live:
             return
+        queue_wait = obs_metrics.histogram("serve_queue_wait_seconds")
+        for request in live:
+            queue_wait.observe(now - request.enqueued)
         values = np.concatenate([r.values for r in live], axis=0)
         obs_metrics.gauge("serve_batch_size").set(float(len(live)))
         obs_metrics.gauge("serve_batch_samples").set(float(values.shape[0]))
         obs_metrics.counter("serve_batches").inc()
+        started = time.monotonic()
         outputs = self._evaluate(values)
         done = time.monotonic()
+        obs_metrics.histogram("serve_compute_seconds").observe(done - started)
         latency = obs_metrics.histogram("serve_request_latency_seconds")
         offset = 0
         for request in live:

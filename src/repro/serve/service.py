@@ -8,7 +8,8 @@ one HTTP/1.1 request per connection and answers
   flat sample); encoded, micro-batched through
   :class:`repro.serve.batcher.MicroBatcher` and decoded back to
   ``{"outputs": [...], "samples": n}``.  Overload returns 503,
-  a missed deadline 504, a malformed payload 400;
+  a missed deadline 504, a malformed payload 400, a slow request 408,
+  an over-long header line 431;
 * ``GET /healthz`` — liveness;
 * ``GET /model`` — the loaded artifact's summary (system kind,
   benchmark, bit interface, schema version, digest);
@@ -48,6 +49,7 @@ __all__ = ["BackgroundServer", "InferenceService", "run_service"]
 _log = get_logger("serve.service")
 
 _MAX_BODY_BYTES = 8 * 1024 * 1024
+_READ_TIMEOUT_S = 10.0  # to send request line, headers and body; then 408
 
 
 class InferenceService:
@@ -114,31 +116,15 @@ class InferenceService:
     async def _respond(
         self, reader: asyncio.StreamReader
     ) -> Tuple[int, str, str, bytes]:
-        request_line = (await reader.readline()).decode("latin-1").strip()
-        parts = request_line.split()
-        if len(parts) < 2:
-            return _json_error(400, "Bad Request", "malformed request line")
-        method, target = parts[0], parts[1]
-        headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        raw_length = headers.get("content-length", "0") or "0"
         try:
-            length = int(raw_length)
-        except ValueError:
-            length = -1
-        if length < 0:
-            return _json_error(400, "Bad Request",
-                               f"invalid Content-Length {raw_length!r}")
-        if length > _MAX_BODY_BYTES:
-            return _json_error(413, "Payload Too Large",
-                               f"body over {_MAX_BODY_BYTES} bytes")
-        body = await reader.readexactly(length) if length else b""
-
+            method, target, body = await asyncio.wait_for(
+                _read_request(reader), _READ_TIMEOUT_S)
+        except _BadRequest as exc:
+            return exc.args[0]
+        except asyncio.TimeoutError:
+            return _json_error(408, "Request Timeout", f"request not read in {_READ_TIMEOUT_S}s")
+        except ValueError as exc:  # StreamReader: a line over its limit
+            return _json_error(431, "Request Header Fields Too Large", str(exc))
         if method == "GET" and target == "/healthz":
             return _json_ok({"status": "ok", "system": self.model.kind})
         if method == "GET" and target == "/model":
@@ -190,6 +176,38 @@ class InferenceService:
             "members": len(meta.get("members") or []),
             "path": str(self.model.path),
         }
+
+
+class _BadRequest(Exception):
+    """A malformed request; ``args[0]`` is the 4xx response it gets."""
+
+
+async def _read_request(reader: asyncio.StreamReader) -> Tuple[str, str, bytes]:
+    """Read one request: its method, target and body."""
+    request_line = (await reader.readline()).decode("latin-1").strip()
+    parts = request_line.split()
+    if len(parts) < 2:
+        raise _BadRequest(_json_error(400, "Bad Request", "malformed request line"))
+    headers: Dict[str, str] = {}
+    while True:
+        line = await reader.readline()
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    raw_length = headers.get("content-length", "0") or "0"
+    try:
+        length = int(raw_length)
+    except ValueError:
+        length = -1
+    if length < 0:
+        raise _BadRequest(_json_error(400, "Bad Request",
+                                      f"invalid Content-Length {raw_length!r}"))
+    if length > _MAX_BODY_BYTES:
+        raise _BadRequest(_json_error(413, "Payload Too Large",
+                                      f"body over {_MAX_BODY_BYTES} bytes"))
+    body = await reader.readexactly(length) if length else b""
+    return parts[0], parts[1], body
 
 
 def _json_ok(payload: Dict[str, object]) -> Tuple[int, str, str, bytes]:

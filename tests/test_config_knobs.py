@@ -49,7 +49,6 @@ class TestRegistry:
             "REPRO_SANITIZE",
             "REPRO_SERVE_DEADLINE_MS",
             "REPRO_SERVE_MAX_BATCH",
-            "REPRO_SERVE_MAX_DELAY_MS",
             "REPRO_SERVE_PORT",
             "REPRO_SERVE_QUEUE_LIMIT",
             "REPRO_SHM",

@@ -3,7 +3,7 @@
 The load-bearing property (satellite of the serving PR): **batching is
 invisible** — a request decoded out of a fused batch equals the same
 request served alone, for *any* interleaving of concurrent requests
-and any ``max_batch``/``max_delay`` policy.  Hypothesis drives that
+and any ``max_batch`` policy.  Hypothesis drives that
 over a bit-exact element-wise engine (row-wise arithmetic commutes
 with concatenation exactly); a fixed-seed real-MEI test then pins the
 same property on the actual encode → crossbar → comparator → decode
@@ -75,15 +75,16 @@ class _GatedEngine:
 
 class TestBatching:
     def test_single_request_roundtrip(self):
-        with MicroBatcher(_double, BatchPolicy(max_batch=8, max_delay=0.0),
+        with MicroBatcher(_double, BatchPolicy(max_batch=8),
                           retry=FAST_RETRY) as batcher:
             values = _req(3)
             assert np.array_equal(batcher.submit(values).result(10), _double(values))
 
     def test_concurrent_requests_fuse_into_one_evaluation(self):
+        """Requests submitted while a batch computes fuse into the next
+        one under the default policy, with no batch hold to wait out."""
         engine = _GatedEngine()
-        policy = BatchPolicy(max_batch=16, max_delay=0.0)
-        with MicroBatcher(engine, policy, retry=FAST_RETRY) as batcher:
+        with MicroBatcher(engine, BatchPolicy(), retry=FAST_RETRY) as batcher:
             first = batcher.submit(_req(2, seed=1))
             _wait_for(lambda: len(engine.calls) == 1)
             second = batcher.submit(_req(3, seed=2))
@@ -99,7 +100,7 @@ class TestBatching:
     def test_fused_responses_match_requests_served_alone(self):
         engine = _GatedEngine()
         requests = [_req(rows, seed=rows) for rows in (2, 1, 3)]
-        with MicroBatcher(engine, BatchPolicy(max_batch=16, max_delay=0.0),
+        with MicroBatcher(engine, BatchPolicy(max_batch=16),
                           retry=FAST_RETRY) as batcher:
             blocker = batcher.submit(_req(1, seed=9))
             _wait_for(lambda: len(engine.calls) == 1)
@@ -111,7 +112,7 @@ class TestBatching:
             assert np.array_equal(result, _double(request))
 
     def test_oversize_request_forms_its_own_batch(self):
-        with MicroBatcher(_double, BatchPolicy(max_batch=2, max_delay=0.0),
+        with MicroBatcher(_double, BatchPolicy(max_batch=2),
                           retry=FAST_RETRY) as batcher:
             values = _req(5)
             assert np.array_equal(batcher.submit(values).result(10), _double(values))
@@ -120,7 +121,7 @@ class TestBatching:
         """A request is a unit: a batch closes *before* a request that
         would overflow ``max_batch``, never mid-request."""
         engine = _GatedEngine()
-        with MicroBatcher(engine, BatchPolicy(max_batch=4, max_delay=0.0),
+        with MicroBatcher(engine, BatchPolicy(max_batch=4),
                           retry=FAST_RETRY) as batcher:
             blocker = batcher.submit(_req(1, seed=9))
             _wait_for(lambda: len(engine.calls) == 1)
@@ -132,10 +133,63 @@ class TestBatching:
         assert engine.calls == [(1, 3), (3, 3), (3, 3)]
 
 
+class _SpyCondition:
+    """A ``threading.Condition`` that logs every ``wait``: its timeout
+    and whether the engine had been called yet."""
+
+    def __init__(self, called):
+        self._cond = threading.Condition()
+        self._called = called
+        self.waits = []
+
+    def __enter__(self):
+        return self._cond.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self._cond.__exit__(*exc_info)
+
+    def notify_all(self):
+        self._cond.notify_all()
+
+    def wait(self, timeout=None):
+        self.waits.append((timeout, self._called.is_set()))
+        return self._cond.wait(timeout)
+
+
+class TestWorkConservingDispatch:
+    """The dispatcher never holds a batch open: it takes what is queued
+    the moment the evaluator is free (fusion under load is pinned by
+    ``TestBatching.test_concurrent_requests_fuse_into_one_evaluation``)."""
+
+    def test_lone_request_dispatched_without_a_timed_wait(self):
+        called = threading.Event()
+
+        def engine(batch):
+            called.set()
+            return _double(batch)
+
+        with MicroBatcher(engine, BatchPolicy(), retry=FAST_RETRY) as batcher:
+            spy = batcher._cond = _SpyCondition(called)
+            values = _req(2)
+            assert np.array_equal(batcher.submit(values).result(10), _double(values))
+        assert [w for w in spy.waits if not w[1]] == []
+
+    def test_stage_histograms_count_requests_and_batches(self):
+        def count(name):
+            return obs_metrics.histogram(name).count
+
+        before = {name: count(name) for name in
+                  ("serve_queue_wait_seconds", "serve_compute_seconds")}
+        with MicroBatcher(_double, BatchPolicy(), retry=FAST_RETRY) as batcher:
+            batcher.submit(_req(2)).result(10)
+        for name, start in before.items():
+            assert count(name) == start + 1, name
+
+
 class TestOverloadAndDeadlines:
     def test_queue_overflow_sheds_loudly(self):
         engine = _GatedEngine()
-        policy = BatchPolicy(max_batch=1, max_delay=0.0, queue_limit=2)
+        policy = BatchPolicy(max_batch=1, queue_limit=2)
         with MicroBatcher(engine, policy, retry=FAST_RETRY) as batcher:
             blocker = batcher.submit(_req(1, seed=0))
             _wait_for(lambda: len(engine.calls) == 1)
@@ -150,7 +204,7 @@ class TestOverloadAndDeadlines:
 
     def test_expired_deadline_rejected_before_evaluation(self):
         engine = _GatedEngine()
-        policy = BatchPolicy(max_batch=4, max_delay=0.0, deadline=0.05)
+        policy = BatchPolicy(max_batch=4, deadline=0.05)
         with MicroBatcher(engine, policy, retry=FAST_RETRY) as batcher:
             first = batcher.submit(_req(1, seed=0))
             _wait_for(lambda: len(engine.calls) == 1)
@@ -173,7 +227,7 @@ class TestLifecycle:
 
     def test_close_fails_undrained_requests(self):
         engine = _GatedEngine()
-        batcher = MicroBatcher(engine, BatchPolicy(max_batch=1, max_delay=0.0),
+        batcher = MicroBatcher(engine, BatchPolicy(max_batch=1),
                                retry=FAST_RETRY)
         blocker = batcher.submit(_req(1, seed=0))
         _wait_for(lambda: len(engine.calls) == 1)
@@ -193,20 +247,16 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             BatchPolicy(max_batch=0)
         with pytest.raises(ValueError):
-            BatchPolicy(max_delay=-0.1)
-        with pytest.raises(ValueError):
             BatchPolicy(queue_limit=0)
         with pytest.raises(ValueError):
             BatchPolicy(deadline=0.0)
 
     def test_policy_from_knobs(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "7")
-        monkeypatch.setenv("REPRO_SERVE_MAX_DELAY_MS", "5")
         monkeypatch.setenv("REPRO_SERVE_QUEUE_LIMIT", "3")
         monkeypatch.setenv("REPRO_SERVE_DEADLINE_MS", "50")
         policy = BatchPolicy.from_knobs()
         assert policy.max_batch == 7
-        assert policy.max_delay == pytest.approx(0.005)
         assert policy.queue_limit == 3
         assert policy.deadline == pytest.approx(0.05)
         assert knobs.get_float("REPRO_SERVE_DEADLINE_MS") == 50.0
@@ -233,13 +283,10 @@ class TestBatchingInvisibility:
             min_size=1, max_size=6,
         ),
         max_batch=st.sampled_from([1, 2, 7, 64]),
-        max_delay=st.sampled_from([0.0, 0.003]),
     )
-    def test_any_interleaving_decodes_as_if_served_alone(
-        self, requests, max_batch, max_delay
-    ):
+    def test_any_interleaving_decodes_as_if_served_alone(self, requests, max_batch):
         arrays = [np.asarray(r, dtype=float) for r in requests]
-        policy = BatchPolicy(max_batch=max_batch, max_delay=max_delay)
+        policy = BatchPolicy(max_batch=max_batch)
         with MicroBatcher(_double, policy, retry=FAST_RETRY) as batcher:
             futures = [batcher.submit(a) for a in arrays]
             results = [f.result(10) for f in futures]
@@ -265,7 +312,7 @@ class TestBatchingInvisibility:
         requests = [
             rng.uniform(0.0, 1.0, (rows, config.in_groups)) for rows in (2, 3, 1, 4)
         ]
-        with MicroBatcher(gated, BatchPolicy(max_batch=32, max_delay=0.0),
+        with MicroBatcher(gated, BatchPolicy(max_batch=32),
                           retry=FAST_RETRY) as batcher:
             blocker = batcher.submit(rng.uniform(0.0, 1.0, (1, config.in_groups)))
             _wait_for(lambda: len(gated.calls) == 1)

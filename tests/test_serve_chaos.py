@@ -66,7 +66,7 @@ class TestFlakyEngine:
         engine = _ChaosEngine(failures=2, make_error=lambda: RuntimeError("injected"))
         retry = RetryPolicy(timeout=None, retries=3, backoff=0.0)
         requests = _requests()
-        with MicroBatcher(engine, BatchPolicy(max_batch=64, max_delay=0.01),
+        with MicroBatcher(engine, BatchPolicy(max_batch=64),
                           retry=retry) as batcher:
             futures = [batcher.submit(r) for r in requests]
             results = [f.result(30) for f in futures]
@@ -81,7 +81,7 @@ class TestFlakyEngine:
         engine = _ChaosEngine(failures=10 ** 6,
                               make_error=lambda: RuntimeError("injected"))
         retry = RetryPolicy(timeout=None, retries=1, backoff=0.0)
-        with MicroBatcher(engine, BatchPolicy(max_batch=4, max_delay=0.0),
+        with MicroBatcher(engine, BatchPolicy(max_batch=4),
                           retry=retry) as batcher:
             doomed = batcher.submit(_requests(count=1)[0])
             with pytest.raises(ServeError):
@@ -97,7 +97,7 @@ class TestStalledWorker:
         engine = _ChaosEngine(failures=1, make_error=None, delay=0.8)
         retry = RetryPolicy(timeout=0.1, retries=2, backoff=0.0)
         request = _requests(count=1, seed=2)[0]
-        with MicroBatcher(engine, BatchPolicy(max_batch=4, max_delay=0.0),
+        with MicroBatcher(engine, BatchPolicy(max_batch=4),
                           retry=retry) as batcher:
             begin = time.monotonic()
             result = batcher.submit(request).result(30)
@@ -114,7 +114,7 @@ class TestKilledWorker:
         engine = _ChaosEngine(failures=1, make_error=lambda: SystemExit("killed"))
         retry = RetryPolicy(timeout=None, retries=2, backoff=0.0)
         requests = _requests(count=3, seed=3)
-        with MicroBatcher(engine, BatchPolicy(max_batch=64, max_delay=0.01),
+        with MicroBatcher(engine, BatchPolicy(max_batch=64),
                           retry=retry) as batcher:
             futures = [batcher.submit(r) for r in requests]
             results = [f.result(30) for f in futures]
@@ -129,7 +129,7 @@ class TestKilledWorker:
         engine = _ChaosEngine(failures=10 ** 6, make_error=lambda: SystemExit("killed"))
         retry = RetryPolicy(timeout=None, retries=1, backoff=0.0)
         request = _requests(count=1, seed=4)[0]
-        with MicroBatcher(engine, BatchPolicy(max_batch=4, max_delay=0.0),
+        with MicroBatcher(engine, BatchPolicy(max_batch=4),
                           retry=retry) as batcher:
             future = batcher.submit(request)
             with pytest.raises(ServeError, match="retry budget"):

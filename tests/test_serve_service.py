@@ -19,6 +19,7 @@ from repro.core.mei import MEI, MEIConfig
 from repro.nn.trainer import TrainConfig
 from repro.obs import openmetrics
 from repro.serve import BackgroundServer, load_artifact, save_artifact
+from repro.serve import service as service_module
 
 TINY = MEIConfig(in_groups=2, out_groups=1, hidden=6, bits=4)
 
@@ -94,10 +95,10 @@ class TestPredictRoute:
         assert excinfo.value.code == 400
 
 
-def _raw_request(url, head):
+def _raw_request(url, head, timeout=30):
     """Send raw request bytes; return the status code and JSON body."""
     parts = urllib.parse.urlsplit(url)
-    with socket.create_connection((parts.hostname, parts.port), timeout=30) as sock:
+    with socket.create_connection((parts.hostname, parts.port), timeout=timeout) as sock:
         sock.sendall(head)
         response = b""
         while chunk := sock.recv(65536):
@@ -126,6 +127,38 @@ class TestContentLength:
         )
         assert status == 200
         assert body["samples"] == 1
+
+
+class TestBoundedRequestRead:
+    """A request read never hangs and never escapes as a traceback."""
+
+    @pytest.fixture(autouse=True)
+    def short_read_timeout(self, monkeypatch):
+        monkeypatch.setattr(service_module, "_READ_TIMEOUT_S", 0.2)
+
+    def test_partial_header_block_times_out_with_408(self, server):
+        status, body = _raw_request(
+            server.url,
+            b"POST /v1/predict HTTP/1.1\r\nContent-Length: 10\r\n",
+            timeout=5,
+        )
+        assert status == 408
+        assert "error" in body
+
+    def test_header_line_over_the_reader_limit_is_431(self, server):
+        status, body = _raw_request(
+            server.url,
+            b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 80_000 + b"\r\n\r\n",
+            timeout=5,
+        )
+        assert status == 431
+        assert "error" in body
+
+    def test_prompt_request_still_served(self, server):
+        status, body = _raw_request(server.url, b"GET /healthz HTTP/1.1\r\n\r\n",
+                                    timeout=5)
+        assert status == 200
+        assert body["status"] == "ok"
 
 
 class TestOtherRoutes:
@@ -159,5 +192,6 @@ class TestOtherRoutes:
         openmetrics.validate(text)
         for family in ("serve_requests", "serve_responses", "serve_batches",
                        "serve_queue_depth", "serve_batch_size",
-                       "serve_request_latency_seconds"):
+                       "serve_request_latency_seconds",
+                       "serve_queue_wait_seconds", "serve_compute_seconds"):
             assert family in text
