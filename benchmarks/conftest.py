@@ -6,7 +6,7 @@ report always, and (when the bench passes structured ``rows``) a
 provenance-stamped JSON payload alongside it.  The JSON payloads feed
 the run-history store (``python -m repro bench`` ingests every
 ``benchmarks/out/*.json``; see ``docs/benchmarking.md``).  Scales
-follow ``REPRO_FULL`` (see ``repro.experiments.runner``).
+follow ``REPRO_FULL`` (see ``repro.core.runner``).
 """
 
 import json
@@ -44,6 +44,6 @@ def save_report():
 
 @pytest.fixture(scope="session")
 def scale():
-    from repro.experiments.runner import default_scale
+    from repro.core.runner import default_scale
 
     return default_scale()

@@ -6,7 +6,7 @@ choice: IR-drop error of random crossbars across array sizes and
 technology nodes, against the ideal (zero-wire-resistance) model.
 """
 
-from repro.experiments.runner import format_table
+from repro.core.runner import format_table
 from repro.xbar.ir_drop import sweep_ir_drop, wire_resistance_for_node
 
 SIZES = (8, 16, 32, 64)

@@ -9,8 +9,8 @@ before the continuous-device assumption is harmless.
 
 
 from repro.core.mei import MEI, MEIConfig
+from repro.core.runner import format_table
 from repro.device.rram import RRAMDevice
-from repro.experiments.runner import format_table
 from repro.nn.trainer import TrainConfig
 from repro.workloads.registry import make_benchmark
 

@@ -10,7 +10,7 @@ regimes are measured here.
 """
 
 from repro.core.mei import MEI, MEIConfig
-from repro.experiments.runner import format_table
+from repro.core.runner import format_table
 from repro.nn.trainer import TrainConfig
 from repro.workloads.expfit import ExpFitBenchmark
 from repro.workloads.registry import make_benchmark

@@ -14,7 +14,7 @@ merging the interface.
 
 from repro.core.mei import MEI, MEIConfig
 from repro.core.rcs import TraditionalRCS
-from repro.experiments.runner import format_table
+from repro.core.runner import format_table
 from repro.nn.trainer import TrainConfig
 from repro.workloads.registry import make_benchmark
 from repro.xbar.mapping import MappingConfig

@@ -11,8 +11,8 @@ error rates and final ensemble accuracy.
 import numpy as np
 
 from repro.core.mei import MEI, MEIConfig
+from repro.core.runner import format_table
 from repro.core.saab import SAAB, SAABConfig
-from repro.experiments.runner import format_table
 from repro.nn.trainer import TrainConfig
 from repro.workloads.registry import make_benchmark
 

@@ -6,8 +6,8 @@ area/power savings.  Also exercises the "Mission Impossible" exit.
 """
 
 from repro.core.dse import DSEConfig, explore
+from repro.core.runner import train_config
 from repro.device.variation import NonIdealFactors
-from repro.experiments.runner import train_config
 from repro.workloads.registry import make_benchmark
 
 

@@ -8,8 +8,8 @@ elimination at 90nm, partial at 45nm, saturation-limited at 22nm.
 
 import numpy as np
 
+from repro.core.runner import format_table
 from repro.device.rram import HFOX_DEVICE
-from repro.experiments.runner import format_table
 from repro.xbar.compensation import compensate_ir_drop
 from repro.xbar.ir_drop import wire_resistance_for_node
 

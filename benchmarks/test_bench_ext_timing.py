@@ -7,8 +7,8 @@ converter provisioning policies (private converter per port vs one
 shared converter per side).
 """
 
+from repro.core.runner import format_table
 from repro.cost.timing import TimingParams, latency_mei, latency_traditional, speedup
-from repro.experiments.runner import format_table
 from repro.workloads.registry import BENCHMARK_NAMES, PAPER_TABLE1, make_benchmark
 
 PRIVATE = TimingParams()

@@ -13,8 +13,8 @@ import numpy as np
 
 from repro.core.calibration import ice_calibrate
 from repro.core.mei import MEI, MEIConfig
+from repro.core.runner import format_table
 from repro.device.variation import NonIdealFactors
-from repro.experiments.runner import format_table
 from repro.nn.trainer import TrainConfig
 from repro.workloads.registry import make_benchmark
 

@@ -24,9 +24,9 @@ import numpy as np
 import pytest
 
 from repro.core.rcs import TraditionalRCS
+from repro.core.runner import repeat_with_seeds
 from repro.cost.area import Topology
 from repro.device.variation import NonIdealFactors
-from repro.experiments.runner import repeat_with_seeds
 from repro.metrics.robustness import evaluate_under_noise
 from repro.nn.trainer import TrainConfig
 from repro.obs.runinfo import provenance_header

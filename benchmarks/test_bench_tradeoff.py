@@ -5,8 +5,8 @@ and reports the Pareto-optimal frontier — the designer-facing view of
 "trade-offs among accuracy, area, and power consumption".
 """
 
+from repro.core.runner import train_config
 from repro.core.tradeoff import enumerate_tradeoffs
-from repro.experiments.runner import train_config
 from repro.workloads.registry import make_benchmark
 
 

@@ -18,8 +18,6 @@ Usage::
     python -m repro summary               # collate archived bench tables
     python -m repro lint [--json]         # repro-lint invariant checker
     python -m repro profile [--json]      # ranked span hot-spot report
-    python -m repro metrics-server        # standalone OpenMetrics endpoint
-    python -m repro top [--url URL]       # live terminal dashboard
     python -m repro serve [--bench fft]   # inference service (HTTP)
     python -m repro --version
 
@@ -31,12 +29,6 @@ load-once model artifact; ``--smoke`` starts an ephemeral server,
 drives a quick loadgen through it, differential-checks one response
 against the in-process prediction and exits non-zero on any failure
 (the CI serve-smoke step).  See ``docs/serving.md``.
-
-Live telemetry: set ``REPRO_TELEMETRY=1`` to run any experiment with
-the background sampler and the OpenMetrics endpoint attached (port
-``REPRO_TELEMETRY_PORT``, default 9464) — then ``python -m repro top``
-or a browser at ``http://127.0.0.1:9464/`` watches it live; see the
-"Live telemetry" section of ``docs/observability.md``.
 
 Add ``--full`` for the paper-scale budgets (10k train samples, 400
 epochs, 100 noise trials); the default quick budgets finish in
@@ -77,12 +69,12 @@ import os
 import sys
 
 from repro import __version__
+from repro.core.runner import FULL_SCALE, QUICK_SCALE
 from repro.experiments.bitlength import run_bitlength
 from repro.experiments.fig2 import run_fig2
 from repro.experiments.fig3 import run_fig3
 from repro.experiments.fig4 import run_fig4
 from repro.experiments.fig5 import run_fig5
-from repro.experiments.runner import FULL_SCALE, QUICK_SCALE
 from repro.experiments.table1 import run_benchmark_row, run_table1
 from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
@@ -556,75 +548,6 @@ def _run_serve(args, scale) -> int:
     return 0
 
 
-def _run_metrics_server(args) -> int:
-    """Standalone exposition endpoint + sampler for this process.
-
-    Mostly a demonstration / smoke target (the registry it serves is
-    this process's own); experiment runs embed the same server via
-    ``REPRO_TELEMETRY=1``.  ``--once`` renders one exposition payload
-    to stdout and exits (no server), which the CI smoke step uses.
-    """
-    import time as _time
-
-    from repro.obs import openmetrics, telemetry
-
-    if args.once:
-        sampler = telemetry.TelemetrySampler(
-            interval=args.interval, experiment="metrics-server"
-        )
-        sampler.sample_once()
-        server = openmetrics.TelemetryServer(sampler=sampler)
-        print(server.render_metrics(), end="")
-        return 0
-    port = args.port if args.port is not None else telemetry.telemetry_port()
-    sampler = telemetry.TelemetrySampler(
-        interval=args.interval, experiment="metrics-server"
-    ).start()
-    server = openmetrics.TelemetryServer(port=port, sampler=sampler).start()
-    print(f"serving {server.url}/metrics — dashboard at {server.url}/ "
-          f"(Ctrl-C to stop)", file=sys.stderr)
-    try:
-        while True:
-            _time.sleep(1.0)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-        sampler.stop()
-    return 0
-
-
-def _run_top(args) -> int:
-    """Live terminal dashboard polling a telemetry endpoint."""
-    from repro.obs import dashboard, telemetry
-
-    url = args.url or f"http://127.0.0.1:{telemetry.telemetry_port()}"
-    interval = args.interval if args.interval is not None else 1.0
-    dashboard.run_top(
-        sys.stdout,
-        url=url,
-        interval=interval,
-        iterations=1 if args.once else None,
-    )
-    return 0
-
-
-def _start_telemetry(experiment: str):
-    """Embedded sampler + endpoint for a ``REPRO_TELEMETRY=1`` run."""
-    from repro.obs import openmetrics, telemetry
-
-    sampler = telemetry.TelemetrySampler(experiment=experiment).start()
-    server = openmetrics.TelemetryServer(
-        port=telemetry.telemetry_port(), sampler=sampler
-    ).start()
-    _log.info(
-        "live telemetry attached",
-        extra={"fields": {"url": server.url,
-                          "telemetry_file": os.fspath(sampler.path)}},
-    )
-    return sampler, server
-
-
 def _run_lint(args) -> int:
     from repro.lintrules import engine
     from repro.lintrules.program import ALL_PROGRAM_RULES
@@ -669,8 +592,7 @@ def main(argv=None) -> int:
         "experiment",
         choices=["fig2", "fig3", "table1", "fig4", "fig5", "bitlength",
                  "faults", "bench", "errorbudget", "compare", "report",
-                 "summary", "lint", "profile", "metrics-server", "top",
-                 "serve", "all"],
+                 "summary", "lint", "profile", "serve", "all"],
         help="artifact to regenerate, or a trajectory command: 'faults' runs the "
              "stuck-at fault-injection campaign (manifest always written), 'bench' "
              "runs the benchmark suite and appends to the run history, "
@@ -680,9 +602,8 @@ def main(argv=None) -> int:
              "trajectory (markdown + HTML), 'summary' collates archived bench "
              "tables, 'lint' runs the repro-lint invariant checker over the package, "
              "'profile' ranks span hot-spots from manifests/history/a fresh run, "
-             "'metrics-server' serves a standalone OpenMetrics endpoint, 'top' is "
-             "the live terminal dashboard over a telemetry endpoint, 'serve' runs "
-             "the micro-batched inference service over a model artifact",
+             "'serve' runs the micro-batched inference service over a model "
+             "artifact",
     )
     parser.add_argument("--version", action="version", version=f"repro {__version__}")
     parser.add_argument("--full", action="store_true",
@@ -784,9 +705,7 @@ def main(argv=None) -> int:
                              "non-zero unless the OpenMetrics exposition carries "
                              "the error_budget_* families (CI smoke test)")
     parser.add_argument("--port", type=int, default=None, metavar="N",
-                        help="metrics-server: listen port (default: "
-                             "REPRO_TELEMETRY_PORT or 9464; 0 = ephemeral); "
-                             "serve: listen port (default: REPRO_SERVE_PORT or "
+                        help="serve: listen port (default: REPRO_SERVE_PORT or "
                              "9600; 0 = ephemeral)")
     parser.add_argument("--artifact", default=None, metavar="PATH",
                         help="serve: model artifact to load; when the file does "
@@ -799,15 +718,6 @@ def main(argv=None) -> int:
                         help="serve: self-test — serve on an ephemeral port, run "
                              "a quick loadgen, validate /metrics and the "
                              "differential check, then exit (non-zero on failure)")
-    parser.add_argument("--url", default=None, metavar="URL",
-                        help="top: telemetry endpoint to poll (default: "
-                             "http://127.0.0.1:<REPRO_TELEMETRY_PORT>)")
-    parser.add_argument("--interval", type=float, default=None, metavar="SECONDS",
-                        help="top/metrics-server: refresh/sampling interval "
-                             "(default: REPRO_TELEMETRY_INTERVAL or 1.0)")
-    parser.add_argument("--once", action="store_true",
-                        help="top: render a single frame and exit; "
-                             "metrics-server: print one exposition payload and exit")
     args = parser.parse_args(argv)
     scale = FULL_SCALE if args.full else QUICK_SCALE
 
@@ -820,74 +730,55 @@ def main(argv=None) -> int:
     if args.trace:
         obs_trace.enable(True)
 
-    if args.experiment == "metrics-server":
-        return _run_metrics_server(args)
-    if args.experiment == "top":
-        return _run_top(args)
-
-    # REPRO_TELEMETRY=1 attaches the live sampler + OpenMetrics
-    # endpoint to whatever command runs below; stopped in the finally
-    # so the last sample and the JSONL file survive even on errors.
-    from repro.obs import telemetry as obs_telemetry
-
-    sampler = server = None
-    if obs_telemetry.telemetry_enabled():
-        sampler, server = _start_telemetry(args.experiment)
-    try:
-        if args.experiment == "bench":
-            return _run_bench(args, scale)
-        if args.experiment == "errorbudget":
-            return _run_errorbudget(args, scale)
-        if args.experiment == "compare":
-            return _run_compare(args)
-        if args.experiment == "report":
-            return _run_report(args)
-        if args.experiment == "summary":
-            print(_summary())
-            return 0
-        if args.experiment == "lint":
-            return _run_lint(args)
-        if args.experiment == "faults":
-            return _run_faults(args)
-        if args.experiment == "profile":
-            return _run_profile(args, scale)
-        if args.experiment == "serve":
-            return _run_serve(args, scale)
-
-        write_manifests = obs_trace.enabled() or args.run_dir is not None
-
-        runners = _experiment_runners(args, scale)
-        names = list(runners) if args.experiment == "all" else [args.experiment]
-        for name in names:
-            _log.info(
-                "running experiment",
-                extra={"fields": {"experiment": name, "scale": scale.name,
-                                  "seed": args.seed, "trace": obs_trace.enabled()}},
-            )
-            obs_trace.clear()
-            obs_metrics.clear()
-            print(runners[name]())
-            print()
-            if write_manifests:
-                path = runinfo.write_manifest(
-                    name,
-                    run_dir=args.run_dir,
-                    seed=args.seed,
-                    scale=scale,
-                    argv=list(argv) if argv is not None else sys.argv[1:],
-                    spans=obs_trace.get_records(),
-                    metrics_snapshot=obs_metrics.snapshot(),
-                )
-                _log.info(
-                    "wrote run manifest",
-                    extra={"fields": {"experiment": name, "path": os.fspath(path)}},
-                )
+    if args.experiment == "bench":
+        return _run_bench(args, scale)
+    if args.experiment == "errorbudget":
+        return _run_errorbudget(args, scale)
+    if args.experiment == "compare":
+        return _run_compare(args)
+    if args.experiment == "report":
+        return _run_report(args)
+    if args.experiment == "summary":
+        print(_summary())
         return 0
-    finally:
-        if server is not None:
-            server.stop()
-        if sampler is not None:
-            sampler.stop()
+    if args.experiment == "lint":
+        return _run_lint(args)
+    if args.experiment == "faults":
+        return _run_faults(args)
+    if args.experiment == "profile":
+        return _run_profile(args, scale)
+    if args.experiment == "serve":
+        return _run_serve(args, scale)
+
+    write_manifests = obs_trace.enabled() or args.run_dir is not None
+
+    runners = _experiment_runners(args, scale)
+    names = list(runners) if args.experiment == "all" else [args.experiment]
+    for name in names:
+        _log.info(
+            "running experiment",
+            extra={"fields": {"experiment": name, "scale": scale.name,
+                              "seed": args.seed, "trace": obs_trace.enabled()}},
+        )
+        obs_trace.clear()
+        obs_metrics.clear()
+        print(runners[name]())
+        print()
+        if write_manifests:
+            path = runinfo.write_manifest(
+                name,
+                run_dir=args.run_dir,
+                seed=args.seed,
+                scale=scale,
+                argv=list(argv) if argv is not None else sys.argv[1:],
+                spans=obs_trace.get_records(),
+                metrics_snapshot=obs_metrics.snapshot(),
+            )
+            _log.info(
+                "wrote run manifest",
+                extra={"fields": {"experiment": name, "path": os.fspath(path)}},
+            )
+    return 0
 
 
 if __name__ == "__main__":

@@ -392,9 +392,8 @@ def publish_metrics(result: ErrorBudgetResult) -> None:
     """Expose one result through the process-wide metrics registry.
 
     Gauge families (``error_budget_<bench>_*``) feed the OpenMetrics
-    exposition and the dashboard; the two histograms aggregate stage
-    deltas and bit-plane rates across benchmarks for the registry's
-    quantile views.
+    exposition; the two histograms aggregate stage deltas and bit-plane
+    rates across benchmarks for the registry's quantile views.
     """
     prefix = f"error_budget_{result.benchmark}"
     obs_metrics.gauge(f"{prefix}_err_real").set(result.err_real)

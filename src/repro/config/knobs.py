@@ -305,28 +305,6 @@ register(
     "resubmitted. Unset = wait forever.",
 )
 register(
-    "REPRO_TELEMETRY",
-    "bool",
-    "0",
-    "Start the live-telemetry layer for the run: a background sampler "
-    "appending to `runs/<run>-telemetry.jsonl` plus the OpenMetrics "
-    "exposition endpoint on `REPRO_TELEMETRY_PORT`.",
-)
-register(
-    "REPRO_TELEMETRY_PORT",
-    "int",
-    "9464",
-    "TCP port of the OpenMetrics exposition endpoint (`/metrics`) and the "
-    "HTML run dashboard (`/`); `0` picks a free ephemeral port.",
-)
-register(
-    "REPRO_TELEMETRY_INTERVAL",
-    "float",
-    "1.0",
-    "Seconds between telemetry samples (process RSS/CPU, queue depth, "
-    "cache hit rates, campaign progress) written to the telemetry ring.",
-)
-register(
     "REPRO_ERRORBUDGET_TRIALS",
     "int",
     None,

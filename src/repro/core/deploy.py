@@ -28,6 +28,7 @@ from repro.device.variation import (
     NonIdealFactors,
     TrialSpec,
     lognormal_factor_stack,
+    lognormal_factors,
     pv_factor_stacks,
     regenerated_bit_stack,
     trial_indices,
@@ -335,8 +336,7 @@ class AnalogMLP:
         if noise.sigma_pv <= 0:
             return self
         rng = noise.rng(trial)
-        for xbar in self.crossbars:
-            for array in self._arrays_of(xbar):
-                perturbed = noise.perturb_conductance(array.conductances, rng)
-                array.conductances = array.device.clip_conductance(perturbed)
+        for array in self.arrays():
+            factors = lognormal_factors(array.conductances.shape, noise.sigma_pv, rng)
+            array.conductances = array.device.clip_conductance(array.conductances * factors)
         return self

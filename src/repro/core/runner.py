@@ -3,8 +3,7 @@
 Lives in :mod:`repro.core` (not ``repro.experiments``) because
 lower-level consumers — :mod:`repro.robustness`, the benchmark
 suite — need the scale/table helpers without pulling in the
-experiment entry points; ``repro.experiments.runner`` re-exports
-everything for compatibility.
+experiment entry points (repro-lint RPR006 forbids that upward edge).
 
 Every experiment module regenerates one of the paper's tables/figures
 and supports two scales:

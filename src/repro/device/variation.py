@@ -225,22 +225,6 @@ class NonIdealFactors:
         """
         return [self.rng(t) for t in trial_indices(trials)]
 
-    def perturb_conductance(
-        self, g: np.ndarray, rng: "np.random.Generator | None" = None
-    ) -> np.ndarray:
-        """Apply process variation to a conductance array."""
-        if self.sigma_pv == 0:
-            return np.asarray(g, dtype=float)
-        rng = rng if rng is not None else self.rng()
-        return np.asarray(g, dtype=float) * lognormal_factors(np.shape(g), self.sigma_pv, rng)
-
-    def perturb_signal(self, v: np.ndarray, rng: "np.random.Generator | None" = None) -> np.ndarray:
-        """Apply signal fluctuation to an analog signal array."""
-        if self.sigma_sf == 0:
-            return np.asarray(v, dtype=float)
-        rng = rng if rng is not None else self.rng()
-        return np.asarray(v, dtype=float) * lognormal_factors(np.shape(v), self.sigma_sf, rng)
-
     def with_seed(self, seed: "int | None") -> "NonIdealFactors":
         """Copy with a different base seed."""
         return NonIdealFactors(self.sigma_pv, self.sigma_sf, seed)

@@ -1,13 +1,6 @@
 """Experiment harnesses regenerating every table/figure of the paper."""
 
-from repro.experiments.bench import render_bench_entry, run_bench, write_baseline
-from repro.experiments.bitlength import BitLengthPoint, BitLengthResult, run_bitlength
-from repro.experiments.fig2 import Fig2Result, run_fig2
-from repro.experiments.fig3 import Fig3Point, Fig3Result, run_fig3
-from repro.experiments.fig4 import Fig4Result, Fig4Row, run_fig4
-from repro.experiments.fig5 import Fig5Curve, Fig5Result, run_fig5
-from repro.experiments.summary import REPORT_ORDER, collect_reports
-from repro.experiments.runner import (
+from repro.core.runner import (
     FULL_SCALE,
     QUICK_SCALE,
     ExperimentScale,
@@ -15,6 +8,13 @@ from repro.experiments.runner import (
     format_table,
     train_config,
 )
+from repro.experiments.bench import render_bench_entry, run_bench, write_baseline
+from repro.experiments.bitlength import BitLengthPoint, BitLengthResult, run_bitlength
+from repro.experiments.fig2 import Fig2Result, run_fig2
+from repro.experiments.fig3 import Fig3Point, Fig3Result, run_fig3
+from repro.experiments.fig4 import Fig4Result, Fig4Row, run_fig4
+from repro.experiments.fig5 import Fig5Curve, Fig5Result, run_fig5
+from repro.experiments.summary import REPORT_ORDER, collect_reports
 from repro.experiments.table1 import (
     Table1Result,
     Table1Row,

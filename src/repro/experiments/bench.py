@@ -23,7 +23,7 @@ import pathlib
 import warnings
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.experiments.runner import ExperimentScale, default_scale, format_table
+from repro.core.runner import ExperimentScale, default_scale, format_table
 from repro.experiments.table1 import Table1Result, calibrated_params, run_benchmark_row
 from repro.obs import history as obs_history
 from repro.obs import metrics as obs_metrics

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.core.mei import MEI, MEIConfig
+from repro.core.runner import ExperimentScale, default_scale, format_table, train_config
 from repro.cost.power import savings
-from repro.experiments.runner import ExperimentScale, default_scale, format_table, train_config
 from repro.obs.log import get_logger
 from repro.obs.trace import span
 from repro.workloads.registry import PAPER_TABLE1, make_benchmark

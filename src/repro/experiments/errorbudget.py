@@ -8,7 +8,7 @@ counterfactual stage-idealization harness
 per-benchmark attributions are:
 
 * published as ``error_budget_*`` gauge families in the metrics
-  registry (OpenMetrics exposition, dashboard);
+  registry (OpenMetrics exposition);
 * appended to the run history as one ``kind="errorbudget"`` entry so
   :mod:`repro.obs.compare` gates attribution drift (``--kind
   errorbudget``);
@@ -35,15 +35,15 @@ from repro.analysis.errorbudget import (
     publish_metrics,
 )
 from repro.core.mei import MEI, MEIConfig
-from repro.core.saab import SAAB, SAABConfig
-from repro.device.variation import NonIdealFactors
-from repro.experiments.runner import (
+from repro.core.runner import (
     ExperimentScale,
     default_scale,
     format_table,
     train_config,
     train_samples_for,
 )
+from repro.core.saab import SAAB, SAABConfig
+from repro.device.variation import NonIdealFactors
 from repro.obs import history as obs_history
 from repro.obs import metrics as obs_metrics
 from repro.obs import runinfo

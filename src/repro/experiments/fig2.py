@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
+from repro.core.runner import format_table
 from repro.cost.area import Topology
 from repro.cost.breakdown import Breakdown, breakdown
 from repro.cost.params import LITERATURE_AREA, LITERATURE_POWER, CostParams
-from repro.experiments.runner import format_table
 from repro.obs.trace import span
 
 __all__ = ["Fig2Result", "run_fig2"]

@@ -21,8 +21,8 @@ from typing import List, Optional, Sequence
 
 from repro.core.mei import MEI, MEIConfig
 from repro.core.rcs import TraditionalRCS
+from repro.core.runner import ExperimentScale, default_scale, format_table, train_config
 from repro.cost.area import Topology
-from repro.experiments.runner import ExperimentScale, default_scale, format_table, train_config
 from repro.obs.log import get_logger
 from repro.obs.trace import span
 from repro.workloads.expfit import ExpFitBenchmark

@@ -23,15 +23,15 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.mei import MEI, MEIConfig
 from repro.core.rcs import TraditionalRCS
-from repro.core.saab import SAAB, SAABConfig
-from repro.cost.params import CostParams
-from repro.cost.power import max_saab_learners
-from repro.experiments.runner import (
+from repro.core.runner import (
     ExperimentScale,
     default_scale,
     format_table,
     train_samples_for,
 )
+from repro.core.saab import SAAB, SAABConfig
+from repro.cost.params import CostParams
+from repro.cost.power import max_saab_learners
 from repro.experiments.table1 import calibrated_params
 from repro.nn.network import MLP
 from repro.nn.trainer import Trainer

@@ -24,14 +24,14 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.mei import MEI, MEIConfig
 from repro.core.rcs import TraditionalRCS
-from repro.core.saab import SAAB, SAABConfig
-from repro.device.variation import NonIdealFactors
-from repro.experiments.runner import (
+from repro.core.runner import (
     ExperimentScale,
     default_scale,
     train_config,
     train_samples_for,
 )
+from repro.core.saab import SAAB, SAABConfig
+from repro.device.variation import NonIdealFactors
 from repro.metrics.robustness import evaluate_under_noise
 from repro.obs.log import get_logger
 from repro.obs.trace import span

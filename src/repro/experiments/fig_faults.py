@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.experiments.runner import FULL_SCALE, QUICK_SCALE, ExperimentScale
+from repro.core.runner import FULL_SCALE, QUICK_SCALE, ExperimentScale
 from repro.obs.log import get_logger
 from repro.parallel.resilient import RetryPolicy
 from repro.robustness.campaign import (

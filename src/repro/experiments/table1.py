@@ -31,17 +31,17 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.mei import MEI, MEIConfig
 from repro.core.pruning import prune_lsbs
 from repro.core.rcs import TraditionalRCS
-from repro.cost.area import MEITopology, Topology
-from repro.cost.calibration import fit_cost_params
-from repro.cost.params import CostParams
-from repro.cost.power import savings
-from repro.experiments.runner import (
+from repro.core.runner import (
     ExperimentScale,
     default_scale,
     format_table,
     train_config,
     train_samples_for,
 )
+from repro.cost.area import MEITopology, Topology
+from repro.cost.calibration import fit_cost_params
+from repro.cost.params import CostParams
+from repro.cost.power import savings
 from repro.device.variation import NonIdealFactors
 from repro.metrics.robustness import evaluate_under_noise, robustness_index
 from repro.nn.losses import mse

@@ -429,7 +429,7 @@ def build_graph(
                 resolved = resolved.rpartition(".")[0]
             if not resolved or resolved == name:
                 continue
-            # `from repro.obs import metrics` inside repro.obs.telemetry
+            # `from repro.obs import metrics` inside repro.obs.openmetrics
             # touches its own package __init__ — an artifact of the
             # import machinery (tolerated at runtime), not a dependency
             if name.startswith(resolved + "."):

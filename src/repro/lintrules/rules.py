@@ -481,7 +481,7 @@ ALL_RULES: Tuple[Rule, ...] = (
         rationale=(
             "Metrics constructed outside the registry are invisible to "
             "snapshot/diff/merge and the OpenMetrics endpoint, so their "
-            "numbers silently vanish from worker processes and dashboards."
+            "numbers silently vanish from worker processes and scrapes."
         ),
         check=_check_rpr009,
         applies=_not_metrics_module,

@@ -18,14 +18,9 @@ The pillars (see ``docs/observability.md`` and ``docs/benchmarking.md``):
   per-metric sparklines and a slowest-spans summary;
 * :mod:`repro.obs.profile` — ranked hot-spot reports (exclusive vs
   inclusive span time) behind ``python -m repro profile``;
-* :mod:`repro.obs.telemetry` — the *live* layer: a background sampler
-  appending process/executor/campaign telemetry to a JSONL ring, with
-  threshold alerts (``REPRO_TELEMETRY=1``);
 * :mod:`repro.obs.openmetrics` — OpenMetrics text exposition of the
-  metrics registry plus the ``/metrics`` / ``/telemetry.json`` /
-  dashboard HTTP endpoint;
-* :mod:`repro.obs.dashboard` — ``python -m repro top``: the terminal
-  and self-refreshing HTML views over the telemetry ring.
+  metrics registry, served at ``GET /metrics`` by ``python -m repro
+  serve``.
 
 Everything is dependency-free (stdlib only) and safe to import from
 any layer of the package.
@@ -50,7 +45,6 @@ from repro.obs.metrics import (
     BUCKET_BOUNDS,
     REGISTRY,
     MetricsRegistry,
-    P2Quantile,
     counter,
     gauge,
     histogram,
@@ -59,7 +53,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.openmetrics import (
     CONTENT_TYPE,
-    TelemetryServer,
     render,
     validate,
 )
@@ -77,19 +70,9 @@ from repro.obs.runinfo import (
     provenance_header,
     write_manifest,
 )
-from repro.obs.telemetry import (
-    TELEMETRY_ENV,
-    TELEMETRY_INTERVAL_ENV,
-    TELEMETRY_PORT_ENV,
-    AlertEvaluator,
-    AlertRule,
-    TelemetrySampler,
-    build_sample,
-)
 from repro.obs.trace import (
     TRACE_ENV,
     SpanRecord,
-    active_spans,
     render_tree,
     span,
     span_tree,
@@ -101,29 +84,19 @@ __all__ = [
     "TRACE_ENV",
     "RUN_DIR_ENV",
     "HISTORY_ENV",
-    "TELEMETRY_ENV",
-    "TELEMETRY_PORT_ENV",
-    "TELEMETRY_INTERVAL_ENV",
     "configure",
     "get_logger",
     "MetricsRegistry",
     "REGISTRY",
     "BUCKET_BOUNDS",
-    "P2Quantile",
     "counter",
     "gauge",
     "histogram",
     "quantile_from_summary",
     "reset",
-    "AlertRule",
-    "AlertEvaluator",
-    "TelemetrySampler",
-    "build_sample",
     "CONTENT_TYPE",
-    "TelemetryServer",
     "render",
     "validate",
-    "active_spans",
     "append_entry",
     "build_entry",
     "load_history",

@@ -12,9 +12,7 @@ count/sum/min/max they bin every observation into a fixed, log-spaced
 bucket ladder (:data:`BUCKET_BOUNDS`), so p50/p95/p99 are available
 *during* a run (:meth:`Histogram.quantile`) without storing samples —
 bounded memory, and exactly mergeable across processes because every
-histogram shares the same bucket bounds.  :class:`P2Quantile`
-implements the classic P² single-quantile estimator for call sites
-that need a tighter (but non-mergeable) streaming estimate.
+histogram shares the same bucket bounds.
 
 Cross-process sweeps: a :class:`ProcessExecutor` worker snapshots the
 registry before and after each task and ships the :func:`diff` home,
@@ -27,14 +25,13 @@ from __future__ import annotations
 import bisect
 import math
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 __all__ = [
     "BUCKET_BOUNDS",
     "Counter",
     "Gauge",
     "Histogram",
-    "P2Quantile",
     "MetricsRegistry",
     "REGISTRY",
     "counter",
@@ -184,8 +181,8 @@ class Histogram:
 def quantile_from_summary(summary: Dict[str, object], q: float) -> float:
     """Quantile estimate from a histogram summary dict (snapshot form).
 
-    Shared by :meth:`Histogram.quantile`, the telemetry sampler and the
-    OpenMetrics exposition, so live endpoints and archived manifests
+    Shared by :meth:`Histogram.quantile` and the OpenMetrics
+    exposition, so the live endpoint and archived manifests
     agree on the estimator: walk the cumulative bucket counts to the
     bucket holding rank ``q``, interpolate linearly inside it, clamp to
     the recorded ``[min, max]``.
@@ -219,88 +216,6 @@ def quantile_from_summary(summary: Dict[str, object], q: float) -> float:
             estimate = lower + fraction * max(0.0, upper - lower)
             return float(min(max(estimate, lo), hi))
     return hi
-
-
-class P2Quantile:
-    """P² streaming quantile estimator (Jain & Chlamtac, 1985).
-
-    Five markers track one quantile in O(1) memory and O(1) per
-    observation, with much tighter estimates than the bucket sketch —
-    but two P² estimators cannot be merged, so :class:`Histogram` keeps
-    the mergeable bucket ladder for cross-process sweeps and this class
-    serves single-process consumers (e.g. the telemetry sampler's
-    interval jitter estimate, or tests cross-checking the sketch).
-    """
-
-    __slots__ = ("q", "_lock", "_initial", "_heights", "_positions", "_desired")
-
-    def __init__(self, q: float = 0.5) -> None:
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {q}")
-        self.q = float(q)
-        self._lock = threading.Lock()
-        self._initial: List[float] = []
-        self._heights: List[float] = []
-        self._positions: List[float] = []
-        self._desired: List[float] = []
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        with self._lock:
-            if len(self._initial) < 5:
-                self._initial.append(value)
-                if len(self._initial) == 5:
-                    self._initial.sort()
-                    self._heights = list(self._initial)
-                    self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-                    q = self.q
-                    self._desired = [1.0, 1 + 2 * q, 1 + 4 * q, 3 + 2 * q, 5.0]
-                return
-            h, n = self._heights, self._positions
-            if value < h[0]:
-                h[0] = value
-                k = 0
-            elif value >= h[4]:
-                h[4] = value
-                k = 3
-            else:
-                k = next(i for i in range(4) if h[i] <= value < h[i + 1])
-            for i in range(k + 1, 5):
-                n[i] += 1.0
-            q = self.q
-            increments = (0.0, q / 2, q, (1 + q) / 2, 1.0)
-            for i in range(5):
-                self._desired[i] += increments[i]
-            for i in (1, 2, 3):
-                d = self._desired[i] - n[i]
-                if (d >= 1.0 and n[i + 1] - n[i] > 1.0) or (
-                    d <= -1.0 and n[i - 1] - n[i] < -1.0
-                ):
-                    step = 1.0 if d >= 1.0 else -1.0
-                    parabolic = h[i] + step / (n[i + 1] - n[i - 1]) * (
-                        (n[i] - n[i - 1] + step)
-                        * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-                        + (n[i + 1] - n[i] - step)
-                        * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-                    )
-                    if h[i - 1] < parabolic < h[i + 1]:
-                        h[i] = parabolic
-                    else:  # parabolic prediction left the bracket: linear
-                        j = i + int(step)
-                        h[i] = h[i] + step * (h[j] - h[i]) / (n[j] - n[i])
-                    n[i] += step
-
-    @property
-    def value(self) -> float:
-        """Current estimate (NaN before any sample; exact under 5)."""
-        with self._lock:
-            if self._heights:
-                return float(self._heights[2])
-            if not self._initial:
-                return float("nan")
-            ordered = sorted(self._initial)
-            rank = min(len(ordered) - 1, int(round(self.q * (len(ordered) - 1))))
-            return float(ordered[rank])
 
 
 class MetricsRegistry:

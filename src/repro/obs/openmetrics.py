@@ -1,9 +1,7 @@
 """OpenMetrics text exposition for the metrics registry.
 
 Renders the process-wide :class:`~repro.obs.metrics.MetricsRegistry`
-(plus telemetry-sampler gauges and alert states) in the OpenMetrics /
-Prometheus text format, and serves it from a stdlib
-:class:`http.server` endpoint:
+in the OpenMetrics / Prometheus text format:
 
 * :func:`render` — registry snapshot → exposition text, with counter
   families (``repro_<name>_total``), gauges, full histogram families
@@ -13,35 +11,25 @@ Prometheus text format, and serves it from a stdlib
   (``repro_<name>_quantiles{quantile="0.5"}``) so p50/p99 are
   scrapeable without a query engine;
 * :func:`validate` — a grammar-lite checker for the text format used
-  by the test suite and the CI smoke step;
-* :class:`TelemetryServer` — a daemon-thread HTTP server exposing
-  ``/metrics`` (exposition), ``/telemetry.json`` (the sampler ring)
-  and ``/`` (the self-refreshing HTML dashboard from
-  :mod:`repro.obs.dashboard`).
+  by the test suite and the CI smoke step.
 
-Start it with ``python -m repro metrics-server``, or implicitly for
-any run via ``REPRO_TELEMETRY=1`` (port/interval knobs in
-:mod:`repro.config.knobs`).
+The ``GET /metrics`` route of :mod:`repro.serve.service` serves
+:func:`render`'s output.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs import metrics as _metrics
-from repro.obs.log import get_logger
 
 __all__ = [
     "CONTENT_TYPE",
     "render",
     "validate",
     "metric_name",
-    "TelemetryServer",
 ]
 
 CONTENT_TYPE = "application/openmetrics-text; version=1.0.0; charset=utf-8"
@@ -51,8 +39,6 @@ PREFIX = "repro_"
 
 _NAME_OK = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
-
-_log = get_logger("obs.openmetrics")
 
 _QUANTILE_POINTS: Tuple[float, ...] = (0.5, 0.95, 0.99)
 
@@ -80,17 +66,10 @@ def _le_label(bound: float) -> str:
     return "+Inf" if math.isinf(bound) else _format_value(bound)
 
 
-def render(
-    snapshot: Optional[Dict[str, Dict[str, object]]] = None,
-    extra_gauges: Optional[Dict[str, float]] = None,
-    alert_states: Optional[Dict[str, bool]] = None,
-) -> str:
+def render(snapshot: Optional[Dict[str, Dict[str, object]]] = None) -> str:
     """The registry snapshot as OpenMetrics exposition text.
 
-    ``extra_gauges`` carries sampler-derived values (process RSS/CPU,
-    rates) that live outside the registry; ``alert_states`` renders as
-    an ``repro_alert_state{alert="..."}`` gauge family.  Ends with the
-    mandatory ``# EOF`` terminator.
+    Ends with the mandatory ``# EOF`` terminator.
     """
     snap = snapshot if snapshot is not None else _metrics.snapshot()
     lines: List[str] = []
@@ -105,14 +84,6 @@ def render(
         family = metric_name(name)
         lines.append(f"# TYPE {family} gauge")
         lines.append(f"# HELP {family} Registry gauge {name}.")
-        lines.append(f"{family} {_format_value(float(value))}")
-
-    for name, value in sorted((extra_gauges or {}).items()):
-        if value is None:
-            continue
-        family = metric_name(name)
-        lines.append(f"# TYPE {family} gauge")
-        lines.append(f"# HELP {family} Telemetry sampler gauge {name}.")
         lines.append(f"{family} {_format_value(float(value))}")
 
     for name, summary in sorted(snap.get("histograms", {}).items()):
@@ -148,14 +119,6 @@ def render(
                 lines.append(
                     f'{qfamily}{{quantile="{q}"}} {_format_value(estimate)}'
                 )
-
-    if alert_states:
-        family = f"{PREFIX}alert_state"
-        lines.append(f"# TYPE {family} gauge")
-        lines.append(f"# HELP {family} Threshold alert states (1 = firing).")
-        for alert, firing in sorted(alert_states.items()):
-            label = alert.replace("\\", "\\\\").replace('"', '\\"')
-            lines.append(f'{family}{{alert="{label}"}} {1 if firing else 0}')
 
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
@@ -240,143 +203,3 @@ def validate(text: str) -> None:
     if errors:
         raise ValueError("invalid OpenMetrics payload:\n" + "\n".join(errors))
 
-
-class TelemetryServer:
-    """Daemon-thread HTTP endpoint for live metrics.
-
-    Routes: ``/metrics`` (OpenMetrics text), ``/telemetry.json`` (the
-    sampler's in-memory ring as a JSON array) and ``/`` (the
-    self-refreshing HTML dashboard).  Binds to ``127.0.0.1`` only —
-    this is a local observability endpoint, not a public service.
-    Pass ``port=0`` for a free ephemeral port; the bound port is
-    available as :attr:`port` after :meth:`start`.
-    """
-
-    def __init__(self, port: int = 9464, sampler=None, host: str = "127.0.0.1") -> None:
-        self._requested_port = int(port)
-        self.host = host
-        self.sampler = sampler
-        self._httpd: Optional[ThreadingHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def port(self) -> int:
-        """The actual bound port (meaningful after :meth:`start`)."""
-        if self._httpd is not None:
-            return int(self._httpd.server_address[1])
-        return self._requested_port
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "TelemetryServer":
-        if self._httpd is not None:
-            return self
-        server = self
-
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-
-            def _send(self, status: int, content_type: str, body: bytes) -> None:
-                self.send_response(status)
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def do_GET(self) -> None:  # noqa: N802 - http.server API
-                path = self.path.split("?", 1)[0]
-                try:
-                    if path == "/metrics":
-                        body = server.render_metrics().encode("utf-8")
-                        self._send(200, CONTENT_TYPE, body)
-                    elif path == "/telemetry.json":
-                        samples = (
-                            server.sampler.samples() if server.sampler else []
-                        )
-                        body = json.dumps(samples, default=str).encode("utf-8")
-                        self._send(200, "application/json; charset=utf-8", body)
-                    elif path in ("/", "/index.html"):
-                        from repro.obs import dashboard as _dashboard
-
-                        body = _dashboard.render_dashboard_html(
-                            server.sampler.samples() if server.sampler else [],
-                            refresh_seconds=2,
-                        ).encode("utf-8")
-                        self._send(200, "text/html; charset=utf-8", body)
-                    else:
-                        self._send(404, "text/plain; charset=utf-8", b"not found\n")
-                except BrokenPipeError:  # client went away mid-response
-                    pass
-                except Exception as exc:  # never kill the serving thread
-                    _log.warning(
-                        "telemetry request failed",
-                        extra={"fields": {"path": path, "error": repr(exc)}},
-                    )
-                    try:
-                        self._send(
-                            500, "text/plain; charset=utf-8", b"internal error\n"
-                        )
-                    except OSError:
-                        pass
-
-            def log_message(self, format: str, *args) -> None:
-                _log.debug(
-                    "http " + format % args if args else "http " + format,
-                    extra={"fields": {"client": self.client_address[0]}},
-                )
-
-        self._httpd = ThreadingHTTPServer((self.host, self._requested_port), Handler)
-        self._httpd.daemon_threads = True
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="repro-metrics-server",
-            daemon=True,
-        )
-        self._thread.start()
-        _log.info(
-            "telemetry server listening",
-            extra={"fields": {"url": self.url}},
-        )
-        return self
-
-    def render_metrics(self) -> str:
-        """The exposition payload for the current process state."""
-        extra: Dict[str, float] = {}
-        alerts: Optional[Dict[str, bool]] = None
-        if self.sampler is not None:
-            latest = self.sampler.latest()
-            if latest:
-                process = latest.get("process") or {}
-                if isinstance(process, dict):
-                    rss = process.get("rss_bytes")
-                    if isinstance(rss, (int, float)):
-                        extra["process_rss_bytes"] = float(rss)
-                    cpu = process.get("cpu_seconds")
-                    if isinstance(cpu, (int, float)):
-                        extra["process_cpu_seconds"] = float(cpu)
-                derived = latest.get("derived") or {}
-                if isinstance(derived, dict):
-                    for key, value in derived.items():
-                        if isinstance(value, (int, float)):
-                            extra[f"derived_{key}"] = float(value)
-            alerts = self.sampler.alert_states
-        return render(extra_gauges=extra, alert_states=alerts)
-
-    def stop(self) -> None:
-        httpd = self._httpd
-        if httpd is not None:
-            httpd.shutdown()
-            httpd.server_close()
-            self._httpd = None
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=5.0)
-            self._thread = None
-
-    def __enter__(self) -> "TelemetryServer":
-        return self.start()
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()

@@ -43,7 +43,6 @@ __all__ = [
     "set_context",
     "current_path",
     "get_records",
-    "active_spans",
     "clear",
     "mark",
     "records_since",
@@ -57,7 +56,6 @@ TRACE_ENV = "REPRO_TRACE"
 
 _lock = threading.RLock()
 _records: "List[SpanRecord]" = []
-_active: "Dict[int, Dict[str, object]]" = {}
 _seq = itertools.count()
 _state = threading.local()
 _enabled: "Optional[bool]" = None
@@ -152,14 +150,6 @@ class _Span:
         self.path = "/".join(stack)
         self._wall = time.time()
         self._t0 = time.perf_counter()
-        with _lock:
-            _active[id(self)] = {
-                "name": self.name,
-                "path": self.path,
-                "start": self._wall,
-                "pid": os.getpid(),
-                "thread": threading.current_thread().name,
-            }
         return self
 
     def set(self, **attrs) -> "_Span":
@@ -185,7 +175,6 @@ class _Span:
             seq=next(_seq),
         )
         with _lock:
-            _active.pop(id(self), None)
             _records.append(record)
 
 
@@ -202,27 +191,9 @@ def get_records() -> List[SpanRecord]:
         return list(_records)
 
 
-def active_spans() -> List[Dict[str, object]]:
-    """Spans currently open in this process, outermost first.
-
-    The live-telemetry sampler and the ``python -m repro top``
-    dashboard use this to show *where the run is right now*; each
-    entry carries ``name``/``path``/``start``/``pid``/``thread`` plus
-    a derived ``elapsed`` in seconds.  Empty when tracing is off.
-    """
-    now = time.time()
-    with _lock:
-        spans = [dict(info) for info in _active.values()]
-    for info in spans:
-        info["elapsed"] = max(0.0, now - float(info["start"]))  # type: ignore[arg-type]
-    spans.sort(key=lambda info: info["start"])  # type: ignore[arg-type,return-value]
-    return spans
-
-
 def clear() -> None:
     with _lock:
         _records.clear()
-        _active.clear()
 
 
 def mark() -> int:

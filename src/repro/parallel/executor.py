@@ -147,9 +147,8 @@ def _drain(pool, task: Callable, items: Sequence) -> List[_TaskOutcome]:
 
     The ``executor_queue_depth`` gauge counts tasks submitted but not
     yet yielded; decrementing as the (order-preserving) iterator
-    yields lets the telemetry sampler and the ``/metrics`` endpoint
-    watch a sweep drain in real time instead of seeing one opaque
-    blocking call.
+    yields lets a ``/metrics`` scrape watch a sweep drain in real time
+    instead of seeing one opaque blocking call.
     """
     depth = obs_metrics.gauge("executor_queue_depth")
     depth.add(len(items))

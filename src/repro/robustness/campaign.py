@@ -458,7 +458,7 @@ def run_campaign(
         extra={"fields": {"cells": len(tasks), "scale": scale.name,
                           "chaos": chaos, "seed": seed}},
     )
-    # Progress gauges the telemetry sampler turns into percent + ETA.
+    # Progress gauges; the run manifest's metrics snapshot records them.
     obs_metrics.gauge("campaign_cells_total").set(len(tasks))
     obs_metrics.gauge("campaign_started_unixtime").set(time.time())
     with span("fault_campaign", cells=len(tasks), scale=scale.name, chaos=chaos):

@@ -1,8 +1,7 @@
 """The asyncio HTTP front of the serving layer.
 
-A deliberately small stdlib-only server (mirroring
-:class:`repro.obs.openmetrics.TelemetryServer`'s scope): it parses
-one HTTP/1.1 request per connection and answers
+A deliberately small stdlib-only server, and the package's only HTTP
+server: it parses one HTTP/1.1 request per connection and answers
 
 * ``POST /v1/predict`` — body ``{"inputs": [[...], ...]}`` (or one
   flat sample); encoded, micro-batched through

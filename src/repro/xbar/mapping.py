@@ -177,7 +177,7 @@ def _cache_put(key: tuple, value: Tuple[float, np.ndarray, np.ndarray]) -> None:
 
 
 def mapping_cache_stats() -> Dict[str, float]:
-    """Live cache effectiveness view (dashboard / manifest helper).
+    """Live cache effectiveness view (manifest helper).
 
     Hit/miss totals come from the process-wide metrics registry, so
     after a ``ProcessExecutor`` sweep they include the workers'

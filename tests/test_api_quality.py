@@ -77,7 +77,7 @@ MODULES = [
     "repro.metrics.error",
     "repro.metrics.image",
     "repro.metrics.robustness",
-    "repro.experiments.runner",
+    "repro.core.runner",
     "repro.experiments.fig2",
     "repro.experiments.fig3",
     "repro.experiments.table1",

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.__main__ import main
+from repro.core.runner import ExperimentScale
 from repro.experiments.bitlength import run_bitlength
-from repro.experiments.runner import ExperimentScale
 
 TINY = ExperimentScale(name="tiny", n_train=300, n_test=80, epochs=15, noise_trials=2)
 

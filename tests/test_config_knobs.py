@@ -52,9 +52,6 @@ class TestRegistry:
             "REPRO_SERVE_PORT",
             "REPRO_SERVE_QUEUE_LIMIT",
             "REPRO_SHM",
-            "REPRO_TELEMETRY",
-            "REPRO_TELEMETRY_PORT",
-            "REPRO_TELEMETRY_INTERVAL",
         }
 
 
@@ -135,9 +132,11 @@ class TestDocs:
         assert table.startswith("| Knob | Type | Default | Description |")
 
     def test_observability_doc_documents_every_knob(self):
+        # Verbatim, so a deleted or reworded knob cannot linger as a stale row.
         text = (DOCS / "observability.md").read_text(encoding="utf-8")
-        missing = [d.name for d in knobs.all_knobs() if f"`{d.name}`" not in text]
-        assert missing == [], f"knobs missing from docs/observability.md: {missing}"
+        assert knobs.docs_table() in text, (
+            "docs/observability.md knob table is stale; paste knobs.docs_table()"
+        )
 
     def test_enum_choices_rendered(self):
         table = knobs.docs_table()
@@ -163,7 +162,7 @@ class TestIntegration:
             assert resolve_workers() == 1
 
     def test_full_scale_accepts_truthy_spellings(self, monkeypatch):
-        from repro.experiments.runner import FULL_SCALE, QUICK_SCALE, default_scale
+        from repro.core.runner import FULL_SCALE, QUICK_SCALE, default_scale
 
         monkeypatch.setenv("REPRO_FULL", "true")
         assert default_scale() == FULL_SCALE

@@ -6,9 +6,10 @@ import pytest
 from repro.core.calibration import ice_calibrate
 from repro.core.deploy import AnalogMLP
 from repro.core.mei import MEI, MEIConfig
-from repro.device.variation import NonIdealFactors
+from repro.device.variation import NonIdealFactors, lognormal_factors
 from repro.nn.network import MLP
 from repro.nn.trainer import TrainConfig, Trainer
+from repro.xbar.mapping import MappingConfig
 
 
 def _trained_net(rng, shape=(3, 8, 2)):
@@ -49,6 +50,24 @@ class TestFreezeVariation:
         a = AnalogMLP(net).freeze_variation(noise, trial=0).forward(x[:10])
         b = AnalogMLP(net).freeze_variation(noise, trial=1).forward(x[:10])
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("tile_rows, n_arrays", [(None, 4), (2, 12)])
+    def test_freeze_matches_hand_loop(self, rng, tile_rows, n_arrays):
+        # One generator per chip, one lognormal draw per array in the
+        # canonical arrays() order (tiles included), then the device clip.
+        net, _, _ = _trained_net(rng)
+        noise = NonIdealFactors(sigma_pv=0.3, seed=4)
+        config = MappingConfig(max_rows_per_tile=tile_rows)
+        chip = AnalogMLP(net, mapping_config=config)
+        targets = chip.conductance_snapshot()
+        chip.freeze_variation(noise, trial=2)
+        draw = np.random.default_rng(4 + 2)
+        arrays = list(chip.arrays())
+        assert len(arrays) == len(targets) == n_arrays
+        for array, target in zip(arrays, targets):
+            factors = lognormal_factors(target.shape, 0.3, draw)
+            expected = array.device.clip_conductance(target * factors)
+            np.testing.assert_array_equal(array.conductances, expected)
 
 
 class TestIceCalibrate:

@@ -68,15 +68,15 @@ class TestNonIdealFactors:
 
     def test_zero_sigma_identity(self, rng):
         g = rng.uniform(1e-6, 1e-4, (4, 5))
-        assert np.array_equal(IDEAL.perturb_conductance(g), g)
-        assert np.array_equal(IDEAL.perturb_signal(g), g)
+        assert np.array_equal(g * lognormal_factors(g.shape, IDEAL.sigma_pv, rng), g)
+        assert np.array_equal(g * lognormal_factors(g.shape, IDEAL.sigma_sf, rng), g)
 
     def test_seeded_trials_reproducible(self, rng):
         noise = NonIdealFactors(sigma_pv=0.2, seed=5)
         g = rng.uniform(1e-6, 1e-4, (4, 5))
-        a = noise.perturb_conductance(g, noise.rng(trial=3))
-        b = noise.perturb_conductance(g, noise.rng(trial=3))
-        c = noise.perturb_conductance(g, noise.rng(trial=4))
+        a = g * lognormal_factors(g.shape, noise.sigma_pv, noise.rng(trial=3))
+        b = g * lognormal_factors(g.shape, noise.sigma_pv, noise.rng(trial=3))
+        c = g * lognormal_factors(g.shape, noise.sigma_pv, noise.rng(trial=4))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -96,7 +96,8 @@ class TestNonIdealFactors:
     def test_multiplicative_noise_preserves_zero(self):
         noise = NonIdealFactors(sigma_sf=0.5, seed=0)
         signal = np.zeros((10, 10))
-        assert np.array_equal(noise.perturb_signal(signal), signal)
+        factors = lognormal_factors(signal.shape, noise.sigma_sf, noise.rng())
+        assert np.array_equal(signal * factors, signal)
 
     def test_with_seed(self):
         noise = NonIdealFactors(sigma_pv=0.1, seed=1)

@@ -28,6 +28,7 @@ from repro.core.saab import SAAB, SAABConfig
 from repro.device.variation import NonIdealFactors
 from repro.nn.trainer import TrainConfig
 from repro.obs import metrics as obs_metrics
+from repro.obs import openmetrics
 from repro.xbar.crossbar import Crossbar, effective_conductances
 from repro.xbar.mapping import (
     DifferentialCrossbar,
@@ -299,7 +300,12 @@ class TestAttributeError:
         publish_metrics(_toy_result())
         gauges = obs_metrics.snapshot()["gauges"]
         assert "error_budget_toy_total_gap" in gauges
-        assert "error_budget_toy_pv_delta" in gauges
+        for stage in STAGES:
+            assert f"error_budget_toy_{stage}_delta" in gauges
+        text = openmetrics.render()
+        openmetrics.validate(text)
+        for stage in STAGES:
+            assert f"\nrepro_error_budget_toy_{stage}_delta " in text
 
     def test_result_roundtrips_to_dict(self):
         payload = _toy_result().as_dict()
@@ -419,12 +425,3 @@ class TestHistoryAndReport:
         assert stages[0][0] == "pv"
         svg = stacked_budget_svg(stages)
         assert svg.startswith("<svg") and "pv" in svg
-
-    def test_dashboard_parses_published_gauges(self):
-        from repro.obs.dashboard import errorbudget_from_gauges
-
-        publish_metrics(_toy_result())
-        gauges = obs_metrics.snapshot()["gauges"]
-        budgets = errorbudget_from_gauges(gauges)
-        assert "toy" in budgets
-        assert {stage for stage, _ in budgets["toy"]} == set(STAGES)

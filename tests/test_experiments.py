@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.experiments.fig2 import run_fig2
-from repro.experiments.fig3 import run_fig3
-from repro.experiments.fig4 import run_fig4
-from repro.experiments.fig5 import run_fig5
-from repro.experiments.runner import (
+from repro.core.runner import (
     FULL_SCALE,
     QUICK_SCALE,
     ExperimentScale,
@@ -14,6 +10,10 @@ from repro.experiments.runner import (
     format_table,
     train_config,
 )
+from repro.experiments.fig2 import run_fig2
+from repro.experiments.fig3 import run_fig3
+from repro.experiments.fig4 import run_fig4
+from repro.experiments.fig5 import run_fig5
 from repro.experiments.table1 import calibrated_params, run_benchmark_row
 
 TINY = ExperimentScale(name="tiny", n_train=400, n_test=100, epochs=25, noise_trials=2)

@@ -5,9 +5,9 @@ import pytest
 
 from repro.core.dse import _topology_of
 from repro.core.mei import MEI, MEIConfig
+from repro.core.runner import QUICK_SCALE, train_samples_for
 from repro.core.saab import SAAB, SAABConfig
 from repro.cost.area import MEITopology
-from repro.experiments.runner import QUICK_SCALE, train_samples_for
 from repro.nn.trainer import TrainConfig
 from repro.xbar.mna import MNACrossbar
 
@@ -78,7 +78,7 @@ class TestMEITopologyEdge:
 
 class TestRepeatWithSeeds:
     def test_statistics(self):
-        from repro.experiments.runner import repeat_with_seeds
+        from repro.core.runner import repeat_with_seeds
 
         mean, std, values = repeat_with_seeds(lambda s: float(s * 2), [1, 2, 3])
         assert mean == 4.0
@@ -88,7 +88,7 @@ class TestRepeatWithSeeds:
     def test_requires_seeds(self):
         import pytest as _pytest
 
-        from repro.experiments.runner import repeat_with_seeds
+        from repro.core.runner import repeat_with_seeds
 
         with _pytest.raises(ValueError):
             repeat_with_seeds(lambda s: 0.0, [])

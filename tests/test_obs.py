@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.__main__ import main
-from repro.experiments.runner import ExperimentScale
+from repro.core.runner import ExperimentScale
 from repro.experiments.table1 import run_benchmark_row
 from repro.nn.network import MLP
 from repro.nn.trainer import TrainConfig, Trainer

@@ -13,7 +13,7 @@ import pytest
 
 import repro
 from repro.__main__ import main
-from repro.experiments.runner import ExperimentScale
+from repro.core.runner import ExperimentScale
 from repro.obs import compare as obs_compare
 from repro.obs import history as obs_history
 from repro.obs import metrics as obs_metrics

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from repro.core.dse import DSEConfig, _make_candidate_mei, search_hidden_size
+from repro.core.runner import repeat_with_seeds
 from repro.device.variation import NonIdealFactors, trial_indices
-from repro.experiments.runner import repeat_with_seeds
 from repro.metrics.robustness import noise_sweep
 from repro.nn.trainer import TrainConfig
 from repro.parallel import (

@@ -6,8 +6,8 @@ import subprocess
 import pytest
 
 from repro import __main__ as cli
+from repro.core.runner import ExperimentScale
 from repro.experiments import bench
-from repro.experiments.runner import ExperimentScale
 from repro.obs import runinfo
 
 TINY = ExperimentScale(name="tiny", n_train=60, n_test=20, epochs=3, noise_trials=1)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.mei import MEIConfig
+from repro.core.runner import ExperimentScale
 from repro.device.faults import FaultModel
 from repro.experiments.fig_faults import CAMPAIGN_SCALES, campaign_scale, run_fig_faults
-from repro.experiments.runner import ExperimentScale
 from repro.robustness import CampaignConfig, run_campaign
 from repro.robustness.campaign import MITIGATIONS
 from repro.robustness.mitigation import FaultedMEI, chip_fault_model, fault_aware_saab

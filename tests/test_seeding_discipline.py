@@ -108,13 +108,16 @@ class TestCallSites:
         np.testing.assert_array_equal(a, b)
 
     def test_unseeded_nonideal_factors_replayable_from_log(self, repro_log):
+        from repro.core.deploy import AnalogMLP
         from repro.device.variation import NonIdealFactors
+        from repro.nn.network import MLP
 
-        factors = NonIdealFactors(sigma_pv=0.1)
-        perturbed = factors.perturb_conductance(np.ones((3, 3)))
+        net = MLP((3, 4, 2), rng=0)
+        chip = AnalogMLP(net).freeze_variation(NonIdealFactors(sigma_pv=0.1))
         seed = _seed_records(repro_log)[-1].fields["seed"]
-        replay = factors.perturb_conductance(np.ones((3, 3)), rng=np.random.default_rng(seed))
-        np.testing.assert_array_equal(perturbed, replay)
+        replay = AnalogMLP(net).freeze_variation(NonIdealFactors(sigma_pv=0.1, seed=seed))
+        for ours, theirs in zip(chip.arrays(), replay.arrays()):
+            np.testing.assert_array_equal(ours.conductances, theirs.conductances)
 
     def test_comparator_unseeded_draw_is_logged(self, repro_log):
         from repro.analog.periphery import Comparator
