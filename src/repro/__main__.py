@@ -17,7 +17,6 @@ Usage::
     python -m repro report                # trajectory report (md + HTML)
     python -m repro summary               # collate archived bench tables
     python -m repro lint [--json]         # repro-lint invariant checker
-    python -m repro profile [--json]      # ranked span hot-spot report
     python -m repro serve [--bench fft]   # inference service (HTTP)
     python -m repro --version
 
@@ -121,10 +120,8 @@ def _run_bench(args, scale) -> int:
             extra={"fields": {"path": os.fspath(history_file)}},
         )
     if args.write_baseline:
-        sha = entry.get("git_sha")
-        dirty = runinfo.git_dirty()
-        if (sha is None or dirty is not False) and not args.allow_dirty:
-            state = "unknown" if sha is None or dirty is None else "dirty"
+        state = runinfo.checkout_state(entry)
+        if state is not None and not args.allow_dirty:
             print(
                 f"refusing --write-baseline: git checkout is {state}, so the "
                 f"baseline would not be attributable to a commit; commit your "
@@ -150,11 +147,12 @@ def _run_errorbudget(args, scale) -> int:
     """
     from repro.analysis.errorbudget import ErrorBudgetConfig
     from repro.config import knobs
+    from repro.experiments.bench import write_baseline
     from repro.experiments.errorbudget import (
+        ERRORBUDGET_BASELINE_FILE,
         baseline_guard,
         render_errorbudget_html,
         run_errorbudget,
-        write_errorbudget_baseline,
     )
 
     trials = args.trials
@@ -198,7 +196,7 @@ def _run_errorbudget(args, scale) -> int:
         if refusal is not None:
             print(refusal, file=sys.stderr)
             return 2
-        baseline = write_errorbudget_baseline(entry)
+        baseline = write_baseline(entry, ERRORBUDGET_BASELINE_FILE)
         _log.info(
             "errorbudget baseline written",
             extra={"fields": {"path": os.fspath(baseline)}},
@@ -313,112 +311,6 @@ def _run_faults(args) -> int:
     return 0
 
 
-def _experiment_runners(args, scale):
-    """Figure/table runners keyed by experiment name."""
-    return {
-        "fig2": lambda: run_fig2().render(),
-        "fig3": lambda: run_fig3(scale=scale, seed=args.seed).render(),
-        "table1": lambda: _table1(args, scale),
-        "fig4": lambda: run_fig4(scale=scale, seed=args.seed).render(),
-        "fig5": lambda: run_fig5(scale=scale, seed=args.seed).render(),
-        "bitlength": lambda: run_bitlength(scale=scale, seed=args.seed).render(),
-    }
-
-
-def _run_profile(args, scale) -> int:
-    """Build the ranked hot-spot report (``docs/performance.md``).
-
-    Source resolution: ``--manifest`` > ``--fresh`` > newest
-    span-bearing manifest in the run directory > latest history entry.
-    Exits 2 when no span data can be found (or when ``--check`` finds
-    the report unusable), so CI can smoke-test the profiling pipeline.
-    """
-    from repro.config import knobs
-    from repro.obs import profile as obs_profile
-    from repro.obs.history import latest_entry, load_history
-
-    hotspots = []
-    source = "none"
-    experiment = None
-
-    def _from_manifest(path) -> bool:
-        nonlocal hotspots, source, experiment
-        try:
-            manifest = json.loads(open(path, encoding="utf-8").read())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"profile: cannot read manifest {path}: {exc}", file=sys.stderr)
-            return False
-        tree = manifest.get("span_tree") if isinstance(manifest, dict) else None
-        if not isinstance(tree, dict):
-            print(f"profile: {path} has no span_tree", file=sys.stderr)
-            return False
-        hotspots = obs_profile.hotspots_from_tree(tree)
-        source = f"manifest:{path}"
-        experiment = manifest.get("experiment")
-        return True
-
-    if args.manifest:
-        if not _from_manifest(args.manifest):
-            return 2
-    elif args.fresh:
-        obs_trace.enable(True)
-        obs_trace.clear()
-        obs_metrics.clear()
-        runners = _experiment_runners(args, scale)
-        with span("profile", experiment=args.fresh):
-            runners[args.fresh]()
-        hotspots = obs_profile.hotspots_from_records(obs_trace.get_records())
-        source = f"fresh:{args.fresh}"
-        experiment = args.fresh
-    else:
-        run_dir = args.run_dir or knobs.get_path("REPRO_RUN_DIR") or "runs"
-        manifest_path = obs_profile.latest_manifest_path(run_dir)
-        if manifest_path is not None:
-            if not _from_manifest(manifest_path):
-                return 2
-        else:
-            from repro.obs.history import history_path
-
-            history = load_history(args.history)
-            entry = latest_entry(history)
-            if entry is not None:
-                hotspots = obs_profile.hotspots_from_flat_metrics(
-                    entry.get("metrics") or {}
-                )
-                source = (
-                    f"history:{history_path(args.history)}"
-                    f"@{str(entry.get('git_sha', ''))[:12]}"
-                )
-                experiment = str(entry.get("kind", "")) or None
-
-    report = obs_profile.build_report(hotspots, source=source, experiment=experiment)
-    if not hotspots:
-        print(
-            "profile: no span data found — run an experiment with --trace "
-            "(or REPRO_TRACE=1), `python -m repro bench`, or pass --fresh/--manifest",
-            file=sys.stderr,
-        )
-        return 2
-    if args.html:
-        with open(args.html, "w", encoding="utf-8") as fh:
-            fh.write(obs_profile.render_html(report))
-        _log.info("profile html written", extra={"fields": {"path": args.html}})
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(obs_profile.render_text(report, top=args.top))
-    if args.check:
-        top = report["hotspots"][0]
-        if not top["path"] or float(report["total_seconds"]) <= 0.0:
-            print(
-                "profile --check: top span is unattributed or report has no "
-                "wall time",
-                file=sys.stderr,
-            )
-            return 2
-    return 0
-
-
 def _run_serve(args, scale) -> int:
     """The inference service: artifact -> micro-batched HTTP request path.
 
@@ -514,23 +406,6 @@ def _run_serve(args, scale) -> int:
             for failure in failures:
                 print(f"serve --smoke: {failure}", file=sys.stderr)
             return 2
-        # Archive the smoke's loadgen numbers as one kind="serve"
-        # history entry so serving throughput/latency has a trajectory
-        # (the compare gate recognizes the kind; see KNOWN_KINDS).
-        from repro.obs import history as obs_history
-
-        entry = obs_history.build_entry(
-            {f"loadgen.{k}": v for k, v in result.as_dict().items()},
-            kind="serve",
-            seed=args.seed,
-            scale=scale.name,
-            benchmark=model.meta.get("benchmark"),
-        )
-        history_file = obs_history.append_entry(entry, args.history)
-        _log.info(
-            "serve smoke archived",
-            extra={"fields": {"path": os.fspath(history_file)}},
-        )
         return 0
 
     from repro.serve.service import run_service
@@ -592,7 +467,7 @@ def main(argv=None) -> int:
         "experiment",
         choices=["fig2", "fig3", "table1", "fig4", "fig5", "bitlength",
                  "faults", "bench", "errorbudget", "compare", "report",
-                 "summary", "lint", "profile", "serve", "all"],
+                 "summary", "lint", "serve", "all"],
         help="artifact to regenerate, or a trajectory command: 'faults' runs the "
              "stuck-at fault-injection campaign (manifest always written), 'bench' "
              "runs the benchmark suite and appends to the run history, "
@@ -601,7 +476,6 @@ def main(argv=None) -> int:
              "gates the latest entry against a baseline, 'report' renders the "
              "trajectory (markdown + HTML), 'summary' collates archived bench "
              "tables, 'lint' runs the repro-lint invariant checker over the package, "
-             "'profile' ranks span hot-spots from manifests/history/a fresh run, "
              "'serve' runs the micro-batched inference service over a model "
              "artifact",
     )
@@ -630,8 +504,8 @@ def main(argv=None) -> int:
                         metavar="PATH",
                         help="compare: committed baseline snapshot fallback")
     parser.add_argument("--strict", action="store_true",
-                        help="compare: also fail on perf regressions and "
-                             "vanished metrics")
+                        help="compare: also fail when a baseline metric is "
+                             "missing from the current run")
     parser.add_argument("--kind", default=None, metavar="KIND",
                         help="compare: restrict both sides to history entries of "
                              "one kind (e.g. 'errorbudget', which also swaps in "
@@ -688,22 +562,12 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, metavar="DIR",
                         help="report: output directory for report.md/report.html "
                              "(default 'runs/')")
-    parser.add_argument("--top", type=int, default=15, metavar="N",
-                        help="profile: number of hot-spot rows to print (default 15)")
-    parser.add_argument("--manifest", default=None, metavar="PATH",
-                        help="profile: read spans from this run manifest")
-    parser.add_argument("--fresh", default=None, metavar="EXPERIMENT",
-                        choices=["fig2", "fig3", "table1", "fig4", "fig5", "bitlength"],
-                        help="profile: run this experiment with tracing on and "
-                             "profile its spans")
     parser.add_argument("--html", default=None, metavar="PATH",
-                        help="profile/errorbudget: also write a self-contained "
-                             "HTML report")
+                        help="errorbudget: also write a self-contained HTML report")
     parser.add_argument("--check", action="store_true",
-                        help="profile: exit non-zero when the report is empty or "
-                             "the top span is unattributed; errorbudget: exit "
-                             "non-zero unless the OpenMetrics exposition carries "
-                             "the error_budget_* families (CI smoke test)")
+                        help="errorbudget: exit non-zero unless the OpenMetrics "
+                             "exposition carries the error_budget_* families "
+                             "(CI smoke test)")
     parser.add_argument("--port", type=int, default=None, metavar="N",
                         help="serve: listen port (default: REPRO_SERVE_PORT or "
                              "9600; 0 = ephemeral)")
@@ -745,14 +609,19 @@ def main(argv=None) -> int:
         return _run_lint(args)
     if args.experiment == "faults":
         return _run_faults(args)
-    if args.experiment == "profile":
-        return _run_profile(args, scale)
     if args.experiment == "serve":
         return _run_serve(args, scale)
 
     write_manifests = obs_trace.enabled() or args.run_dir is not None
 
-    runners = _experiment_runners(args, scale)
+    runners = {
+        "fig2": lambda: run_fig2().render(),
+        "fig3": lambda: run_fig3(scale=scale, seed=args.seed).render(),
+        "table1": lambda: _table1(args, scale),
+        "fig4": lambda: run_fig4(scale=scale, seed=args.seed).render(),
+        "fig5": lambda: run_fig5(scale=scale, seed=args.seed).render(),
+        "bitlength": lambda: run_bitlength(scale=scale, seed=args.seed).render(),
+    }
     names = list(runners) if args.experiment == "all" else [args.experiment]
     for name in names:
         _log.info(

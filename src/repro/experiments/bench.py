@@ -1,19 +1,16 @@
 """The ``python -m repro bench`` driver: measure, stamp, append.
 
 One bench run trains the full Table 1 suite (all six benchmarks, three
-systems each, plus the pruned-MEI robustness check) with span tracing
-forced on, harvests
+systems each, plus the pruned-MEI robustness check), harvests
 
 * the per-benchmark accuracy metrics (``table1.<name>.*``),
-* the span wall-clock totals (``span.<path>``: train / deploy /
-  noise-eval / prune per row),
-* every archived benchmark payload on disk (``benchmarks/out/*.json``
-  and repo-root ``BENCH_*.json`` — executor speedups ride in here),
+* every archived row export on disk (``benchmarks/out/*.json``),
 
 and appends a single provenance-stamped entry to the run history
 (``runs/history.jsonl``).  The committed ``benchmarks/baseline.json``
 snapshot is the same entry shape, written via ``--write-baseline``;
-:mod:`repro.obs.compare` gates later runs against it.
+:mod:`repro.obs.compare` gates later runs against it.  Every metric is
+deterministic per seed; wall-clock timing lives in ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -26,9 +23,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.core.runner import ExperimentScale, default_scale, format_table
 from repro.experiments.table1 import Table1Result, calibrated_params, run_benchmark_row
 from repro.obs import history as obs_history
-from repro.obs import metrics as obs_metrics
 from repro.obs import runinfo
-from repro.obs import trace as obs_trace
 from repro.obs.log import get_logger
 from repro.obs.trace import span
 from repro.workloads.registry import BENCHMARK_NAMES
@@ -51,28 +46,16 @@ def run_bench(
 
     Returns ``(entry, history_file)``; ``append=False`` builds the
     entry without touching the store (used by tests and baseline
-    regeneration).  Tracing state is restored afterwards, and the
-    suite runs on cleared span/metric collectors so the harvested
-    ``span.*`` totals belong to this run alone.
+    regeneration).
     """
     scale = scale if scale is not None else default_scale()
     names = list(names)
-    was_tracing = obs_trace.enabled()
-    obs_trace.enable(True)
-    obs_trace.clear()
-    obs_metrics.reset()
-    try:
-        params = calibrated_params()
-        with span("bench", benchmarks=names, seed=seed, scale=scale.name):
-            rows = [run_benchmark_row(name, scale, seed, params) for name in names]
-        result = Table1Result(rows=rows)
-        metrics = result.metrics()
-        metrics.update(obs_history.metrics_from_spans())
-    finally:
-        obs_trace.enable(was_tracing)
-        obs_trace.clear()
+    params = calibrated_params()
+    with span("bench", benchmarks=names, seed=seed, scale=scale.name):
+        rows = [run_benchmark_row(name, scale, seed, params) for name in names]
+    metrics = Table1Result(rows=rows).metrics()
     if include_archive:
-        archived = _ingest_archives(out_dir)
+        archived = obs_history.ingest_out_dir(out_dir)
         # Live measurements win over stale archived payloads.
         archived.update(metrics)
         metrics = archived
@@ -88,10 +71,8 @@ def run_bench(
     # code that produced the numbers.  The entry is still appended
     # (local iteration needs it) but the condition is loud, and the
     # CLI refuses to promote such an entry to the committed baseline.
-    sha = entry.get("git_sha")
-    dirty = runinfo.git_dirty()
-    if sha is None or dirty is not False:
-        state = "unknown" if sha is None or dirty is None else "dirty"
+    state = runinfo.checkout_state(entry)
+    if state is not None:
         warnings.warn(
             f"bench provenance is stale: git checkout is {state}; the recorded "
             f"git_sha does not identify the measured code (commit first, or "
@@ -115,26 +96,15 @@ def run_bench(
     return entry, target
 
 
-def _ingest_archives(out_dir: "str | pathlib.Path") -> Dict[str, float]:
-    """Archived payloads: ``benchmarks/out/*.json`` + root ``BENCH_*``."""
-    metrics: Dict[str, float] = {}
-    out_dir = pathlib.Path(out_dir)
-    repo_root = out_dir.parent.parent if out_dir.name else out_dir.parent
-    for path in sorted(repo_root.glob("BENCH_*.json")):
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            continue
-        metrics.update(obs_history.flatten_payload(payload, prefix=path.stem.lower()))
-    metrics.update(obs_history.ingest_out_dir(out_dir))
-    return metrics
-
-
 def write_baseline(
     entry: Dict[str, object],
     path: "str | pathlib.Path" = "benchmarks/baseline.json",
 ) -> pathlib.Path:
-    """Persist a bench entry as the committed baseline snapshot."""
+    """Persist a history entry as a committed baseline snapshot.
+
+    The bench entry goes to ``benchmarks/baseline.json``; the
+    errorbudget CLI passes its own snapshot path.
+    """
     target = pathlib.Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(
@@ -145,7 +115,7 @@ def write_baseline(
 
 
 def render_bench_entry(entry: Dict[str, object]) -> str:
-    """Human summary of one bench entry (accuracy rows + span totals)."""
+    """Human summary of one bench entry (the accuracy rows)."""
     metrics = entry.get("metrics") or {}
     benches = sorted(
         {name.split(".")[1] for name in metrics if name.startswith("table1.")}
@@ -160,7 +130,6 @@ def render_bench_entry(entry: Dict[str, object]) -> str:
                 metrics.get(f"table1.{bench}.robustness_mei", float("nan")),
                 metrics.get(f"table1.{bench}.area_saved_measured", float("nan")),
                 metrics.get(f"table1.{bench}.power_saved_measured", float("nan")),
-                metrics.get(f"span.bench/row:{bench}", float("nan")),
             ]
         )
     header = (
@@ -170,7 +139,7 @@ def render_bench_entry(entry: Dict[str, object]) -> str:
     )
     table = format_table(
         ["bench", "err MEI", "err AD/DA", "robustness", "area saved",
-         "power saved", "row seconds"],
+         "power saved"],
         rows,
     )
     return header + table

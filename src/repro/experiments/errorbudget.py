@@ -22,7 +22,6 @@ executors (``--workers`` / ``REPRO_WORKERS``).
 from __future__ import annotations
 
 import dataclasses
-import json
 import pathlib
 import warnings
 from dataclasses import dataclass
@@ -47,10 +46,8 @@ from repro.device.variation import NonIdealFactors
 from repro.obs import history as obs_history
 from repro.obs import metrics as obs_metrics
 from repro.obs import runinfo
-from repro.obs import trace as obs_trace
 from repro.obs.log import get_logger
 from repro.obs.report import BUDGET_PALETTE, stacked_budget_svg
-from repro.obs.runinfo import provenance_header
 from repro.obs.trace import span
 from repro.parallel.resilient import resilient_map
 from repro.workloads.registry import BENCHMARK_NAMES, PAPER_TABLE1, make_benchmark
@@ -60,7 +57,6 @@ __all__ = [
     "run_benchmark_errorbudget",
     "run_errorbudget",
     "baseline_guard",
-    "write_errorbudget_baseline",
     "render_errorbudget_html",
     "ERRORBUDGET_BASELINE_FILE",
 ]
@@ -89,9 +85,9 @@ class ErrorBudgetSuite:
         return out
 
     def payload(self) -> Dict[str, object]:
-        """Provenance-stamped JSON export (same header as ``BENCH_*``)."""
+        """Provenance-stamped JSON export (same header as the row exports)."""
         return {
-            "provenance": provenance_header(
+            "provenance": runinfo.provenance_header(
                 seed=self.seed,
                 scale=self.scale_name,
                 ensemble=self.ensemble,
@@ -235,39 +231,29 @@ def run_errorbudget(
     """Run the attribution suite; append one history entry.
 
     Returns ``(suite, entry, history_file)``; ``append=False`` builds
-    the entry without touching the store.  Like the bench driver,
-    tracing runs on cleared collectors so the harvested ``span.*``
-    totals belong to this run alone, and the registry ends up holding
-    the published ``error_budget_*`` gauges for the OpenMetrics
-    exposition.
+    the entry without touching the store.  The suite runs on a cleared
+    metrics registry, which ends up holding the published
+    ``error_budget_*`` gauges for the OpenMetrics exposition.
     """
     scale = scale if scale is not None else default_scale()
     config = config if config is not None else ErrorBudgetConfig()
     names = list(names)
-    was_tracing = obs_trace.enabled()
-    obs_trace.enable(True)
-    obs_trace.clear()
     obs_metrics.reset()
-    try:
-        with span("errorbudget", benchmarks=names, seed=seed, scale=scale.name):
-            mapped = resilient_map(
-                _bench_task,
-                [(name, scale, seed, config, ensemble) for name in names],
-                workers=workers,
-            )
-        results = [r for r in mapped.results if r is not None]
-        suite = ErrorBudgetSuite(
-            results=results,
-            config=config,
-            scale_name=scale.name,
-            seed=seed,
-            ensemble=ensemble,
+    with span("errorbudget", benchmarks=names, seed=seed, scale=scale.name):
+        mapped = resilient_map(
+            _bench_task,
+            [(name, scale, seed, config, ensemble) for name in names],
+            workers=workers,
         )
-        metrics = suite.metrics()
-        metrics.update(obs_history.metrics_from_spans())
-    finally:
-        obs_trace.enable(was_tracing)
-        obs_trace.clear()
+    results = [r for r in mapped.results if r is not None]
+    suite = ErrorBudgetSuite(
+        results=results,
+        config=config,
+        scale_name=scale.name,
+        seed=seed,
+        ensemble=ensemble,
+    )
+    metrics = suite.metrics()
     for result in results:
         publish_metrics(result)
     entry = obs_history.build_entry(
@@ -281,10 +267,8 @@ def run_errorbudget(
     # Same provenance staleness guard as the bench driver: append the
     # entry (local iteration needs it) but say loudly that its git_sha
     # does not describe the measured code.
-    sha = entry.get("git_sha")
-    dirty = runinfo.git_dirty()
-    if sha is None or dirty is not False:
-        state = "unknown" if sha is None or dirty is None else "dirty"
+    state = runinfo.checkout_state(entry)
+    if state is not None:
         warnings.warn(
             f"errorbudget provenance is stale: git checkout is {state}; the "
             f"recorded git_sha does not identify the measured code (commit "
@@ -309,38 +293,20 @@ def run_errorbudget(
 
 
 def baseline_guard(entry: Dict[str, object], allow_dirty: bool = False) -> Optional[str]:
-    """PR-6-style dirty guard: refusal message, or None when clean.
+    """Dirty-checkout guard: refusal message, or None when clean.
 
     A baseline written from a dirty or unknown checkout carries a
     ``git_sha`` that does not describe the code that produced the
     numbers; the CLI refuses to promote such an entry unless the user
     explicitly overrides.
     """
-    if allow_dirty:
+    state = None if allow_dirty else runinfo.checkout_state(entry)
+    if state is None:
         return None
-    sha = entry.get("git_sha")
-    dirty = runinfo.git_dirty()
-    if sha is None or dirty is not False:
-        state = "unknown" if sha is None or dirty is None else "dirty"
-        return (
-            f"refusing to write the errorbudget baseline from a {state} "
-            f"checkout; commit first or pass --allow-dirty"
-        )
-    return None
-
-
-def write_errorbudget_baseline(
-    entry: Dict[str, object],
-    path: "str | pathlib.Path" = ERRORBUDGET_BASELINE_FILE,
-) -> pathlib.Path:
-    """Persist an errorbudget entry as the committed baseline snapshot."""
-    target = pathlib.Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(
-        json.dumps(entry, indent=2, sort_keys=True, default=str) + "\n",
-        encoding="utf-8",
+    return (
+        f"refusing to write the errorbudget baseline from a {state} "
+        f"checkout; commit first or pass --allow-dirty"
     )
-    return target
 
 
 _HTML_STYLE = """

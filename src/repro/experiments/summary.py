@@ -37,9 +37,6 @@ REPORT_ORDER = (
     "ext_timing",
     "ext_variation_aware",
     "tradeoff_kmeans",
-    "bench_parallel",
-    "bench_hotpath",
-    "bench_serve",
 )
 
 

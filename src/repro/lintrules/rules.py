@@ -402,8 +402,8 @@ def _check_rpr011(tree: ast.AST, imports: ImportMap, is_library: bool) -> Iterat
                 node.lineno,
                 node.col_offset,
                 "span(...) called without `with` never closes: the timing "
-                "never reaches the profile report and the span stack "
-                "corrupts; use `with span(...):`",
+                "never reaches the run manifest's span tree and the span "
+                "stack corrupts; use `with span(...):`",
             )
 
 
@@ -501,8 +501,7 @@ ALL_RULES: Tuple[Rule, ...] = (
         summary="trace spans are opened with `with span(...)`",
         rationale=(
             "An unclosed span corrupts the span stack and drops its timing "
-            "from the profile report, which the CI profile gate then flags "
-            "as lost coverage."
+            "from the run manifest's span tree."
         ),
         check=_check_rpr011,
         applies=_not_trace_module,

@@ -15,9 +15,7 @@ The pillars (see ``docs/observability.md`` and ``docs/benchmarking.md``):
 * :mod:`repro.obs.compare` — the tolerance-aware regression gate
   (baseline resolution, machine-readable verdicts, CI exit codes);
 * :mod:`repro.obs.report` — markdown/HTML trajectory reports with
-  per-metric sparklines and a slowest-spans summary;
-* :mod:`repro.obs.profile` — ranked hot-spot reports (exclusive vs
-  inclusive span time) behind ``python -m repro profile``;
+  per-metric sparklines and the latest error budget;
 * :mod:`repro.obs.openmetrics` — OpenMetrics text exposition of the
   metrics registry, served at ``GET /metrics`` by ``python -m repro
   serve``.
@@ -55,12 +53,6 @@ from repro.obs.openmetrics import (
     CONTENT_TYPE,
     render,
     validate,
-)
-from repro.obs.profile import (
-    HotSpot,
-    hotspots_from_flat_metrics,
-    hotspots_from_records,
-    hotspots_from_tree,
 )
 from repro.obs.report import render_html, render_markdown, write_report
 from repro.obs.runinfo import (
@@ -113,10 +105,6 @@ __all__ = [
     "span",
     "span_tree",
     "render_tree",
-    "HotSpot",
-    "hotspots_from_tree",
-    "hotspots_from_records",
-    "hotspots_from_flat_metrics",
     "build_manifest",
     "environment_info",
     "provenance_header",

@@ -2,19 +2,17 @@
 
 Given two flat metric mappings — the current run and a baseline
 resolved from history (latest entry for a named SHA) or from the
-committed ``benchmarks/baseline.json`` snapshot — classify every
-metric and produce a machine-readable verdict:
+committed ``benchmarks/baseline.json`` snapshot — judge every metric
+and produce a machine-readable verdict.  Every metric is a
+deterministic per-seed accuracy quantity (per-benchmark MEI/SAAB
+errors, ``robustness_mei``, cost savings, error-budget lines), so all
+of them gate at :data:`ACCURACY_TOLERANCE`: a move beyond tolerance in
+the bad direction is a *regression* and the CLI exits non-zero.
+``--strict`` also fails on metrics that vanished from the current run.
+Wall-clock speed is gated by ``perfbench/``, not here.
 
-* **accuracy** metrics (per-benchmark MEI/SAAB errors,
-  ``robustness_mei``, cost savings) gate the build: a move beyond
-  tolerance in the bad direction is a *regression* and the CLI exits
-  non-zero;
-* **perf** metrics (span seconds, executor speedups, utilization) are
-  advisory by default — hosts jitter — and gate only under
-  ``--strict``.
-
-Direction matters: ``error_*``/``mse_*``/``span.*`` regress upward,
-``speedup``/``accuracy``/``robustness``/``*_saved`` regress downward.
+Direction matters: ``error_*``/``mse_*`` regress upward,
+``accuracy``/``robustness``/``*_saved`` regress downward.
 Tolerances are relative-plus-absolute so tiny denominators don't turn
 float dust into failures.
 """
@@ -32,9 +30,7 @@ from repro.obs import history as _history
 __all__ = [
     "Tolerance",
     "ACCURACY_TOLERANCE",
-    "PERF_TOLERANCE",
     "DEFAULT_BASELINE_FILE",
-    "classify_metric",
     "higher_is_better",
     "MetricVerdict",
     "ComparisonResult",
@@ -62,17 +58,6 @@ ACCURACY_TOLERANCE = Tolerance(rel=0.10, abs=0.005)
 """Accuracy metrics are deterministic per seed; 10% headroom covers
 cross-platform float drift, not algorithmic change."""
 
-PERF_TOLERANCE = Tolerance(rel=0.60, abs=0.05)
-"""Wall-clock metrics jitter hard across hosts and CI runners."""
-
-_PERF_TOKENS = (
-    "seconds",
-    "speedup",
-    "utilization",
-    "latency",
-    "queue_wait",
-    "per_second",
-)
 _HIGHER_BETTER_TOKENS = (
     "speedup",
     "accuracy",
@@ -85,13 +70,6 @@ _HIGHER_BETTER_TOKENS = (
 )
 
 
-def classify_metric(name: str) -> str:
-    """``"perf"`` or ``"accuracy"`` by metric-name convention."""
-    if name.startswith("span.") or any(tok in name for tok in _PERF_TOKENS):
-        return "perf"
-    return "accuracy"
-
-
 def higher_is_better(name: str) -> bool:
     """Regression direction: errors/MSE/seconds regress up, these down."""
     return any(tok in name for tok in _HIGHER_BETTER_TOKENS)
@@ -102,7 +80,6 @@ class MetricVerdict:
     """One metric's baseline-vs-current outcome."""
 
     name: str
-    kind: str
     status: str
     """``ok`` | ``improved`` | ``regressed`` | ``missing`` | ``new``."""
     baseline: Optional[float] = None
@@ -117,7 +94,6 @@ class MetricVerdict:
     def to_dict(self) -> Dict[str, object]:
         return {
             "name": self.name,
-            "kind": self.kind,
             "status": self.status,
             "baseline": self.baseline,
             "current": self.current,
@@ -133,31 +109,21 @@ class ComparisonResult:
     current_label: str
     verdicts: List[MetricVerdict] = field(default_factory=list)
 
-    def by_status(self, status: str, kind: Optional[str] = None) -> List[MetricVerdict]:
-        return [
-            v
-            for v in self.verdicts
-            if v.status == status and (kind is None or v.kind == kind)
-        ]
+    def by_status(self, status: str) -> List[MetricVerdict]:
+        return [v for v in self.verdicts if v.status == status]
 
     @property
     def accuracy_regressions(self) -> List[MetricVerdict]:
-        return self.by_status("regressed", "accuracy")
-
-    @property
-    def perf_regressions(self) -> List[MetricVerdict]:
-        return self.by_status("regressed", "perf")
+        return self.by_status("regressed")
 
     @property
     def missing(self) -> List[MetricVerdict]:
         return self.by_status("missing")
 
     def exit_code(self, strict: bool = False) -> int:
-        """0 = gate passes.  Accuracy regressions always fail; strict
-        mode also fails on perf regressions and vanished metrics."""
-        if self.accuracy_regressions:
-            return 1
-        if strict and (self.perf_regressions or self.missing):
+        """0 = gate passes.  Regressions always fail; strict mode also
+        fails on vanished metrics."""
+        if self.accuracy_regressions or (strict and self.missing):
             return 1
         return 0
 
@@ -186,8 +152,7 @@ class ComparisonResult:
             base = "-" if verdict.baseline is None else f"{verdict.baseline:.6g}"
             cur = "-" if verdict.current is None else f"{verdict.current:.6g}"
             lines.append(
-                f"  {verdict.status.upper():<9} [{verdict.kind}] "
-                f"{verdict.name}: {base} -> {cur}"
+                f"  {verdict.status.upper():<9} {verdict.name}: {base} -> {cur}"
             )
         counts = self.to_dict(strict)["counts"]
         lines.append(
@@ -207,28 +172,24 @@ def compare_metrics(
     baseline_label: str = "baseline",
     current_label: str = "current",
     accuracy_tolerance: Tolerance = ACCURACY_TOLERANCE,
-    perf_tolerance: Tolerance = PERF_TOLERANCE,
 ) -> ComparisonResult:
-    """Classify every metric present on either side."""
+    """Judge every metric present on either side."""
     result = ComparisonResult(baseline_label=baseline_label, current_label=current_label)
     for name in sorted(set(baseline) | set(current)):
-        kind = classify_metric(name)
         base = baseline.get(name)
         cur = current.get(name)
         if base is None:
             status = "new"
         elif cur is None:
             status = "missing"
+        elif not accuracy_tolerance.exceeded(base, cur):
+            status = "ok"
+        elif (cur > base) == higher_is_better(name):
+            status = "improved"
         else:
-            tolerance = accuracy_tolerance if kind == "accuracy" else perf_tolerance
-            if not tolerance.exceeded(base, cur):
-                status = "ok"
-            elif (cur > base) == higher_is_better(name):
-                status = "improved"
-            else:
-                status = "regressed"
+            status = "regressed"
         result.verdicts.append(
-            MetricVerdict(name=name, kind=kind, status=status, baseline=base, current=cur)
+            MetricVerdict(name=name, status=status, baseline=base, current=cur)
         )
     return result
 
@@ -295,7 +256,6 @@ def compare_history(
     baseline_sha: Optional[str] = None,
     baseline_file: "Optional[str | pathlib.Path]" = DEFAULT_BASELINE_FILE,
     accuracy_tolerance: Tolerance = ACCURACY_TOLERANCE,
-    perf_tolerance: Tolerance = PERF_TOLERANCE,
     kind: Optional[str] = None,
 ) -> Optional[ComparisonResult]:
     """End-to-end gate: latest history entry vs resolved baseline.
@@ -351,5 +311,4 @@ def compare_history(
         baseline_label=label,
         current_label=current_label,
         accuracy_tolerance=accuracy_tolerance,
-        perf_tolerance=perf_tolerance,
     )

@@ -6,18 +6,21 @@ SHA, ``repro.__version__``, host, seed, scale) — to
 ``runs/history.jsonl``.  The store is the substrate of the regression
 gate (:mod:`repro.obs.compare`) and the trajectory report
 (:mod:`repro.obs.report`): because entries are keyed by commit and
-timestamp, "did this PR slow down training or hurt MEI accuracy" is a
-query, not an archaeology project.
+timestamp, "did this commit hurt MEI accuracy" is a query, not an
+archaeology project.
 
 Metric namespace (flat, dotted):
 
 * ``table1.<bench>.<column>`` — accuracy rows from the Table 1 driver
   (``error_mei``, ``robustness_mei``, ``area_saved_measured``, ...);
-* ``span.<path>`` — wall seconds of one span-tree path
-  (``span.table1/row:fft/train``), harvested from traced runs;
-* ``<stem>.<path>`` — numeric leaves of archived benchmark payloads
-  (``benchmarks/out/*.json``, ``BENCH_*.json``), e.g.
-  ``bench_parallel.seed_repeat_sweep.speedup``.
+* ``errorbudget.<bench>.*`` — per-stage attributions from the
+  error-budget driver (``kind="errorbudget"`` entries);
+* ``<stem>.<path>`` — numeric leaves of the archived row exports under
+  ``benchmarks/out/*.json``, e.g. ``table1_fft.rows.fft.error_mei``.
+
+Every metric is a deterministic per-seed quantity; wall-clock timing
+is measured by ``perfbench/`` (repeated pairs, median and IQR), not
+recorded here.
 
 Everything here is stdlib-only and import-safe from any layer.
 """
@@ -29,7 +32,6 @@ import pathlib
 from typing import Dict, List, Optional, Sequence
 
 from repro.config import knobs
-from repro.obs import trace as _trace
 from repro.obs.runinfo import provenance_header
 
 __all__ = [
@@ -46,8 +48,6 @@ __all__ = [
     "aggregate_metrics",
     "build_entry",
     "flatten_payload",
-    "metrics_from_spans",
-    "metrics_from_manifest",
     "ingest_out_dir",
 ]
 
@@ -109,7 +109,7 @@ def entries_for_sha(
     ]
 
 
-KNOWN_KINDS = frozenset({"bench", "errorbudget", "serve"})
+KNOWN_KINDS = frozenset({"bench", "errorbudget"})
 """Every history-entry ``kind`` a producer in this repo writes.
 
 The compare gate warns about (and excludes) entries of any other
@@ -149,8 +149,8 @@ def aggregate_metrics(
 ) -> Dict[str, float]:
     """Mean of every metric across repeated runs of the same commit.
 
-    Averaging tames host jitter in the perf metrics; deterministic
-    accuracy metrics are unchanged by it.
+    Runs of one seed agree exactly, so the mean matters only across
+    seeds; a metric missing from some runs averages over the rest.
     """
     sums: Dict[str, float] = {}
     counts: Dict[str, int] = {}
@@ -227,47 +227,14 @@ def flatten_payload(payload: object, prefix: str = "") -> Dict[str, float]:
     return out
 
 
-def metrics_from_spans(
-    records: Optional[Sequence[_trace.SpanRecord]] = None,
-) -> Dict[str, float]:
-    """``span.<path> -> total wall seconds`` from collected span records.
-
-    Sibling spans sharing a path accumulate, exactly like the manifest
-    span tree, so a 300-epoch ``train`` node is one metric.
-    """
-    if records is None:
-        records = _trace.get_records()
-    totals: Dict[str, float] = {}
-    for record in records:
-        key = f"span.{record.path}"
-        totals[key] = totals.get(key, 0.0) + float(record.duration)
-    return {name: round(value, 6) for name, value in totals.items()}
-
-
-def metrics_from_manifest(manifest: Dict[str, object]) -> Dict[str, float]:
-    """Harvest a run manifest's span tree into ``span.*`` metrics."""
-    out: Dict[str, float] = {}
-
-    def _walk(node: Dict[str, object]) -> None:
-        if node.get("path"):
-            out[f"span.{node['path']}"] = float(node.get("total_seconds", 0.0))
-        for child in node.get("children", []) or []:
-            _walk(child)
-
-    tree = manifest.get("span_tree")
-    if isinstance(tree, dict):
-        _walk(tree)
-    return out
-
-
 def ingest_out_dir(
     out_dir: "str | pathlib.Path" = "benchmarks/out",
 ) -> Dict[str, float]:
     """Flatten every archived JSON payload under ``benchmarks/out/``.
 
-    ``BENCH_parallel.json`` becomes ``bench_parallel.*`` (stems are
-    lower-cased) next to the per-bench row exports; unreadable files
-    are skipped so a half-written archive cannot poison an entry.
+    ``table1_fft.json`` becomes ``table1_fft.*`` (stems are
+    lower-cased); unreadable files are skipped so a half-written
+    archive cannot poison an entry.
     """
     out_dir = pathlib.Path(out_dir)
     metrics: Dict[str, float] = {}

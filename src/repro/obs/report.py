@@ -3,9 +3,8 @@
 Renders the run history (:mod:`repro.obs.history`) into something a
 human scans in seconds:
 
-* :func:`render_markdown` — accuracy and perf tables with unicode
-  sparklines, first/last values and deltas, plus the top-N slowest
-  span paths of the latest run;
+* :func:`render_markdown` — one metric table with unicode sparklines,
+  first/last values and deltas, plus the latest error budget;
 * :func:`render_html` — one dependency-free HTML file (inline CSS +
   inline SVG sparklines) suitable for a CI artifact.
 
@@ -17,7 +16,7 @@ from __future__ import annotations
 
 import html as _html
 import pathlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.obs import compare as _compare
 from repro.obs import history as _history
@@ -30,7 +29,6 @@ __all__ = [
     "stacked_budget_svg",
     "errorbudget_breakdown",
     "trajectories",
-    "slowest_spans",
     "render_markdown",
     "render_html",
     "write_report",
@@ -179,47 +177,12 @@ def trajectories(
     return out
 
 
-def slowest_spans(
-    metrics: Dict[str, float], n: int = 10
-) -> List[Tuple[str, float]]:
-    """Top-N ``span.*`` paths of one entry by total wall seconds."""
-    spans = [
-        (name[len("span."):], float(value))
-        for name, value in metrics.items()
-        if name.startswith("span.")
-    ]
-    spans.sort(key=lambda item: -item[1])
-    return spans[:n]
-
-
-def _latest_metrics(history: Sequence[Dict[str, object]]) -> Dict[str, float]:
-    newest = _history.latest_entry(history)
-    metrics = newest.get("metrics") if newest else None
-    if not isinstance(metrics, dict):
-        return {}
-    return {
-        k: float(v)
-        for k, v in metrics.items()
-        if isinstance(v, (int, float)) and not isinstance(v, bool)
-    }
-
-
-def _split_by_kind(
-    series: Dict[str, List[Tuple[str, str, float]]],
-) -> Tuple[List[str], List[str]]:
-    accuracy = sorted(n for n in series if _compare.classify_metric(n) == "accuracy")
-    perf = sorted(n for n in series if _compare.classify_metric(n) == "perf")
-    return accuracy, perf
-
-
 def render_markdown(
     history: Sequence[Dict[str, object]],
     title: str = "Benchmark trajectory",
-    top_spans: int = 10,
 ) -> str:
-    """Markdown report: accuracy table, perf table, slowest spans."""
+    """Markdown report: the metric table, then the error budget."""
     series = trajectories(history)
-    accuracy, perf = _split_by_kind(series)
     lines = [f"# {title}", ""]
     if not series:
         lines.append("_No history entries yet — run `python -m repro bench`._")
@@ -231,21 +194,18 @@ def render_markdown(
         f"commits {shas[0]} → {shas[-1]}."
     )
     lines.append("")
-    for heading, names in (("Accuracy metrics", accuracy), ("Performance metrics", perf)):
-        if not names:
-            continue
-        lines.append(f"## {heading}")
-        lines.append("")
-        lines.append("| metric | n | first | last | delta | trend |")
-        lines.append("|---|---:|---:|---:|---:|---|")
-        for name in names:
-            points = [v for _, _, v in series[name]]
-            delta = points[-1] - points[0]
-            lines.append(
-                f"| `{name}` | {len(points)} | {points[0]:.6g} | {points[-1]:.6g} "
-                f"| {delta:+.6g} | {sparkline(points)} |"
-            )
-        lines.append("")
+    lines.append("## Accuracy metrics")
+    lines.append("")
+    lines.append("| metric | n | first | last | delta | trend |")
+    lines.append("|---|---:|---:|---:|---:|---|")
+    for name in sorted(series):
+        points = [v for _, _, v in series[name]]
+        delta = points[-1] - points[0]
+        lines.append(
+            f"| `{name}` | {len(points)} | {points[0]:.6g} | {points[-1]:.6g} "
+            f"| {delta:+.6g} | {sparkline(points)} |"
+        )
+    lines.append("")
     budget = errorbudget_breakdown(history)
     if budget:
         lines.append("## Error budget (latest attribution run)")
@@ -272,15 +232,6 @@ def render_markdown(
                 bar = "█" * max(1, int(round(share * 20))) if delta else ""
                 lines.append(f"| `{stage}` | {delta:+.4g} | {share:.0%} | {bar} |")
             lines.append("")
-    top = slowest_spans(_latest_metrics(history), n=top_spans)
-    if top:
-        lines.append(f"## Slowest spans (latest run, top {len(top)})")
-        lines.append("")
-        lines.append("| span path | seconds |")
-        lines.append("|---|---:|")
-        for path, seconds in top:
-            lines.append(f"| `{path}` | {seconds:.3f} |")
-        lines.append("")
     return "\n".join(lines).rstrip() + "\n"
 
 
@@ -301,11 +252,9 @@ code { background: #f2f2f8; padding: 0.1rem 0.3rem; border-radius: 3px; }
 def render_html(
     history: Sequence[Dict[str, object]],
     title: str = "Benchmark trajectory",
-    top_spans: int = 10,
 ) -> str:
     """Self-contained HTML page mirroring :func:`render_markdown`."""
     series = trajectories(history)
-    accuracy, perf = _split_by_kind(series)
     entries = [e for e in history if isinstance(e.get("metrics"), dict)]
     esc = _html.escape
 
@@ -330,31 +279,26 @@ def render_html(
         f"latest {esc(str(entries[-1].get('created', '')))}.</p>"
     )
 
-    def _metric_table(names: List[str]) -> None:
+    parts.append("<h2>Accuracy metrics</h2>")
+    parts.append(
+        "<table><thead><tr><th>metric</th><th class='num'>n</th>"
+        "<th class='num'>first</th><th class='num'>last</th>"
+        "<th class='num'>delta</th><th>trend</th></tr></thead><tbody>"
+    )
+    for name in sorted(series):
+        points = [v for _, _, v in series[name]]
+        delta = points[-1] - points[0]
+        worse = (delta > 0) != _compare.higher_is_better(name) and delta != 0
+        cls = "delta-bad" if worse else "delta-good"
         parts.append(
-            "<table><thead><tr><th>metric</th><th class='num'>n</th>"
-            "<th class='num'>first</th><th class='num'>last</th>"
-            "<th class='num'>delta</th><th>trend</th></tr></thead><tbody>"
+            f"<tr><td><code>{esc(name)}</code></td>"
+            f"<td class='num'>{len(points)}</td>"
+            f"<td class='num'>{points[0]:.6g}</td>"
+            f"<td class='num'>{points[-1]:.6g}</td>"
+            f"<td class='num {cls}'>{delta:+.6g}</td>"
+            f"<td>{svg_sparkline(points)}</td></tr>"
         )
-        for name in names:
-            points = [v for _, _, v in series[name]]
-            delta = points[-1] - points[0]
-            worse = (delta > 0) != _compare.higher_is_better(name) and delta != 0
-            cls = "delta-bad" if worse else "delta-good"
-            parts.append(
-                f"<tr><td><code>{esc(name)}</code></td>"
-                f"<td class='num'>{len(points)}</td>"
-                f"<td class='num'>{points[0]:.6g}</td>"
-                f"<td class='num'>{points[-1]:.6g}</td>"
-                f"<td class='num {cls}'>{delta:+.6g}</td>"
-                f"<td>{svg_sparkline(points)}</td></tr>"
-            )
-        parts.append("</tbody></table>")
-
-    for heading, names in (("Accuracy metrics", accuracy), ("Performance metrics", perf)):
-        if names:
-            parts.append(f"<h2>{esc(heading)}</h2>")
-            _metric_table(names)
+    parts.append("</tbody></table>")
 
     budget = errorbudget_breakdown(history)
     if budget:
@@ -395,19 +339,6 @@ def render_html(
             for stage in legend_stages
         )
         parts.append(f"<p class='meta'>{legend}</p>")
-    top = slowest_spans(_latest_metrics(history), n=top_spans)
-    if top:
-        parts.append(f"<h2>Slowest spans (latest run, top {len(top)})</h2>")
-        parts.append(
-            "<table><thead><tr><th>span path</th>"
-            "<th class='num'>seconds</th></tr></thead><tbody>"
-        )
-        for path, seconds in top:
-            parts.append(
-                f"<tr><td><code>{esc(path)}</code></td>"
-                f"<td class='num'>{seconds:.3f}</td></tr>"
-            )
-        parts.append("</tbody></table>")
     parts.append("</body></html>")
     return "\n".join(parts)
 
@@ -417,26 +348,13 @@ def write_report(
     out_dir: "str | pathlib.Path" = "runs",
     stem: str = "report",
     title: str = "Benchmark trajectory",
-    top_spans: int = 10,
 ) -> Tuple[pathlib.Path, pathlib.Path]:
     """Write ``<out_dir>/<stem>.md`` and ``.html``; return both paths."""
     directory = pathlib.Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     md_path = directory / f"{stem}.md"
     html_path = directory / f"{stem}.html"
-    md_path.write_text(
-        render_markdown(history, title=title, top_spans=top_spans), encoding="utf-8"
-    )
-    html_path.write_text(
-        render_html(history, title=title, top_spans=top_spans), encoding="utf-8"
-    )
+    md_path.write_text(render_markdown(history, title=title), encoding="utf-8")
+    html_path.write_text(render_html(history, title=title), encoding="utf-8")
     return md_path, html_path
 
-
-def load_and_write(
-    history_path: "Optional[str | pathlib.Path]" = None,
-    out_dir: "str | pathlib.Path" = "runs",
-    **kwargs: object,
-) -> Tuple[pathlib.Path, pathlib.Path]:
-    """Convenience: load the history store and write both report files."""
-    return write_report(_history.load_history(history_path), out_dir=out_dir, **kwargs)

@@ -7,8 +7,8 @@ and scale, the collected span tree and a metrics snapshot.  Experiment
 drivers write one per run to ``runs/<timestamp>-<experiment>.json``
 (directory overridable via ``--run-dir`` / ``REPRO_RUN_DIR``).
 
-Benchmark harnesses embed :func:`provenance_header` in their archived
-JSON payloads so BENCH trajectories stay comparable across PRs.
+The bench row exports embed :func:`provenance_header` in their archived
+JSON payloads so archived rows stay attributable to a commit and host.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ __all__ = [
     "RUN_DIR_ENV",
     "git_sha",
     "git_dirty",
+    "checkout_state",
     "repro_env",
     "environment_info",
     "provenance_header",
@@ -65,8 +66,7 @@ def git_dirty(cwd: Optional[str] = None) -> Optional[bool]:
 
     A dirty tree makes the recorded ``git_sha`` an unreliable
     provenance key — benchmark archives stamped from one are not
-    attributable to any commit, which is why ``run_bench`` warns (and
-    the CLI refuses ``--write-baseline``) on dirty checkouts.
+    attributable to any commit (see :func:`checkout_state`).
     """
     try:
         out = subprocess.run(
@@ -81,6 +81,27 @@ def git_dirty(cwd: Optional[str] = None) -> Optional[bool]:
     if out.returncode != 0:
         return None
     return bool(out.stdout.strip())
+
+
+def checkout_state(entry: Dict[str, object]) -> Optional[str]:
+    """``None`` if ``entry`` came from a clean checkout, else why not.
+
+    Returns ``"unknown"`` (no commit, or git state unreadable) or
+    ``"dirty"`` (uncommitted changes).  Reads the entry's own
+    ``git_sha`` and the ``provenance["git_dirty"]`` flag recorded when
+    it was built; only an entry without that flag asks git now.  The
+    bench and errorbudget drivers warn on a stale entry, and the CLI
+    refuses to promote one to a committed baseline.
+    """
+    sha = entry.get("git_sha")
+    provenance = entry.get("provenance")
+    if isinstance(provenance, dict) and "git_dirty" in provenance:
+        dirty = provenance["git_dirty"]
+    else:
+        dirty = git_dirty()
+    if sha is not None and dirty is False:
+        return None
+    return "unknown" if sha is None or dirty is None else "dirty"
 
 
 def repro_env() -> Dict[str, str]:
@@ -122,9 +143,8 @@ def environment_info() -> Dict[str, object]:
         "numpy": numpy_version,
         "cpu_count": os.cpu_count(),
         # What the sweeps will actually use, not just what the host
-        # has: BENCH provenance was recording ``cpu_count`` while the
-        # executors ran with REPRO_WORKERS (often 1), which made
-        # parallel benchmark archives unreproducible.
+        # has: ``cpu_count`` alone does not say how many workers the
+        # executors ran with (REPRO_WORKERS, often 1).
         "executor_workers": executor_workers,
         "executor_kind": executor_kind if executor_workers > 1 else "serial",
         "pid": os.getpid(),

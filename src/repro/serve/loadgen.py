@@ -3,9 +3,9 @@
 ``run_loadgen`` drives ``POST /v1/predict`` from ``concurrency``
 worker threads, each issuing requests back-to-back until the target
 count is reached, and reports sustained requests/sec plus client-side
-latency quantiles.  Used by ``benchmarks/test_bench_serve.py`` (the
-``BENCH_serve.json`` gate) and the ``python -m repro serve --smoke``
-CI step.
+latency quantiles.  Used by the ``python -m repro serve --smoke`` CI
+step, which checks that every request is answered; serving speed is
+measured by perfbench's ``serve-fft`` workload.
 """
 
 from __future__ import annotations

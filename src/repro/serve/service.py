@@ -16,13 +16,14 @@ server: it parses one HTTP/1.1 request per connection and answers
   registry, including the ``serve_*`` families.
 
 :class:`BackgroundServer` runs the same service on a daemon thread
-with its own event loop — the harness used by the loadgen benchmark,
-the CI smoke step and the tests.
+with its own event loop — the harness used by the ``serve --smoke``
+CI step and the tests.
 """
 
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import json
 import threading
 from typing import Dict, Optional, Tuple
@@ -261,6 +262,9 @@ class BackgroundServer:
         if not started.wait(timeout=30):
             raise ServeError("inference service did not start within 30s")
         if "error" in failure:
+            self._thread.join()
+            self._thread = self._loop = None
+            loop.close()
             raise ServeError(f"inference service failed to start: {failure['error']!r}")
         return self
 
@@ -269,17 +273,19 @@ class BackgroundServer:
         return f"http://{self.service.host}:{self.service.port}"
 
     def stop(self, timeout: float = 10.0) -> None:
+        """Close the listening socket, then stop and close the loop.
+
+        Open connections get up to ``timeout`` seconds to finish.  A
+        second call is a no-op.
+        """
         loop, self._loop = self._loop, None
-        if loop is not None:
-
-            def _shutdown() -> None:
-                asyncio.ensure_future(self.service.stop())
-                loop.call_soon(loop.stop)
-
-            loop.call_soon_threadsafe(_shutdown)
-        if self._thread is not None:
-            self._thread.join(timeout=timeout)
-            self._thread = None
+        thread, self._thread = self._thread, None
+        if loop is not None and thread is not None:
+            stopped = asyncio.run_coroutine_threadsafe(self.service.stop(), loop)
+            concurrent.futures.wait([stopped], timeout=timeout)
+            loop.call_soon_threadsafe(loop.stop)
+            thread.join(timeout=timeout)
+            loop.close()
         self.service.batcher.close()
 
     def __enter__(self) -> "BackgroundServer":

@@ -383,10 +383,10 @@ class TestBaselineGuard:
     def test_write_baseline_roundtrip(self, tmp_path):
         import json
 
-        from repro.experiments.errorbudget import write_errorbudget_baseline
+        from repro.experiments.bench import write_baseline
 
         entry = {"kind": "errorbudget", "metrics": {"errorbudget.toy.total_gap": 0.1}}
-        target = write_errorbudget_baseline(entry, tmp_path / "eb.json")
+        target = write_baseline(entry, tmp_path / "eb.json")
         assert json.loads(target.read_text()) == entry
 
 

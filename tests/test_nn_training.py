@@ -106,6 +106,26 @@ class TestTrainer:
         with pytest.raises(ValueError):
             trainer.fit(net, np.zeros((10, 2)), np.zeros((9, 1)))
 
+    @pytest.mark.parametrize("track_train_loss", [True, False])
+    @pytest.mark.parametrize("log_every", [1, 4])
+    def test_loss_bookkeeping_leaves_weights_bit_identical(self, track_train_loss,
+                                                           log_every):
+        # The tracked loss is an extra full forward pass; it must not
+        # touch the weights or the shuffle stream.
+        x, y = _quadratic_data(np.random.default_rng(3), n=64)
+
+        def fit(**bookkeeping):
+            net = MLP((1, 6, 1), rng=0)
+            cfg = TrainConfig(epochs=9, batch_size=16, shuffle_seed=0, **bookkeeping)
+            Trainer(config=cfg).fit(net, x, y)
+            return net
+
+        reference = fit(track_train_loss=False)
+        net = fit(track_train_loss=track_train_loss, log_every=log_every)
+        for got, want in zip(net.layers, reference.layers):
+            assert np.array_equal(got.weights, want.weights)
+            assert np.array_equal(got.bias, want.bias)
+
     def test_sample_weights_focus_training(self, rng):
         # Two clusters; weighting one to ~zero should leave it unfit.
         x = np.concatenate([np.full((100, 1), 0.2), np.full((100, 1), 0.8)])

@@ -20,7 +20,6 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import report as obs_report
 from repro.obs import runinfo
 from repro.obs import trace as obs_trace
-from repro.obs.trace import span
 
 TINY = ExperimentScale(name="tiny", n_train=300, n_test=80, epochs=15, noise_trials=2)
 
@@ -109,13 +108,13 @@ class TestFlatten:
                 {"name": "fft", "error_mei": 0.1, "topology": "2x16x1", "ok": True},
                 {"name": "jpeg", "error_mei": 0.2},
             ],
-            "sweep": {"speedup": 4.7, "levels": [0.05, 0.1]},
+            "sweep": {"robustness": 0.7, "levels": [0.05, 0.1]},
         }
-        flat = obs_history.flatten_payload(payload, prefix="bench_parallel")
-        assert flat["bench_parallel.rows.fft.error_mei"] == 0.1
-        assert flat["bench_parallel.rows.jpeg.error_mei"] == 0.2
-        assert flat["bench_parallel.sweep.speedup"] == 4.7
-        assert flat["bench_parallel.sweep.levels.0"] == 0.05
+        flat = obs_history.flatten_payload(payload, prefix="fig5_robustness")
+        assert flat["fig5_robustness.rows.fft.error_mei"] == 0.1
+        assert flat["fig5_robustness.rows.jpeg.error_mei"] == 0.2
+        assert flat["fig5_robustness.sweep.robustness"] == 0.7
+        assert flat["fig5_robustness.sweep.levels.0"] == 0.05
         # provenance, strings and booleans are not metrics
         assert not any("provenance" in k or "topology" in k or k.endswith(".ok")
                        for k in flat)
@@ -128,50 +127,32 @@ class TestFlatten:
         flat = obs_history.ingest_out_dir(tmp_path)
         assert flat == {"table1_fft.rows.fft.error_mei": 0.1}
 
-    def test_metrics_from_spans_accumulates_siblings(self):
-        obs_trace.enable(True)
-        obs_trace.clear()
-        try:
-            with span("bench"):
-                for _ in range(3):
-                    with span("round"):
-                        pass
-            flat = obs_history.metrics_from_spans()
-        finally:
-            obs_trace.enable(False)
-            obs_trace.clear()
-        assert set(flat) == {"span.bench", "span.bench/round"}
-        assert flat["span.bench"] >= flat["span.bench/round"]
-
 
 class TestCompare:
-    def test_classification_and_direction(self):
-        assert obs_compare.classify_metric("table1.fft.error_mei") == "accuracy"
-        assert obs_compare.classify_metric("span.bench/row:fft/train") == "perf"
-        assert obs_compare.classify_metric("bench_parallel.sweep.speedup") == "perf"
+    def test_direction(self):
         assert not obs_compare.higher_is_better("table1.fft.error_mei")
         assert obs_compare.higher_is_better("table1.fft.robustness_mei")
-        assert obs_compare.higher_is_better("bench_parallel.sweep.speedup")
+        assert obs_compare.higher_is_better("ext_timing.rows.fft.speedup")
         assert obs_compare.higher_is_better("table1.fft.area_saved_measured")
 
     def test_statuses(self):
         baseline = {
             "table1.fft.error_mei": 0.10,
             "table1.fft.robustness_mei": 0.80,
-            "span.bench": 10.0,
+            "table1.fft.area_saved_measured": 0.50,
             "gone.error": 0.5,
         }
         current = {
-            "table1.fft.error_mei": 0.20,       # error doubled -> regressed
-            "table1.fft.robustness_mei": 0.95,  # robustness up -> improved
-            "span.bench": 10.1,                 # within perf tolerance -> ok
-            "fresh.error": 0.3,                 # new metric
+            "table1.fft.error_mei": 0.20,            # error doubled -> regressed
+            "table1.fft.robustness_mei": 0.95,       # robustness up -> improved
+            "table1.fft.area_saved_measured": 0.51,  # within tolerance -> ok
+            "fresh.error": 0.3,                      # new metric
         }
         result = obs_compare.compare_metrics(baseline, current)
         status = {v.name: v.status for v in result.verdicts}
         assert status["table1.fft.error_mei"] == "regressed"
         assert status["table1.fft.robustness_mei"] == "improved"
-        assert status["span.bench"] == "ok"
+        assert status["table1.fft.area_saved_measured"] == "ok"
         assert status["gone.error"] == "missing"
         assert status["fresh.error"] == "new"
 
@@ -188,11 +169,11 @@ class TestCompare:
         )
         assert accuracy_reg.exit_code() == 1
         assert accuracy_reg.exit_code(strict=True) == 1
-        perf_reg = obs_compare.compare_metrics(
-            {"span.bench": 1.0}, {"span.bench": 10.0}
+        vanished = obs_compare.compare_metrics(
+            {"x.error": 0.1, "gone.error": 0.2}, {"x.error": 0.1}
         )
-        assert perf_reg.exit_code() == 0
-        assert perf_reg.exit_code(strict=True) == 1
+        assert vanished.exit_code() == 0
+        assert vanished.exit_code(strict=True) == 1
         clean = obs_compare.compare_metrics({"x.error": 0.1}, {"x.error": 0.1})
         assert clean.exit_code(strict=True) == 0
 
@@ -233,8 +214,8 @@ class TestCompare:
         store = _write_history(
             tmp_path / "history.jsonl",
             [
-                _entry(SHA_A, "t1", {"x.error": 0.1, "span.bench": 5.0}),
-                _entry(SHA_B, "t2", {"x.error": 0.1, "span.bench": 6.5}),
+                _entry(SHA_A, "t1", {"x.error": 0.1, "table1.fft.robustness_mei": 0.8}),
+                _entry(SHA_B, "t2", {"x.error": 0.1, "table1.fft.robustness_mei": 0.8}),
             ],
         )
         result = obs_compare.compare_history(
@@ -258,20 +239,21 @@ class TestCompare:
         assert result.exit_code(strict=True) != 0
 
     def test_compare_history_averages_repeated_runs(self, tmp_path):
-        # Two noisy perf runs at HEAD average back inside tolerance.
+        # Two runs at HEAD (say, two seeds) are judged by their mean: the
+        # first alone would regress, the mean stays inside tolerance.
         store = _write_history(
             tmp_path / "history.jsonl",
             [
-                _entry(SHA_A, "t1", {"span.bench": 10.0}),
-                _entry(SHA_B, "t2", {"span.bench": 13.0}),
-                _entry(SHA_B, "t3", {"span.bench": 9.0}),
+                _entry(SHA_A, "t1", {"table1.fft.error_mei": 0.10}),
+                _entry(SHA_B, "t2", {"table1.fft.error_mei": 0.13}),
+                _entry(SHA_B, "t3", {"table1.fft.error_mei": 0.09}),
             ],
         )
         result = obs_compare.compare_history(
             store, baseline_sha=SHA_A, baseline_file=None
         )
         (verdict,) = result.verdicts
-        assert verdict.current == pytest.approx(11.0)
+        assert verdict.current == pytest.approx(0.11)
         assert verdict.status == "ok"
 
 
@@ -301,11 +283,9 @@ class _HTMLChecker(HTMLParser):
 class TestReport:
     HISTORY = [
         _entry(SHA_A, "2026-01-01T00:00:00",
-               {"table1.fft.error_mei": 0.10, "table1.jpeg.error_mei": 0.05,
-                "span.bench/row:fft": 4.0, "span.bench/row:fft/train": 3.0}),
+               {"table1.fft.error_mei": 0.10, "table1.jpeg.error_mei": 0.05}),
         _entry(SHA_B, "2026-01-02T00:00:00",
-               {"table1.fft.error_mei": 0.12, "table1.jpeg.error_mei": 0.04,
-                "span.bench/row:fft": 5.0, "span.bench/row:fft/train": 4.0}),
+               {"table1.fft.error_mei": 0.12, "table1.jpeg.error_mei": 0.04}),
     ]
 
     def test_sparkline_shapes(self):
@@ -314,13 +294,12 @@ class TestReport:
         line = obs_report.sparkline([0.0, 0.5, 1.0])
         assert len(line) == 3 and line[0] == "▁" and line[-1] == "█"
 
-    def test_markdown_contains_every_metric_and_spans(self):
+    def test_markdown_has_one_metric_table(self):
         md = obs_report.render_markdown(self.HISTORY)
         assert "table1.fft.error_mei" in md
         assert "table1.jpeg.error_mei" in md
-        assert "## Slowest spans" in md
-        assert "bench/row:fft" in md
-        assert "## Accuracy metrics" in md and "## Performance metrics" in md
+        assert md.count("| metric | n |") == 1
+        assert "Performance metrics" not in md and "Slowest spans" not in md
 
     def test_markdown_empty_history(self):
         md = obs_report.render_markdown([])
@@ -335,18 +314,13 @@ class TestReport:
         assert "svg" in checker.seen and "table" in checker.seen
         for bench in ("fft", "jpeg"):
             assert f"table1.{bench}.error_mei" in html_text
-        assert "Slowest spans" in html_text
+        assert html_text.count("<th>metric</th>") == 1
+        assert "Slowest spans" not in html_text
 
     def test_write_report_emits_both_files(self, tmp_path):
         md_path, html_path = obs_report.write_report(self.HISTORY, out_dir=tmp_path)
         assert md_path.read_text().startswith("# Benchmark trajectory")
         assert html_path.read_text().startswith("<!DOCTYPE html>")
-
-    def test_slowest_spans_ordering(self):
-        top = obs_report.slowest_spans(
-            {"span.a": 1.0, "span.b": 3.0, "x.error": 9.0}, n=1
-        )
-        assert top == [("b", 3.0)]
 
 
 class TestBenchDriver:
@@ -365,13 +339,11 @@ class TestBenchDriver:
         metrics = entry["metrics"]
         assert metrics["table1.fft.error_mei"] > 0.0
         assert "table1.fft.robustness_mei" in metrics
-        assert metrics["span.bench/row:fft"] > 0.0
-        # Per-stage spans (digital/adda/mei training) ride along.
-        assert any(k.endswith("/train") for k in metrics)
-        assert "span.bench/row:fft/mei" in metrics
+        # Accuracy only: wall-clock timing is perfbench's job.
+        assert all(k.startswith("table1.") for k in metrics)
         assert entry["version"] == repro.__version__
         assert entry["scale"] == "tiny"
-        # The store round-trips and bench leaves tracing off again.
+        # The store round-trips, and bench leaves tracing as it was (off).
         (loaded,) = obs_history.load_history(store)
         assert loaded["metrics"]["table1.fft.error_mei"] == pytest.approx(
             metrics["table1.fft.error_mei"]
@@ -414,6 +386,11 @@ class TestCLI:
             main(["--version"])
         assert excinfo.value.code == 0
         assert repro.__version__ in capsys.readouterr().out
+
+    def test_profile_subcommand_is_gone(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["profile"])
+        assert excinfo.value.code == 2
 
     def test_compare_cli_unchanged_passes(self, tmp_path, capsys):
         store = _write_history(
@@ -551,8 +528,7 @@ class TestCompareUnknownKinds:
             [
                 _entry(SHA_A, "t1", {"x.error": 0.1}),
                 _entry(SHA_B, "t2", {"x.error": 0.1}),
-                _entry(SHA_B, "t3", {"bench_serve.rps": 100.0}, kind="serve"),
-                _entry(SHA_B, "t4", {"budget.err": 0.01}, kind="errorbudget"),
+                _entry(SHA_B, "t3", {"budget.err": 0.01}, kind="errorbudget"),
             ],
         )
         obs_compare.compare_history(store, baseline_sha=SHA_A, baseline_file=None)
@@ -570,5 +546,5 @@ class TestCompareUnknownKinds:
         entry = _entry(SHA_A, "t1", {"x.error": 0.1})
         del entry["kind"]
         assert obs_history.entry_kind(entry) == "bench"
-        assert obs_history.entry_kind({"kind": "serve"}) == "serve"
-        assert "serve" in obs_history.KNOWN_KINDS
+        assert obs_history.entry_kind({"kind": "errorbudget"}) == "errorbudget"
+        assert obs_history.KNOWN_KINDS == {"bench", "errorbudget"}

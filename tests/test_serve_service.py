@@ -2,8 +2,9 @@
 
 Differential bit-identity over HTTP is covered in
 ``tests/test_serve_differential.py``; this file owns the protocol
-surface — payload validation to 400s, the health/model routes and the
-OpenMetrics exposition of the ``serve_*`` families.
+surface — payload validation to 400s, the health/model routes, the
+OpenMetrics exposition of the ``serve_*`` families and the
+:class:`BackgroundServer` start/stop lifecycle.
 """
 
 import json
@@ -195,3 +196,17 @@ class TestOtherRoutes:
                        "serve_request_latency_seconds",
                        "serve_queue_wait_seconds", "serve_compute_seconds"):
             assert family in text
+
+
+class TestBackgroundServerStop:
+    def test_stop_closes_loop_and_socket_and_is_idempotent(self, model):
+        server = BackgroundServer(model, port=0).start()
+        assert _request(server.url + "/healthz")[0] == 200
+        loop = server._loop
+        address = (server.service.host, server.service.port)
+        server.stop()
+        assert loop.is_closed()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(address, timeout=5).close()
+        server.stop()  # no-op
+        assert loop.is_closed()
