@@ -8,7 +8,6 @@ the ``REPRO_DTYPE`` knob (float64 default, float32 opt-in).
 from repro.config.dtype import astype as _astype
 from repro.nn.activations import Activation, Identity, Relu, Sigmoid, Tanh, get_activation
 from repro.nn.datasets import UnitScaler, minibatches, resample, train_test_split
-from repro.nn.ensemble import EnsembleTrainer, train_ensemble
 from repro.nn.layers import DenseLayer
 from repro.nn.losses import Loss, WeightedMSE, mse
 from repro.nn.network import MLP
@@ -17,8 +16,6 @@ from repro.nn.trainer import TrainConfig, Trainer, TrainResult
 
 __all__ = [
     "_astype",
-    "EnsembleTrainer",
-    "train_ensemble",
     "Activation",
     "Sigmoid",
     "Tanh",

@@ -2,8 +2,10 @@
 
 The RCS realizes the nonlinear activation with analog circuits
 (Sec. 2.1); the paper's networks use sigmoid-style neurons.  Each
-activation exposes ``forward`` and ``backward`` (derivative in terms of
-the *pre-activation* input), so layers can cache only what they need.
+activation exposes ``forward`` and ``derivative``, the derivative in
+terms of the activation's *output*, so a training layer backprops from
+the output it already cached instead of re-evaluating the activation.
+``backward(x)`` is the derivative at pre-activation ``x``.
 """
 
 from __future__ import annotations
@@ -23,9 +25,13 @@ class Activation:
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def derivative(self, y: np.ndarray) -> np.ndarray:
+        """Derivative as a fresh array, from the output ``y = forward(x)``."""
+        raise NotImplementedError
+
     def backward(self, x: np.ndarray) -> np.ndarray:
         """Derivative of the activation evaluated at pre-activation x."""
-        raise NotImplementedError
+        return self.derivative(self.forward(x))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
@@ -37,13 +43,19 @@ class Sigmoid(Activation):
     name = "sigmoid"
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        # Clip to avoid overflow in exp for extreme pre-activations.
-        x = np.clip(x, -60.0, 60.0)
-        return 1.0 / (1.0 + np.exp(-x))
+        # Clip to avoid overflow in exp for extreme pre-activations, then
+        # build 1 / (1 + exp(-x)) in the clipped copy.
+        y = np.asarray(np.maximum(x, -60.0))
+        np.minimum(y, 60.0, out=y)
+        np.negative(y, out=y)
+        np.exp(y, out=y)
+        y += 1.0
+        return np.divide(1.0, y, out=y)
 
-    def backward(self, x: np.ndarray) -> np.ndarray:
-        s = self.forward(x)
-        return s * (1.0 - s)
+    def derivative(self, y: np.ndarray) -> np.ndarray:
+        d = 1.0 - y
+        d *= y
+        return d
 
 
 class Tanh(Activation):
@@ -54,9 +66,8 @@ class Tanh(Activation):
     def forward(self, x: np.ndarray) -> np.ndarray:
         return np.tanh(x)
 
-    def backward(self, x: np.ndarray) -> np.ndarray:
-        t = np.tanh(x)
-        return 1.0 - t * t
+    def derivative(self, y: np.ndarray) -> np.ndarray:
+        return 1.0 - y * y
 
 
 class Relu(Activation):
@@ -67,8 +78,9 @@ class Relu(Activation):
     def forward(self, x: np.ndarray) -> np.ndarray:
         return np.maximum(x, 0.0)
 
-    def backward(self, x: np.ndarray) -> np.ndarray:
-        return _astype(x > 0.0)
+    def derivative(self, y: np.ndarray) -> np.ndarray:
+        # y = max(x, 0) is positive exactly where x is.
+        return (y > 0.0).astype(y.dtype)
 
 
 class Identity(Activation):
@@ -79,8 +91,8 @@ class Identity(Activation):
     def forward(self, x: np.ndarray) -> np.ndarray:
         return _astype(x)
 
-    def backward(self, x: np.ndarray) -> np.ndarray:
-        return np.ones_like(_astype(x))
+    def derivative(self, y: np.ndarray) -> np.ndarray:
+        return np.ones_like(y)
 
 
 _REGISTRY = {cls.name: cls for cls in (Sigmoid, Tanh, Relu, Identity)}

@@ -4,11 +4,15 @@ Each :class:`DenseLayer` corresponds to one weight matrix ``W_ij`` plus
 bias of Eq. (3) and — when the network is deployed on hardware — to one
 pair of RRAM crossbars (positive/negative) followed by the analog
 activation circuit.
+
+:func:`flatten` packs a network's parameters and gradients into two
+flat vectors the layers then view, so an optimizer step is a few
+in-place passes over one vector.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -17,7 +21,7 @@ from repro.nn.activations import Activation, get_activation
 from repro.nn.initializers import xavier_uniform
 from repro.parallel.seeding import ensure_rng
 
-__all__ = ["DenseLayer"]
+__all__ = ["DenseLayer", "flatten"]
 
 InitFn = Callable[[np.random.Generator, int, int], np.ndarray]
 
@@ -55,18 +59,27 @@ class DenseLayer:
         rng = ensure_rng(rng, "nn.DenseLayer")
         self.weights = _astype(weight_init(rng, in_dim, out_dim))
         self.bias = np.zeros(out_dim, dtype=self.weights.dtype)
-        # Backprop caches, populated by forward(train=True).
+        self._reset_caches()
+
+    def _reset_caches(self) -> None:
+        # Gradient buffers backward() writes in place (views into the
+        # flat gradient vector once flatten() packed the layer), and the
+        # input/output caches of forward(train=True).
+        self.grad_weights = np.zeros_like(self.weights)
+        self.grad_bias = np.zeros_like(self.bias)
         self._x: Optional[np.ndarray] = None
-        self._pre: Optional[np.ndarray] = None
+        self._out: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        """Run the layer; cache inputs/pre-activations when training."""
+        """Run the layer; cache inputs/outputs when training."""
         x = _astype(x)
-        pre = x @ self.weights + self.bias
+        pre = x @ self.weights
+        pre += self.bias
+        out = self.activation.forward(pre)
         if train:
             self._x = x
-            self._pre = pre
-        return self.activation.forward(pre)
+            self._out = out
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Backprop through the layer.
@@ -79,22 +92,24 @@ class DenseLayer:
         Returns
         -------
         Gradient w.r.t. this layer's input.  Weight/bias gradients are
-        stored on ``grad_weights`` / ``grad_bias``.
+        written into ``grad_weights`` / ``grad_bias`` in place.
         """
-        if self._x is None or self._pre is None:
+        return self.backward_params(grad_out) @ self.weights.T
+
+    def backward_params(self, grad_out: np.ndarray) -> np.ndarray:
+        """Weight/bias gradients only (no input gradient).
+
+        Writes ``grad_weights`` / ``grad_bias`` in place and returns the
+        gradient w.r.t. the pre-activation; the activation derivative
+        comes from the output cached by ``forward(train=True)``.
+        """
+        if self._x is None or self._out is None:
             raise RuntimeError("backward() called before forward(train=True)")
-        delta = grad_out * self.activation.backward(self._pre)
-        self.grad_weights = self._x.T @ delta
-        self.grad_bias = delta.sum(axis=0)
-        return delta @ self.weights.T
-
-    def params(self) -> Dict[str, np.ndarray]:
-        """Live references to the trainable parameter arrays."""
-        return {"weights": self.weights, "bias": self.bias}
-
-    def grads(self) -> Dict[str, np.ndarray]:
-        """Gradients from the most recent backward pass."""
-        return {"weights": self.grad_weights, "bias": self.grad_bias}
+        delta = self.activation.derivative(self._out)
+        delta *= grad_out
+        np.matmul(self._x.T, delta, out=self.grad_weights)
+        np.add.reduce(delta, axis=0, out=self.grad_bias)
+        return delta
 
     def copy(self) -> "DenseLayer":
         """Deep copy of the layer (weights and activation shared by type)."""
@@ -104,9 +119,34 @@ class DenseLayer:
         clone.activation = type(self.activation)()
         clone.weights = self.weights.copy()
         clone.bias = self.bias.copy()
-        clone._x = None
-        clone._pre = None
+        clone._reset_caches()
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DenseLayer({self.in_dim}->{self.out_dim}, {self.activation.name})"
+
+
+def flatten(layers: List[DenseLayer]) -> Tuple[np.ndarray, np.ndarray]:
+    """One flat parameter vector and its gradient vector for ``layers``.
+
+    Each layer's ``weights``/``bias`` (and ``grad_weights``/``grad_bias``)
+    are copied in and rebound as views into the two vectors, in layer
+    order, weights before bias.  The vectors take the first layer's
+    weight dtype.
+    """
+    size = sum(layer.weights.size + layer.bias.size for layer in layers)
+    params = np.empty(size, dtype=layers[0].weights.dtype)
+    grads = np.empty_like(params)
+    offset = 0
+    for layer in layers:
+        for name in ("weights", "bias"):
+            param = getattr(layer, name)
+            grad = getattr(layer, f"grad_{name}")
+            end = offset + param.size
+            view, grad_view = params[offset:end], grads[offset:end]
+            view[...] = param.reshape(-1)
+            grad_view[...] = grad.reshape(-1)
+            setattr(layer, name, view.reshape(param.shape))
+            setattr(layer, f"grad_{name}", grad_view.reshape(param.shape))
+            offset = end
+    return params, grads

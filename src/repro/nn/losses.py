@@ -72,16 +72,18 @@ class WeightedMSE(Loss):
             if np.any(port_weights < 0):
                 raise ValueError("port_weights must be non-negative")
         self.port_weights = port_weights
+        self._sq = None if port_weights is None else port_weights**2
 
     def _sq_weights(self, n_ports: int) -> np.ndarray:
-        if self.port_weights is None:
+        sq = self._sq
+        if sq is None:
             return np.ones(n_ports, dtype=active_dtype())
-        if self.port_weights.shape[0] != n_ports:
+        if sq.shape[0] != n_ports:
             raise ValueError(
-                f"loss has {self.port_weights.shape[0]} port weights "
+                f"loss has {sq.shape[0]} port weights "
                 f"but predictions have {n_ports} ports"
             )
-        return self.port_weights**2
+        return sq
 
     @staticmethod
     def _check(predicted: np.ndarray, target: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -114,7 +116,11 @@ class WeightedMSE(Loss):
     ) -> np.ndarray:
         predicted, target = self._check(predicted, target)
         sq = self._sq_weights(predicted.shape[1])
-        grad = 2.0 * (predicted - target) * sq / predicted.shape[0]
+        # 2 * (p - t) * sq / n [* w], one buffer, same operation order.
+        grad = np.subtract(predicted, target)
+        grad *= 2.0
+        grad *= sq
+        grad /= predicted.shape[0]
         if sample_weights is not None:
-            grad = grad * _astype(sample_weights)[:, None]
+            grad *= _astype(sample_weights)[:, None]
         return grad

@@ -73,12 +73,16 @@ class MLP:
             out = layer.forward(out, train=train)
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Backprop a loss gradient through all layers."""
+    def backward(self, grad_out: np.ndarray) -> None:
+        """Backprop a loss gradient into every layer's weight/bias gradients.
+
+        The first layer's input gradient is not computed: nothing
+        upstream of the network consumes it.
+        """
         grad = grad_out
-        for layer in reversed(self.layers):
+        for layer in self.layers[:0:-1]:
             grad = layer.backward(grad)
-        return grad
+        self.layers[0].backward_params(grad)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Inference-mode forward pass."""

@@ -4,6 +4,9 @@ The trainer solves the optimization problems of Eq. (4)/(5) by
 minibatch gradient descent.  It is deliberately plain: the interesting
 training behaviour (MSB weighting, SAAB resampling) lives in the loss
 and dataset layers, keeping this loop reusable across every experiment.
+A fit packs the model's parameters into one flat vector up front
+(:func:`repro.nn.layers.flatten`); each minibatch step then backprops
+into the flat gradient vector and updates the whole vector in place.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 
 from repro.config.dtype import astype as _astype
 from repro.nn.datasets import minibatches
+from repro.nn.layers import flatten
 from repro.nn.losses import Loss, WeightedMSE
 from repro.nn.network import MLP
 from repro.nn.optimizers import Optimizer
@@ -157,6 +161,8 @@ class Trainer:
                 raise ValueError("sample_weights length mismatch")
 
         optimizer = self._make_optimizer()
+        params, grads = flatten(model.layers)
+        clean_params = np.empty_like(params) if self.config.weight_noise_sigma > 0 else None
         rng = np.random.default_rng(self.config.shuffle_seed)
         result = TrainResult()
         best_val = float("inf")
@@ -179,9 +185,8 @@ class Trainer:
                 ):
                     optimizer.learning_rate *= self.config.lr_decay
                 for xb, yb, wb in minibatches(x, y, self.config.batch_size, rng, sample_weights):
-                    clean_weights = None
-                    if self.config.weight_noise_sigma > 0:
-                        clean_weights = [layer.weights.copy() for layer in model.layers]
+                    if clean_params is not None:
+                        np.copyto(clean_params, params)
                         for layer in model.layers:
                             layer.weights *= rng.lognormal(
                                 0.0, self.config.weight_noise_sigma, layer.weights.shape
@@ -190,15 +195,14 @@ class Trainer:
                     grad = self.loss.gradient(pred, yb, wb)
                     sanitize_guards.check_finite("trainer", "loss_gradient", grad)
                     model.backward(grad)
-                    if clean_weights is not None:
+                    if clean_params is not None:
                         # Apply the perturbed-point gradients to the clean
                         # weights (standard noise-injection training).
-                        for layer, weights in zip(model.layers, clean_weights):
-                            layer.weights[...] = weights
+                        np.copyto(params, clean_params)
                     if self.config.l2 > 0:
                         for layer in model.layers:
                             layer.grad_weights += self.config.l2 * layer.weights
-                    optimizer.step(model.layers)
+                    optimizer.update(params, grads)
 
                 if self.config.track_train_loss and (
                     (epoch + 1) % self.config.log_every == 0

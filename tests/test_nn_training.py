@@ -46,16 +46,33 @@ class TestOptimizers:
         assert loss.value(net.predict(x), y) < initial * 0.5
 
     def test_adam_state_per_parameter(self, rng):
+        # The moment estimates persist across steps: after a step on one
+        # batch, a step on another batch moves every parameter array
+        # differently from a fresh optimizer's first step on it.  (On a
+        # repeated gradient the bias correction makes both steps equal.)
+        loss = WeightedMSE()
+        x = rng.uniform(0, 1, (8, 2))
+
+        def backprop(net, target):
+            net.backward(loss.gradient(net.forward(x, train=True), np.full((8, 1), target)))
+
         net = MLP((2, 3, 1), rng=0)
         opt = Adam()
-        x = rng.uniform(0, 1, (8, 2))
-        y = rng.uniform(0, 1, (8, 1))
-        loss = WeightedMSE()
-        pred = net.forward(x, train=True)
-        net.backward(loss.gradient(pred, y))
+        backprop(net, 0.0)
         opt.step(net.layers)
-        # 2 layers x (weights + bias).
-        assert len(opt._m) == 4
+        fresh_net = net.copy()
+        start = [p.copy() for layer in net.layers for p in (layer.weights, layer.bias)]
+        backprop(net, 1.0)
+        backprop(fresh_net, 1.0)
+        opt.step(net.layers)
+        Adam().step(fresh_net.layers)
+        moved = zip(
+            (p for layer in net.layers for p in (layer.weights, layer.bias)),
+            (p for layer in fresh_net.layers for p in (layer.weights, layer.bias)),
+            start,
+        )
+        for persisted, fresh, p0 in moved:
+            assert not np.allclose(persisted - p0, fresh - p0)
 
 
 class TestTrainer:
