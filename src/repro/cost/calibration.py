@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import nnls
 
 from repro.cost.area import MEITopology, Topology, cost_mei, cost_traditional
 from repro.cost.params import CostParams
@@ -91,6 +90,8 @@ def fit_cost_params(
         norm = max(traditional.rram_devices * rram_unit, 1e-12)
         design.append(row / norm)
         rhs.append(target / norm)
+    from scipy.optimize import nnls  # here, not at module level: see repro.xbar.mna
+
     solution, _residual = nnls(np.asarray(design), np.asarray(rhs))
     dac, adc, periphery = (float(v) for v in solution)
     return CostParams(dac=dac, adc=adc, periphery=periphery, rram=rram_unit, metric=metric)

@@ -118,7 +118,7 @@ class InferenceEngine:
         """
         try:
             arr = np.asarray(values, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise RequestError(f"request is not numeric: {exc}") from exc
         if arr.ndim == 1:
             arr = arr[np.newaxis, :]

@@ -8,7 +8,8 @@ server: it parses one HTTP/1.1 request per connection and answers
   :class:`repro.serve.batcher.MicroBatcher` and decoded back to
   ``{"outputs": [...], "samples": n}``.  Overload returns 503,
   a missed deadline 504, a malformed payload 400, a slow request 408,
-  an over-long header line 431;
+  an over-long header line 431, and any other failure a JSON 500 —
+  no request ends in a dropped connection;
 * ``GET /healthz`` — liveness;
 * ``GET /model`` — the loaded artifact's summary (system kind,
   benchmark, bit interface, schema version, digest);
@@ -99,7 +100,14 @@ class InferenceService:
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
         try:
-            status, reason, content_type, body = await self._respond(reader)
+            try:
+                status, reason, content_type, body = await self._respond(reader)
+            except (ConnectionError, asyncio.IncompleteReadError):
+                raise
+            except Exception as exc:  # answered, so no request drops the connection
+                _log.exception("unhandled error answering a request")
+                status, reason, content_type, body = _json_error(
+                    500, "Internal Server Error", f"{type(exc).__name__}: {exc}")
             head = (
                 f"HTTP/1.1 {status} {reason}\r\n"
                 f"Content-Type: {content_type}\r\n"
@@ -139,7 +147,7 @@ class InferenceService:
     async def _predict(self, body: bytes) -> Tuple[int, str, str, bytes]:
         try:
             payload = json.loads(body.decode() or "null")
-        except (ValueError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
             return _json_error(400, "Bad Request", f"body is not JSON: {exc}")
         if not isinstance(payload, dict) or "inputs" not in payload:
             return _json_error(400, "Bad Request",

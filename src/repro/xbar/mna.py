@@ -41,6 +41,10 @@ Two factorizations are available (``solver=`` argument):
 The MNA solve always runs in float64 regardless of the ``REPRO_DTYPE``
 knob: the network matrix conditioning worsens with crossbar size and
 the SPICE-equivalence tests rely on double-precision headroom.
+
+SciPy (~0.6 s and ~40 MiB per process) is imported inside the methods
+that call it, so importing the package does not load it
+(``tests/test_import_footprint.py``).
 """
 
 from __future__ import annotations
@@ -49,9 +53,6 @@ import time
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg as la
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.obs import metrics as obs_metrics
 from repro.obs.log import get_logger
@@ -214,6 +215,8 @@ class MNACrossbar:
             src_rows = src_cols = np.empty(0, dtype=np.intp)
             src_data = np.empty(0)
 
+        import scipy.sparse as sp
+
         self._source_map = sp.coo_matrix(
             (src_data, (src_rows, src_cols)), shape=(n_nodes, n)
         ).tocsc()
@@ -238,13 +241,15 @@ class MNACrossbar:
                 self._factorize_banded(data_arr, rows_arr, cols_arr)
                 self.solver_used = "banded"
                 obs_metrics.counter("mna_banded_factorizations").inc()
-            except la.LinAlgError:
+            except np.linalg.LinAlgError:  # the class scipy.linalg raises
                 _log.warning(
                     "banded Cholesky failed, falling back to sparse LU",
                     extra={"fields": {"rows": n, "cols": m}},
                 )
                 choice = "lu"
         if choice == "lu":
+            import scipy.sparse.linalg as spla
+
             matrix = sp.coo_matrix(
                 (data_arr, (rows_arr, cols_arr)), shape=(n_nodes, n_nodes)
             ).tocsc()
@@ -312,6 +317,8 @@ class MNACrossbar:
         self, data: np.ndarray, rows_idx: np.ndarray, cols_idx: np.ndarray
     ) -> None:
         """Assemble the upper-banded SPD matrix and Cholesky-factor it."""
+        import scipy.linalg as la
+
         pos = self._band_positions()
         pr, pc = pos[rows_idx], pos[cols_idx]
         upper = pr <= pc
@@ -348,6 +355,8 @@ class MNACrossbar:
             raise ValueError(f"input has {v_in.shape[1]} ports, crossbar has {self.rows} rows")
         t_start = time.perf_counter()
         if self._band_cholesky is not None:
+            import scipy.linalg as la
+
             assert self._band_source_map is not None and self._band_t_positions is not None
             rhs = self._band_source_map @ v_in.T  # (n_nodes, batch), banded order
             solution = la.cho_solve_banded(

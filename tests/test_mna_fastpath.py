@@ -108,3 +108,19 @@ def test_banded_counts_factorizations():
     before = obs_metrics.counter("mna_banded_factorizations").value
     MNACrossbar(_conductances(3, 3), G_S, solver="banded")
     assert obs_metrics.counter("mna_banded_factorizations").value == before + 1
+
+
+def test_failed_banded_cholesky_falls_back_to_lu(monkeypatch):
+    import scipy.linalg
+
+    def not_positive_definite(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("leading minor not positive definite")
+
+    g = _conductances(4, 7)
+    v = np.random.default_rng(1).uniform(0.0, 1.0, (3, 4))
+    lu = MNACrossbar(g, G_S, solver="lu").solve(v)
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", not_positive_definite)
+    for solver in ("banded", "auto"):
+        xbar = MNACrossbar(g, G_S, solver=solver)
+        assert xbar.solver_used == "lu"
+        assert np.array_equal(xbar.solve(v), lu)

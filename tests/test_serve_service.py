@@ -80,6 +80,7 @@ class TestPredictRoute:
         {"inputs": [[0.1, 2.5]]},          # outside the unit interval
         {"inputs": [[0.1, float("nan")]]},
         {"wrong_key": [[0.1, 0.2]]},
+        {"inputs": [[int("1" * 400), 0.5]]},  # overflows float64
     ])
     def test_malformed_payload_is_400(self, server, payload):
         body = json.loads(json.dumps(payload))  # NaN -> "NaN" survives dumps
@@ -94,6 +95,30 @@ class TestPredictRoute:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
         assert excinfo.value.code == 400
+
+    def test_deeply_nested_body_is_400(self, server):
+        request = urllib.request.Request(
+            server.url + "/v1/predict", data=b"[" * 100_000, method="POST"
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=30)
+        assert excinfo.value.code == 400
+
+    def test_unexpected_error_is_500_and_server_keeps_serving(
+            self, server, monkeypatch):
+        def broken(values):
+            raise RuntimeError("engine fault")
+
+        monkeypatch.setattr(server.service.engine, "validate", broken)
+        status, raw = _request(server.url + "/v1/predict", "POST",
+                               {"inputs": [[0.25, 0.75]]})
+        assert status == 500
+        assert "RuntimeError: engine fault" in json.loads(raw)["error"]
+        monkeypatch.undo()
+        status, raw = _request(server.url + "/v1/predict", "POST",
+                               {"inputs": [[0.25, 0.75]]})
+        assert status == 200
+        assert json.loads(raw)["samples"] == 1
 
 
 def _raw_request(url, head, timeout=30):
