@@ -287,18 +287,10 @@ def explore(
     make_mei = functools.partial(
         _make_candidate_mei, traditional.inputs, traditional.outputs, config.bits
     )
-    # The serial default each MEI.train would build for the ladder and
-    # wide-contender candidates (their seed is config.seed), minus the
-    # per-epoch full-dataset loss bookkeeping nobody reads during a
-    # sweep.  SAAB learners keep the raw train_config: their per-learner
-    # seeds drive their own shuffle defaults.
-    candidate_config = train_config
-    if candidate_config is None:
-        candidate_config = TrainConfig(shuffle_seed=config.seed, track_train_loss=False)
 
     # Line 1: hidden size search.
     r1, hidden, history = search_hidden_size(
-        make_mei, x_train, y_train, x_test, y_test, metric, config, candidate_config
+        make_mei, x_train, y_train, x_test, y_test, metric, config, train_config
     )
     note(f"hidden search: H={hidden}, history={history}")
 
@@ -352,7 +344,7 @@ def explore(
             )
             # Lines 18-19: the wider-hidden single-network contender.
             wide_hidden = min(hidden * k, config.max_hidden)
-            wide = make_mei(wide_hidden, config.seed).train(x_train, y_train, candidate_config)
+            wide = make_mei(wide_hidden, config.seed).train(x_train, y_train, train_config)
             wide_error, wide_rob = _evaluate(
                 wide, x_test, y_test, metric, config.noise, config.noise_trials
             )

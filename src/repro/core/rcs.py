@@ -12,7 +12,6 @@ the most significant ``B_C`` bits either way).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,14 +28,6 @@ from repro.quant.fixedpoint import FixedPointCodec
 from repro.xbar.mapping import MappingConfig
 
 __all__ = ["TraditionalRCS"]
-
-
-@dataclass
-class _TrainState:
-    """Training artifacts kept for inspection."""
-
-    final_loss: float
-    epochs_run: int
 
 
 class TraditionalRCS:
@@ -70,7 +61,6 @@ class TraditionalRCS:
             (topology.inputs, topology.hidden, topology.outputs), rng=seed
         )
         self.analog: Optional[AnalogMLP] = None
-        self.train_state: Optional[_TrainState] = None
 
     # -- training ------------------------------------------------------
 
@@ -90,9 +80,8 @@ class TraditionalRCS:
         config = config if config is not None else TrainConfig(shuffle_seed=self.seed)
         x_q = self.codec.quantize(np.asarray(x, dtype=float))
         trainer = Trainer(loss=WeightedMSE(), config=config)
-        result = trainer.fit(self.network, x_q, np.asarray(y, dtype=float),
-                             sample_weights=sample_weights)
-        self.train_state = _TrainState(result.final_train_loss, result.epochs_run)
+        trainer.fit(self.network, x_q, np.asarray(y, dtype=float),
+                    sample_weights=sample_weights)
         self.deploy()
         return self
 

@@ -75,15 +75,11 @@ def default_scale() -> ExperimentScale:
     return FULL_SCALE if knobs.get_bool("REPRO_FULL") else QUICK_SCALE
 
 
-def train_config(
-    scale: ExperimentScale, seed: int = 0, track_train_loss: bool = True
-) -> TrainConfig:
+def train_config(scale: ExperimentScale, seed: int = 0) -> TrainConfig:
     """The standard training recipe at a given scale.
 
     Adam with a step learning-rate decay; sized so the paper's small
-    topologies converge at either scale.  Sweep-heavy callers can set
-    ``track_train_loss=False`` to skip the per-epoch full-dataset loss
-    bookkeeping (training results are unchanged).
+    topologies converge at either scale.
     """
     # Small batches matter more than epochs for these tiny networks:
     # the paper-scale topologies need the extra gradient steps.
@@ -94,7 +90,6 @@ def train_config(
         shuffle_seed=seed,
         lr_decay=0.5,
         lr_decay_every=max(1, scale.epochs // 2),
-        track_train_loss=track_train_loss,
     )
 
 

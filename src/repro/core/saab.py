@@ -171,22 +171,14 @@ class SAAB:
             with span("saab_round", k=k) as sp:
                 probabilities = self._weights / self._weights.sum()  # Line 3
                 learner = self.factory(k)
-                effective_config = train_config
-                if effective_config is None and hasattr(learner, "seed"):
-                    # The learner's own default (shuffle by its seed), minus
-                    # the per-epoch train-loss bookkeeping no boosting round
-                    # reads — training results are unchanged.
-                    effective_config = TrainConfig(
-                        shuffle_seed=learner.seed, track_train_loss=False
-                    )
                 if self.config.sampling == "resample":
                     # Line 4 literally: bootstrap by the distribution.
                     xs, ys = resample(x, y, probabilities, self.config.sample_size, self._rng)
-                    learner.train(xs, ys, effective_config)  # Line 5
+                    learner.train(xs, ys, train_config)  # Line 5
                 else:
                     # Reweighting form: full set, per-sample loss weights
                     # normalized to mean 1 so learning rates are unchanged.
-                    learner.train(x, y, effective_config, sample_weights=probabilities * n)
+                    learner.train(x, y, train_config, sample_weights=probabilities * n)
 
                 # Line 6: relaxed, noise-aware error on the *original* set.
                 predicted = learner.predict_bits_trials(x, self.config.noise, [k])[0]
@@ -223,6 +215,12 @@ class SAAB:
                 "boost round done",
                 extra={"fields": {"k": k, "error": round(error, 6),
                                   "alpha": round(float(alpha), 6)}},
+            )
+        if n_rounds > 0 and all(r.error >= 0.5 for r in self.rounds):
+            _log.warning(
+                "no SAAB round boosted: the vote is an unweighted bag",
+                extra={"fields": {"K": len(self.rounds),
+                                  "errors": [round(r.error, 6) for r in self.rounds]}},
             )
         return self
 

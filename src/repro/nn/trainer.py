@@ -61,11 +61,10 @@ class TrainConfig:
     """L2 weight-decay coefficient added to the weight gradients (biases
     are not decayed).  Small weights also map onto a narrower
     conductance range, easing crossbar programming.  0 disables."""
-    track_train_loss: bool = True
-    """Record the full-dataset training loss each logged epoch.  The
-    extra full forward pass is pure bookkeeping — sweep-heavy callers
-    (DSE candidate ladders, SAAB rounds) that never read the history
-    should disable it.  Training results are unchanged either way."""
+    track_train_loss: bool = False
+    """Opt in to recording the full-dataset training loss each logged
+    epoch (``TrainResult.train_losses``).  Each record is an extra full
+    forward pass; the trained weights are bit-identical either way."""
     log_every: int = 1
     """Record the training loss every this many epochs (the final epoch
     is always recorded).  Only consulted when ``track_train_loss``."""
@@ -229,7 +228,7 @@ class Trainer:
                                 stop = True
                 result.epoch_seconds.append(time.perf_counter() - epoch_start)
                 if debug and (
-                    (epoch + 1) % max(1, self.config.log_every) == 0
+                    (epoch + 1) % self.config.log_every == 0
                     or epoch + 1 == self.config.epochs
                 ):
                     _log.debug(
@@ -253,10 +252,11 @@ class Trainer:
             sp.set(
                 epochs_run=result.epochs_run,
                 stopped_early=result.stopped_early,
-                final_train_loss=float(result.final_train_loss),
                 total_seconds=round(result.total_seconds, 6),
                 epoch_seconds=[round(s, 6) for s in result.epoch_seconds],
             )
+            if result.train_losses:  # untracked: no loss, and NaN is not JSON
+                sp.set(final_train_loss=float(result.final_train_loss))
 
         obs_metrics.counter("train_runs").inc()
         obs_metrics.counter("train_epochs").inc(result.epochs_run)

@@ -224,7 +224,7 @@ def _campaign_cell(task: "_CampaignTask") -> List[CampaignRow]:
         n_test=task.scale.n_test,
         seed=task.train_seed,
     )
-    cfg = train_config(task.scale, task.train_seed, track_train_loss=False)
+    cfg = train_config(task.scale, task.train_seed)
     topology = bench.spec.topology
     hidden = PAPER_TABLE1[task.benchmark].pruned_mei.hidden
     mei_config = MEIConfig(topology.inputs, topology.outputs, hidden, topology.bits)

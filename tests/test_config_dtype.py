@@ -55,7 +55,8 @@ def _train(seed: int = 0):
     x = rng.uniform(-1, 1, (64, 3))
     y = np.hstack([x.sum(axis=1, keepdims=True), x[:, :1] ** 2])
     model = MLP((3, 8, 2), rng=1)
-    result = Trainer(config=TrainConfig(epochs=8, batch_size=16, shuffle_seed=2)).fit(
+    result = Trainer(config=TrainConfig(epochs=8, batch_size=16, shuffle_seed=2,
+                                        track_train_loss=True)).fit(
         model, x, y
     )
     return model, result

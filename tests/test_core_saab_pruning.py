@@ -1,5 +1,7 @@
 """Tests for SAAB (Algorithm 1) and LSB pruning (Algorithm 2, Line 22)."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.core.mei import MEI, MEIConfig
 from repro.core.pruning import prune_input_bits, prune_lsbs, prune_output_bits
 from repro.core.saab import SAAB, SAABConfig
 from repro.device.variation import NonIdealFactors
+from repro.nn.trainer import TrainConfig
 
 
 def _toy_data(rng, n=400):
@@ -35,6 +38,26 @@ class TestSAAB:
         assert len(saab) == 3
         assert len(saab.alphas) == 3
         assert len(saab.rounds) == 3
+
+    @pytest.mark.parametrize("compare_bits, warnings", [(8, 1), (1, 0)])
+    def test_warns_once_when_no_round_boosts(self, rng, caplog, monkeypatch,
+                                             compare_bits, warnings):
+        # The repro logger does not propagate; let caplog's root handler see it.
+        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+        x, y = _toy_data(rng, n=200)
+        cfg = TrainConfig(epochs=5, batch_size=64, learning_rate=0.02, shuffle_seed=0)
+        saab = SAAB(_mei_factory(hidden=8),
+                    SAABConfig(n_learners=2, compare_bits=compare_bits, seed=0))
+        with caplog.at_level(logging.WARNING, logger="repro.core.saab"):
+            saab.train(x, y, cfg)
+        records = [r for r in caplog.records if r.name == "repro.core.saab"]
+        assert len(records) == warnings
+        boosted = [r.error < 0.5 for r in saab.rounds]
+        assert boosted == [not warnings] * 2
+        if warnings:
+            assert records[0].levelno == logging.WARNING
+            assert records[0].fields == {"K": 2,
+                                         "errors": [round(r.error, 6) for r in saab.rounds]}
 
     def test_predict_requires_training(self):
         saab = SAAB(_mei_factory(), SAABConfig(n_learners=2))

@@ -42,7 +42,8 @@ class TestL2:
     def test_still_fits_with_mild_decay(self, rng):
         x, y = _data(rng)
         net = MLP((2, 8, 1), rng=0)
-        cfg = TrainConfig(epochs=100, batch_size=32, shuffle_seed=0, l2=1e-4)
+        cfg = TrainConfig(epochs=100, batch_size=32, shuffle_seed=0, l2=1e-4,
+                          track_train_loss=True)
         result = Trainer(config=cfg).fit(net, x, y)
         assert result.final_train_loss < 1e-3
 

@@ -87,14 +87,16 @@ class TestTrainer:
     def test_fits_quadratic(self, rng):
         x, y = _quadratic_data(rng)
         net = MLP((1, 8, 1), rng=0)
-        result = Trainer(config=TrainConfig(epochs=120, shuffle_seed=0)).fit(net, x, y)
+        cfg = TrainConfig(epochs=120, shuffle_seed=0, track_train_loss=True)
+        result = Trainer(config=cfg).fit(net, x, y)
         assert result.final_train_loss < 1e-3
         assert result.epochs_run == 120
 
     def test_loss_history_monotone_trend(self, rng):
         x, y = _quadratic_data(rng)
         net = MLP((1, 8, 1), rng=0)
-        result = Trainer(config=TrainConfig(epochs=60, shuffle_seed=0)).fit(net, x, y)
+        cfg = TrainConfig(epochs=60, shuffle_seed=0, track_train_loss=True)
+        result = Trainer(config=cfg).fit(net, x, y)
         assert result.train_losses[-1] < result.train_losses[0]
 
     def test_early_stopping(self, rng):
@@ -142,6 +144,28 @@ class TestTrainer:
         for got, want in zip(net.layers, reference.layers):
             assert np.array_equal(got.weights, want.weights)
             assert np.array_equal(got.bias, want.bias)
+
+    @pytest.mark.parametrize("epochs, log_every", [(9, 1), (9, 4), (8, 4), (5, 7)])
+    def test_loss_history_is_the_only_full_pass(self, monkeypatch, epochs, log_every):
+        # A default fit makes no full-dataset pass; a tracked one makes
+        # one per logged epoch, the final epoch always among them.
+        x, y = _quadratic_data(np.random.default_rng(3), n=64)
+
+        def predict_calls(**bookkeeping):
+            net = MLP((1, 6, 1), rng=0)
+            calls = []
+            predict = net.predict
+            monkeypatch.setattr(net, "predict", lambda xs: calls.append(len(xs)) or predict(xs))
+            cfg = TrainConfig(epochs=epochs, batch_size=16, shuffle_seed=0, **bookkeeping)
+            result = Trainer(config=cfg).fit(net, x, y)
+            return calls, result
+
+        calls, result = predict_calls()
+        assert calls == [] and result.train_losses == []
+        calls, result = predict_calls(track_train_loss=True, log_every=log_every)
+        logged = -(-epochs // log_every)
+        assert calls == [len(x)] * logged
+        assert len(result.train_losses) == logged
 
     def test_sample_weights_focus_training(self, rng):
         # Two clusters; weighting one to ~zero should leave it unfit.

@@ -39,7 +39,7 @@ class TestVariationAwareTraining:
         x, y = data
         net = MLP((2, 8, 1), rng=0)
         cfg = TrainConfig(epochs=100, batch_size=32, shuffle_seed=0,
-                          weight_noise_sigma=0.05)
+                          weight_noise_sigma=0.05, track_train_loss=True)
         result = Trainer(config=cfg).fit(net, x, y)
         assert result.final_train_loss < 0.01
 

@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from repro.__main__ import main
+from repro.core.mei import MEI, MEIConfig
 from repro.core.runner import ExperimentScale
+from repro.core.saab import SAAB, SAABConfig
 from repro.experiments.table1 import run_benchmark_row
 from repro.nn.network import MLP
 from repro.nn.trainer import TrainConfig, Trainer
@@ -323,6 +325,15 @@ class TestTrainerTiming:
         assert len(train) == 1
         assert len(train[0].attrs["epoch_seconds"]) == 3
         assert train[0].attrs["epochs_run"] == 3
+        assert "final_train_loss" not in train[0].attrs  # untracked by default
+
+    def test_train_span_carries_a_tracked_final_loss(self):
+        obs_trace.enable(True)
+        x, y = _tiny_data()
+        cfg = TrainConfig(epochs=3, batch_size=8, track_train_loss=True)
+        result = Trainer(config=cfg).fit(MLP((2, 4, 1), rng=0), x, y)
+        (train,) = [r for r in obs_trace.get_records() if r.name == "train"]
+        assert train.attrs["final_train_loss"] == result.final_train_loss
 
 
 class TestRunInfo:
@@ -354,6 +365,22 @@ class TestRunInfo:
         assert manifest["metrics"]["counters"]["demo_events"] == 1.0
         assert manifest["span_tree"]["children"][0]["name"] == "demo"
         assert manifest["spans"][0]["name"] == "demo"
+
+    def test_traced_default_saab_manifest_is_strict_json(self, tmp_path):
+        # An untracked fit has no final training loss; the train span
+        # must not carry it as NaN, which RFC 8259 JSON cannot encode.
+        obs_trace.enable(True)
+        x, y = _tiny_data()
+        SAAB(lambda k: MEI(MEIConfig(2, 1, 4), seed=k), SAABConfig(n_learners=2)).train(x, y)
+        path = runinfo.write_manifest("saab", run_dir=tmp_path)
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        manifest = json.loads(path.read_text(), parse_constant=reject)
+        train = [s for s in manifest["spans"] if s["name"] == "train"]
+        assert len(train) == 2
+        assert all("final_train_loss" not in s["attrs"] for s in train)
 
     def test_manifest_filenames_never_collide(self, tmp_path):
         first = runinfo.write_manifest("exp", run_dir=tmp_path)

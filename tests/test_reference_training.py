@@ -43,6 +43,10 @@ CASES = {
     "momentum-decay-log-every": ((3, 6, 2), "identity", "sigmoid",
                                  {"optimizer": "momentum", "lr_decay": 0.5,
                                   "lr_decay_every": 2, "log_every": 3}, {}),
+    "momentum-decay-log-every-tracked": ((3, 6, 2), "identity", "sigmoid",
+                                         {"optimizer": "momentum", "lr_decay": 0.5,
+                                          "lr_decay_every": 2, "log_every": 3,
+                                          "track_train_loss": True}, {}),
     "adam-3layer": ((3, 5, 4, 2), "sigmoid", "sigmoid", {}, {"port_weights": True}),
     "sgd-3layer-tanh": ((3, 5, 4, 2), "tanh", "identity", {"optimizer": "sgd"}, {}),
     "momentum-3layer-all": ((3, 5, 4, 2), "relu", "sigmoid",
@@ -93,6 +97,8 @@ def test_fit_matches_reference(case, dtype):
     assert result.stopped_early == expected["stopped_early"]
     if overrides.get("patience") and overrides.get("epochs", 0) >= 30:
         assert result.stopped_early  # the early-stop branch is exercised
+    if overrides.get("track_train_loss"):
+        assert len(result.train_losses) == 2  # epochs 3 and 6: the history is exercised
     for layer, weights, bias in zip(model.layers, expected["weights"], expected["biases"]):
         assert layer.weights.dtype == weights.dtype == dtype
         assert layer.bias.dtype == bias.dtype == dtype
