@@ -1,16 +1,13 @@
-"""Device-level tour: pulses, programming, IR drop, SPICE export.
+"""Device-level tour: write-verify programming and MNA IR drop.
 
 The system-level experiments treat RRAM cells as "set this
 conductance"; this example walks the device-level substrate beneath
 that abstraction:
 
-1. program a target conductance with SET pulse trains (filament
-   dynamics model);
-2. program a whole crossbar through the write-verify loop and measure
+1. program a whole crossbar through the write-verify loop and measure
    the residual error;
-3. quantify the IR-drop of the same array with the MNA circuit solver
-   across technology nodes;
-4. export the array as a SPICE netlist for external cross-checking.
+2. quantify the IR-drop of the same array with the MNA circuit solver
+   across technology nodes.
 
 Run:  python examples/device_level_tour.py
 """
@@ -18,22 +15,7 @@ Run:  python examples/device_level_tour.py
 import numpy as np
 
 from repro.device import HFOX_DEVICE, ProgrammingConfig, program_conductances
-from repro.device.dynamics import PulseTrain, SwitchingModel
-from repro.xbar import MNACrossbar, crossbar_netlist, wire_resistance_for_node
-
-
-def pulse_programming_demo() -> None:
-    model = SwitchingModel()
-    state = np.array([0.05])  # near the high-resistance state
-    print("SET pulse staircase (50ns @ 0.9V):")
-    for burst in range(4):
-        state = PulseTrain(voltage=0.9, width=50e-9, count=5).apply(model, state)
-        g = model.conductance(state)[0]
-        print(f"  after {(burst + 1) * 5:2d} pulses: state={state[0]:.3f} "
-              f"g={g:.3e} S")
-    state = PulseTrain(voltage=-1.1, width=50e-9, count=10).apply(model, state)
-    print(f"  after RESET train:  state={state[0]:.3f} "
-          f"g={model.conductance(state)[0]:.3e} S")
+from repro.xbar import MNACrossbar, wire_resistance_for_node
 
 
 def write_verify_demo(rng) -> np.ndarray:
@@ -41,7 +23,7 @@ def write_verify_demo(rng) -> np.ndarray:
     result = program_conductances(
         targets, HFOX_DEVICE, ProgrammingConfig(tolerance=0.01, seed=0)
     )
-    print("\nWrite-verify programming of a 16x16 array:")
+    print("Write-verify programming of a 16x16 array:")
     print(f"  yield: {result.yield_fraction:.1%}, "
           f"mean pulses/cell: {result.mean_iterations:.1f}, "
           f"worst residual error: {result.max_relative_error:.2%}")
@@ -65,25 +47,10 @@ def ir_drop_demo(conductances, rng) -> None:
               f"({report.saturated_fraction:.1%} cells saturated)")
 
 
-def netlist_demo(conductances) -> None:
-    deck = crossbar_netlist(
-        conductances[:4, :3],
-        g_s=1e-3,
-        v_in=[0.2, 0.4, 0.6, 0.8],
-        comments=["cross-check against repro.xbar.mna.MNACrossbar"],
-    )
-    print("\nSPICE deck of the 4x3 corner (first 12 lines):")
-    for line in deck.splitlines()[:12]:
-        print("  " + line)
-    print(f"  ... {len(deck.splitlines())} lines total")
-
-
 def main() -> None:
     rng = np.random.default_rng(7)
-    pulse_programming_demo()
     conductances = write_verify_demo(rng)
     ir_drop_demo(conductances, rng)
-    netlist_demo(conductances)
 
 
 if __name__ == "__main__":

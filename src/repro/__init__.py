@@ -43,15 +43,11 @@ from repro.cost import (
 from repro.device import HFOX_DEVICE, IDEAL, NonIdealFactors, RRAMDevice
 from repro.nn import MLP, TrainConfig, Trainer
 from repro.parallel import (
-    SerialExecutor,
-    ProcessExecutor,
-    ThreadExecutor,
     derive_seed,
     derive_seeds,
     ensure_rng,
     fresh_rng,
     get_executor,
-    parallel_map,
     resolve_workers,
 )
 from repro.quant import FixedPointCodec
@@ -95,11 +91,7 @@ __all__ = [
     "MLP",
     "Trainer",
     "TrainConfig",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
     "get_executor",
-    "parallel_map",
     "resolve_workers",
     "derive_seed",
     "derive_seeds",

@@ -151,7 +151,6 @@ def _run_errorbudget(args, scale) -> int:
     from repro.experiments.errorbudget import (
         ERRORBUDGET_BASELINE_FILE,
         baseline_guard,
-        render_errorbudget_html,
         run_errorbudget,
     )
 
@@ -187,10 +186,6 @@ def _run_errorbudget(args, scale) -> int:
             "history updated",
             extra={"fields": {"path": os.fspath(history_file)}},
         )
-    if args.html:
-        with open(args.html, "w", encoding="utf-8") as fh:
-            fh.write(render_errorbudget_html(suite))
-        _log.info("errorbudget html written", extra={"fields": {"path": args.html}})
     if args.write_baseline:
         refusal = baseline_guard(entry, allow_dirty=args.allow_dirty)
         if refusal is not None:
@@ -278,7 +273,7 @@ def _run_faults(args) -> int:
     reproducibility contract (``docs/robustness.md``).
     """
     from repro.experiments.fig_faults import campaign_scale, run_fig_faults
-    from repro.parallel.resilient import RetryPolicy
+    from repro.parallel.executor import RetryPolicy
 
     scale = campaign_scale(args.scale)
     chaos = not args.no_chaos
@@ -562,8 +557,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, metavar="DIR",
                         help="report: output directory for report.md/report.html "
                              "(default 'runs/')")
-    parser.add_argument("--html", default=None, metavar="PATH",
-                        help="errorbudget: also write a self-contained HTML report")
     parser.add_argument("--check", action="store_true",
                         help="errorbudget: exit non-zero unless the OpenMetrics "
                              "exposition carries the error_budget_* families "

@@ -1,6 +1,5 @@
 """RRAM device models and non-ideal factor generators."""
 
-from repro.device.dynamics import PulseTrain, SwitchingModel
 from repro.device.faults import FaultModel, inject_faults, inject_faults_analog
 from repro.device.programming import ProgrammingConfig, ProgrammingResult, program_conductances
 from repro.device.rram import HFOX_DEVICE, RRAMDevice
@@ -15,8 +14,6 @@ __all__ = [
     "FaultModel",
     "inject_faults",
     "inject_faults_analog",
-    "SwitchingModel",
-    "PulseTrain",
     "ProgrammingConfig",
     "ProgrammingResult",
     "program_conductances",

@@ -12,11 +12,12 @@ per-benchmark attributions are:
 * appended to the run history as one ``kind="errorbudget"`` entry so
   :mod:`repro.obs.compare` gates attribution drift (``--kind
   errorbudget``);
-* exportable as a provenance-stamped JSON payload and a standalone
-  stacked-bar HTML page.
+* exportable as a provenance-stamped JSON payload; ``python -m repro
+  report`` renders the history entry as the stacked-bar page.
 
-Benchmarks are independent, so the fan-out rides the resilient
-executors (``--workers`` / ``REPRO_WORKERS``).
+Benchmarks are independent, so they fan out through
+``get_executor(...).map`` under :meth:`RetryPolicy.from_env`
+(``--workers`` / ``REPRO_WORKERS``).
 """
 
 from __future__ import annotations
@@ -47,9 +48,8 @@ from repro.obs import history as obs_history
 from repro.obs import metrics as obs_metrics
 from repro.obs import runinfo
 from repro.obs.log import get_logger
-from repro.obs.report import BUDGET_PALETTE, stacked_budget_svg
 from repro.obs.trace import span
-from repro.parallel.resilient import resilient_map
+from repro.parallel.executor import RetryPolicy, get_executor
 from repro.workloads.registry import BENCHMARK_NAMES, PAPER_TABLE1, make_benchmark
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
     "run_benchmark_errorbudget",
     "run_errorbudget",
     "baseline_guard",
-    "render_errorbudget_html",
     "ERRORBUDGET_BASELINE_FILE",
 ]
 
@@ -240,12 +239,12 @@ def run_errorbudget(
     names = list(names)
     obs_metrics.reset()
     with span("errorbudget", benchmarks=names, seed=seed, scale=scale.name):
-        mapped = resilient_map(
+        mapped = get_executor(workers).map(
             _bench_task,
             [(name, scale, seed, config, ensemble) for name in names],
-            workers=workers,
+            policy=RetryPolicy.from_env(),
         )
-    results = [r for r in mapped.results if r is not None]
+    results = [r for r in mapped if r is not None]
     suite = ErrorBudgetSuite(
         results=results,
         config=config,
@@ -307,103 +306,3 @@ def baseline_guard(entry: Dict[str, object], allow_dirty: bool = False) -> Optio
         f"refusing to write the errorbudget baseline from a {state} "
         f"checkout; commit first or pass --allow-dirty"
     )
-
-
-_HTML_STYLE = """
-body { font: 14px/1.5 -apple-system, 'Segoe UI', sans-serif; margin: 2rem auto;
-       max-width: 70rem; padding: 0 1rem; color: #1a1a2e; }
-h1 { font-size: 1.5rem; } h2 { font-size: 1.15rem; margin-top: 2rem; }
-table { border-collapse: collapse; width: 100%; }
-th, td { text-align: left; padding: 0.3rem 0.6rem; border-bottom: 1px solid #e0e0ea; }
-td.num, th.num { text-align: right; font-variant-numeric: tabular-nums; }
-code { background: #f2f2f8; padding: 0.1rem 0.3rem; border-radius: 3px; }
-.meta { color: #667; }
-.neg { color: #c0392b; }
-""".strip()
-
-
-def render_errorbudget_html(suite: ErrorBudgetSuite) -> str:
-    """Standalone stacked-bar page for one attribution suite."""
-    import html as _html
-
-    esc = _html.escape
-    config = suite.config
-    stage_order: List[str] = []
-    for result in suite.results:
-        for stage in result.stages:
-            if stage.stage not in stage_order:
-                stage_order.append(stage.stage)
-    color = {
-        stage: BUDGET_PALETTE[i % len(BUDGET_PALETTE)]
-        for i, stage in enumerate(stage_order)
-    }
-    parts = [
-        "<!DOCTYPE html>",
-        '<html lang="en"><head><meta charset="utf-8">',
-        "<title>Error budget</title>",
-        f"<style>{_HTML_STYLE}</style>",
-        "</head><body>",
-        "<h1>Error-budget attribution</h1>",
-        f"<p class='meta'>scale={esc(suite.scale_name)} seed={suite.seed} "
-        f"trials={config.trials} ensemble={suite.ensemble} | "
-        f"sigma_pv={config.sigma_pv} sigma_sf={config.sigma_sf} "
-        f"comparator_offset={config.comparator_offset} "
-        f"wire={config.wire_resistance}&#8486;</p>",
-    ]
-    if not suite.results:
-        parts.append("<p class='meta'>No results.</p></body></html>")
-        return "\n".join(parts)
-    legend = " ".join(
-        f"<span style='color:{color[stage]}'>■</span> <code>{esc(stage)}</code>"
-        for stage in stage_order
-    )
-    parts.append(f"<p class='meta'>{legend}</p>")
-    parts.append(
-        "<table><thead><tr><th>benchmark</th><th class='num'>err real</th>"
-        "<th class='num'>err ideal</th><th class='num'>gap</th>"
-        "<th class='num'>residual</th><th>stage budget</th></tr></thead><tbody>"
-    )
-    for result in suite.results:
-        segments = sorted(
-            ((s.stage, s.delta) for s in result.stages),
-            key=lambda item: -abs(item[1]),
-        )
-        bar = stacked_budget_svg(
-            segments, palette=[color[stage] for stage, _ in segments]
-        )
-        parts.append(
-            f"<tr><td><code>{esc(result.benchmark)}</code></td>"
-            f"<td class='num'>{result.err_real:.4f}</td>"
-            f"<td class='num'>{result.err_ideal:.4f}</td>"
-            f"<td class='num'>{result.total_gap:+.4f}</td>"
-            f"<td class='num'>{result.residual:+.4f}</td>"
-            f"<td>{bar}</td></tr>"
-        )
-    parts.append("</tbody></table>")
-    parts.append("<h2>Per-stage detail</h2>")
-    for result in suite.results:
-        parts.append(f"<h3><code>{esc(result.benchmark)}</code></h3>")
-        parts.append(
-            "<table><thead><tr><th>stage</th><th class='num'>delta</th>"
-            "<th class='num'>share of gap</th>"
-            "<th class='num'>leave-one-in</th></tr></thead><tbody>"
-        )
-        gap = result.total_gap
-        for stage in result.stages:
-            share = f"{stage.delta / gap:+.0%}" if gap else "-"
-            cls = " class='num neg'" if stage.delta < 0 else " class='num'"
-            parts.append(
-                f"<tr><td><code>{esc(stage.stage)}</code></td>"
-                f"<td{cls}>{stage.delta:+.5f}</td>"
-                f"<td class='num'>{share}</td>"
-                f"<td class='num'>{stage.leave_one_in_delta:+.5f}</td></tr>"
-            )
-        parts.append("</tbody></table>")
-        planes = " ".join(f"{rate:.3f}" for rate in result.bit_plane_rates)
-        parts.append(
-            f"<p class='meta'>bit-plane error rates MSB→LSB: {planes} "
-            f"(Eq. 5 weighted: {result.weighted_bit_error:.4f}, "
-            f"SNR {result.snr_db:.1f} dB)</p>"
-        )
-    parts.append("</body></html>")
-    return "\n".join(parts)

@@ -11,7 +11,7 @@ three deployments per fault point:
 * ``remap`` — spare-column redundancy repair;
 * ``retrain`` — fault-aware SAAB retraining on the faulty chips.
 
-The sweep executes on the resilient executor and (by default) stages a
+The sweep runs under a retry policy and (by default) stages a
 forced worker crash mid-campaign, so every run also exercises the
 crash-resubmission path it depends on.  See ``docs/robustness.md``.
 """
@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 
 from repro.core.runner import FULL_SCALE, QUICK_SCALE, ExperimentScale
 from repro.obs.log import get_logger
-from repro.parallel.resilient import RetryPolicy
+from repro.parallel.executor import RetryPolicy
 from repro.robustness.campaign import (
     FAST_CAMPAIGN_SCALE,
     CampaignConfig,

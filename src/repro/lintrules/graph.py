@@ -92,13 +92,6 @@ class LayeringContract:
     root: str
     ranks: Dict[str, int]
 
-    def rank_of(self, module: str) -> Optional[int]:
-        """Rank of the subpackage owning ``module``, or None if unranked."""
-        layer = self.layer_of(module)
-        if layer is None:
-            return None
-        return self.ranks.get(layer)
-
     def layer_of(self, module: str) -> Optional[str]:
         """The contract layer a dotted module name belongs to.
 

@@ -30,14 +30,6 @@ def psnr(reference: np.ndarray, test: np.ndarray, data_range: float = 255.0) -> 
     return 10.0 * np.log10(data_range**2 / mse)
 
 
-def _window_means(image: np.ndarray, window: int) -> np.ndarray:
-    """Non-overlapping window means via block reduction."""
-    h = (image.shape[0] // window) * window
-    w = (image.shape[1] // window) * window
-    blocks = image[:h, :w].reshape(h // window, window, w // window, window)
-    return blocks.mean(axis=(1, 3))
-
-
 def ssim(
     reference: np.ndarray,
     test: np.ndarray,

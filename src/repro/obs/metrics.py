@@ -14,7 +14,7 @@ bucket ladder (:data:`BUCKET_BOUNDS`), so p50/p95/p99 are available
 bounded memory, and exactly mergeable across processes because every
 histogram shares the same bucket bounds.
 
-Cross-process sweeps: a :class:`ProcessExecutor` worker snapshots the
+Cross-process sweeps: a process-pool worker snapshots the
 registry before and after each task and ships the :func:`diff` home,
 where the parent :func:`merge`\\ s it — so ``snapshot()`` after a
 parallel sweep matches the serial run's totals, bucket for bucket.
@@ -54,7 +54,7 @@ BUCKET_BOUNDS: Tuple[float, ...] = tuple(
 
 One fixed ladder for every histogram keeps sketches exactly mergeable
 across workers and runs: merging is element-wise bucket addition, so a
-``ProcessExecutor`` sweep reports the same quantile estimates a serial
+process-pool sweep reports the same quantile estimates a serial
 run would."""
 
 

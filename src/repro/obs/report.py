@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import html as _html
 import pathlib
+from math import nan
 from typing import Dict, List, Sequence, Tuple
 
 from repro.obs import compare as _compare
@@ -128,12 +129,13 @@ def errorbudget_breakdown(
 ) -> Dict[str, Dict[str, object]]:
     """Latest per-benchmark error-budget decomposition in the history.
 
-    Parses the flat ``errorbudget.<bench>.stage.<stage>.delta`` metric
-    names of the newest ``kind == "errorbudget"`` entry back into
-    ``{bench: {"stages": [(stage, delta), ...], "total_gap": ...,
-    "residual": ..., "err_real": ..., "err_ideal": ...}}``, stages
-    sorted by descending delta.  Empty when no errorbudget entry
-    exists.
+    Parses the flat ``errorbudget.<bench>.*`` metric names of the
+    newest ``kind == "errorbudget"`` entry back into ``{bench:
+    {"stages": [(stage, delta), ...], "leave_one_in": {stage: delta},
+    "bitplanes": [rate, ...], "total_gap": ..., "residual": ...,
+    "err_real": ..., "err_ideal": ..., "weighted_bit_error": ...,
+    "snr_db": ...}}``, stages sorted by descending delta and bit
+    planes MSB first.  Empty when no errorbudget entry exists.
     """
     newest = _history.latest_entry(_history.entries_of_kind(history, "errorbudget"))
     metrics = newest.get("metrics") if newest else None
@@ -147,15 +149,23 @@ def errorbudget_breakdown(
             continue
         parts = name.split(".")
         bench = parts[1]
-        record = out.setdefault(bench, {"stages": []})
+        record = out.setdefault(
+            bench, {"stages": [], "leave_one_in": {}, "bitplanes": []}
+        )
         if len(parts) == 5 and parts[2] == "stage" and parts[4] == "delta":
             record["stages"].append((parts[3], float(value)))
+        elif len(parts) == 5 and parts[2] == "stage" and parts[4] == "leave_one_in":
+            record["leave_one_in"][parts[3]] = float(value)
+        elif len(parts) == 4 and parts[2] == "bitplane" and parts[3][3:].isdigit():
+            record["bitplanes"].append((int(parts[3][3:]), float(value)))
         elif len(parts) == 3 and parts[2] in (
-            "total_gap", "residual", "err_real", "err_ideal"
+            "total_gap", "residual", "err_real", "err_ideal",
+            "weighted_bit_error", "snr_db",
         ):
             record[parts[2]] = float(value)
     for record in out.values():
         record["stages"].sort(key=lambda item: -item[1])
+        record["bitplanes"] = [rate for _, rate in sorted(record["bitplanes"])]
     return {bench: rec for bench, rec in out.items() if rec["stages"]}
 
 
@@ -309,7 +319,8 @@ def render_html(
             "its signed delta. See <code>docs/observability.md</code>.</p>"
         )
         parts.append(
-            "<table><thead><tr><th>benchmark</th><th class='num'>gap</th>"
+            "<table><thead><tr><th>benchmark</th><th class='num'>err real</th>"
+            "<th class='num'>err ideal</th><th class='num'>gap</th>"
             "<th class='num'>residual</th><th>stage budget</th></tr></thead><tbody>"
         )
         legend_stages: List[str] = []
@@ -328,6 +339,8 @@ def render_html(
             bar = stacked_budget_svg(record["stages"], palette=palette)
             parts.append(
                 f"<tr><td><code>{esc(bench)}</code></td>"
+                f"<td class='num'>{float(record.get('err_real', nan)):.4f}</td>"
+                f"<td class='num'>{float(record.get('err_ideal', nan)):.4f}</td>"
                 f"<td class='num'>{float(record.get('total_gap', 0.0)):.4g}</td>"
                 f"<td class='num'>{float(record.get('residual', 0.0)):+.4g}</td>"
                 f"<td>{bar}</td></tr>"
@@ -339,6 +352,32 @@ def render_html(
             for stage in legend_stages
         )
         parts.append(f"<p class='meta'>{legend}</p>")
+        parts.append("<h3>Per-stage detail</h3>")
+        for bench in sorted(budget):
+            record = budget[bench]
+            gap = float(record.get("total_gap", 0.0))
+            parts.append(
+                f"<h4><code>{esc(bench)}</code></h4>"
+                "<table><thead><tr><th>stage</th><th class='num'>delta</th>"
+                "<th class='num'>share of gap</th>"
+                "<th class='num'>leave-one-in</th></tr></thead><tbody>"
+            )
+            for stage, delta in record["stages"]:
+                share = f"{delta / gap:+.0%}" if gap else "-"
+                loi = record["leave_one_in"].get(stage, nan)
+                parts.append(
+                    f"<tr><td><code>{esc(stage)}</code></td>"
+                    f"<td class='num'>{delta:+.5f}</td>"
+                    f"<td class='num'>{share}</td>"
+                    f"<td class='num'>{loi:+.5f}</td></tr>"
+                )
+            parts.append("</tbody></table>")
+            planes = " ".join(f"{rate:.3f}" for rate in record["bitplanes"])
+            parts.append(
+                f"<p class='meta'>bit-plane error rates MSB→LSB: {planes} "
+                f"(Eq. 5 weighted: {float(record.get('weighted_bit_error', nan)):.4f}, "
+                f"SNR {float(record.get('snr_db', nan)):.1f} dB)</p>"
+            )
     parts.append("</body></html>")
     return "\n".join(parts)
 

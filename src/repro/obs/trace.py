@@ -19,7 +19,7 @@ is a single global check, keeping hot paths clean.  Enable with the
 The collector is thread-safe (one lock-guarded list per process) and
 *process-mergeable*: :mod:`repro.parallel` executors ship the spans a
 worker produced back to the parent (see :func:`mark`,
-:func:`records_since`, :func:`absorb`), so a ``ProcessExecutor`` sweep
+:func:`records_since`, :func:`absorb`), so a process-pool sweep
 yields the same tree a serial run would.
 """
 

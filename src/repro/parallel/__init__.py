@@ -1,60 +1,37 @@
-"""Parallel sweep engine: executors + deterministic seeding.
+"""Parallel sweep engine: one fan-out loop + deterministic seeding.
 
-The repository's statistical evaluation plane (Monte-Carlo robustness,
-DSE candidate ladders, seed repeats, per-benchmark experiment rows) is
-embarrassingly parallel.  This package provides the order-preserving
-executor abstraction those sweeps run on and the deterministic
-per-task seed derivation that keeps serial and parallel runs
-bit-identical.  Configure with ``REPRO_WORKERS`` / ``REPRO_EXECUTOR``
-or explicit ``workers=`` arguments; see ``docs/performance.md``.
+Every independent-task sweep runs on ``get_executor(...).map`` (with an
+optional :class:`RetryPolicy`), and per-task seeds derive from
+:func:`derive_seed`, so serial and parallel runs stay bit-identical.
+Configure with ``REPRO_WORKERS`` / ``REPRO_EXECUTOR`` or explicit
+``workers=`` arguments; see ``docs/performance.md``.
 """
 
 from repro.parallel.executor import (
     EXECUTOR_ENV,
-    WORKERS_ENV,
-    Executor,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    get_executor,
-    parallel_map,
-    resolve_workers,
-)
-from repro.parallel.resilient import (
     TASK_RETRIES_ENV,
     TASK_TIMEOUT_ENV,
+    WORKERS_ENV,
+    Executor,
     ResilienceReport,
-    ResilientResult,
     RetryPolicy,
     TaskError,
-    resilient_map,
+    get_executor,
+    resolve_workers,
 )
-from repro.parallel.seeding import RngLike, derive_seed, derive_seeds, ensure_rng, fresh_rng
-from repro.parallel.shm import SHM_ENV, SHM_MIN_BYTES, ShmRef, ShmSession, shm_enabled
+from repro.parallel.seeding import derive_seed, derive_seeds, ensure_rng, fresh_rng
 
 __all__ = [
-    "SHM_ENV",
-    "SHM_MIN_BYTES",
-    "ShmRef",
-    "ShmSession",
-    "shm_enabled",
     "TASK_TIMEOUT_ENV",
     "TASK_RETRIES_ENV",
     "RetryPolicy",
     "TaskError",
     "ResilienceReport",
-    "ResilientResult",
-    "resilient_map",
     "WORKERS_ENV",
     "EXECUTOR_ENV",
     "Executor",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
     "resolve_workers",
     "get_executor",
-    "parallel_map",
-    "RngLike",
     "derive_seed",
     "derive_seeds",
     "ensure_rng",

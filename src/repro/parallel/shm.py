@@ -1,6 +1,6 @@
 """Zero-copy ndarray transport for process pools (``REPRO_SHM``).
 
-:class:`~repro.parallel.executor.ProcessExecutor` normally pickles the
+A process-pool ``get_executor(...).map`` normally pickles the
 task function and every item into each worker task, so a sweep that
 fans one large read-only array (a dataset, a conductance matrix, a
 deployed model) out to ``N`` workers serializes and copies it ``N``
@@ -31,7 +31,7 @@ not own (bpo-39959); Linux keeps unlinked segments alive while mapped.
 
 from __future__ import annotations
 
-import hashlib
+import functools
 import io
 import multiprocessing
 import pickle
@@ -217,17 +217,9 @@ def loads(blob: bytes) -> Any:
     return _ShmUnpickler(io.BytesIO(blob)).load()
 
 
-_task_cache: Dict[bytes, Any] = {}
-
-
+@functools.lru_cache(maxsize=1)  # one live task per pool; don't hoard old ones
 def _cached_task(blob: bytes) -> Any:
-    key = hashlib.blake2b(blob, digest_size=16).digest()
-    task = _task_cache.get(key)
-    if task is None:
-        task = loads(blob)
-        _task_cache.clear()  # one live task per pool; don't hoard old ones
-        _task_cache[key] = task
-    return task
+    return loads(blob)
 
 
 class ShmCall(object):

@@ -12,8 +12,8 @@ mitigations win back?*
   noise-aware re-weighting also sees the faults).
 * :mod:`repro.robustness.campaign` — the sweep engine: a grid of
   :class:`~repro.device.faults.FaultModel` points x defect seeds x
-  benchmarks, executed on the resilient map
-  (:func:`repro.parallel.resilient_map`) so campaigns survive worker
+  benchmarks, mapped under a :class:`~repro.parallel.RetryPolicy`
+  (:func:`repro.parallel.get_executor`) so campaigns survive worker
   crashes, with every defect-map seed and the mitigation comparison
   recorded in the run manifest.
 

@@ -12,8 +12,8 @@ grid cell:
 * ``retrain`` — a fault-aware SAAB ensemble retrained on faulty chips
   (:func:`repro.robustness.mitigation.fault_aware_saab`).
 
-Grid cells are independent and run on the *resilient* executor
-(:func:`repro.parallel.resilient_map`): per-task retry, stall timeout,
+Grid cells are independent and run on ``get_executor(...).map`` with
+a :class:`~repro.parallel.RetryPolicy`: per-task retry, stall timeout,
 crashed-worker resubmission and serial degradation, so a campaign
 completes even when workers die mid-sweep — the resilience telemetry
 lands in the result (and hence the run manifest) next to the accuracy
@@ -40,7 +40,7 @@ from repro.core.runner import (
 from repro.obs import metrics as obs_metrics
 from repro.obs.log import get_logger
 from repro.obs.trace import span
-from repro.parallel.resilient import ResilienceReport, RetryPolicy, resilient_map
+from repro.parallel.executor import ResilienceReport, RetryPolicy, get_executor
 from repro.robustness.mitigation import fault_aware_saab, predicted_error
 from repro.workloads.registry import BENCHMARK_NAMES, PAPER_TABLE1, make_benchmark
 
@@ -402,7 +402,7 @@ def run_campaign(
     chaos: bool = False,
     chaos_marker: Optional[str] = None,
 ) -> CampaignResult:
-    """Execute a fault-injection campaign on the resilient executor.
+    """Execute a fault-injection campaign under a retry policy.
 
     Parameters
     ----------
@@ -413,8 +413,9 @@ def run_campaign(
         Training seed shared by every cell, so the defect-map seeds of
         ``config.seeds`` are the only statistical axis.
     workers, kind, policy:
-        Resilient-executor knobs (see :func:`repro.parallel.resilient_map`
-        and ``REPRO_TASK_TIMEOUT`` / ``REPRO_TASK_RETRIES``).
+        Executor knobs (see :func:`repro.parallel.get_executor`); the
+        policy defaults to :meth:`RetryPolicy.from_env`
+        (``REPRO_TASK_TIMEOUT`` / ``REPRO_TASK_RETRIES``).
     chaos:
         Kill the first grid cell's worker (SIGKILL) on its first
         execution — a live drill proving crashed-worker resubmission.
@@ -462,11 +463,14 @@ def run_campaign(
     obs_metrics.gauge("campaign_cells_total").set(len(tasks))
     obs_metrics.gauge("campaign_started_unixtime").set(time.time())
     with span("fault_campaign", cells=len(tasks), scale=scale.name, chaos=chaos):
-        outcome = resilient_map(
-            _campaign_cell, tasks, workers=workers, kind=kind, policy=policy
+        report = ResilienceReport()
+        cells = get_executor(workers, kind).map(
+            _campaign_cell, tasks,
+            policy=policy if policy is not None else RetryPolicy.from_env(),
+            report=report,
         )
-    result = CampaignResult(config=config, scale=scale, resilience=outcome.report)
-    for cell_rows in outcome.results:
+    result = CampaignResult(config=config, scale=scale, resilience=report)
+    for cell_rows in cells:
         result.rows.extend(cell_rows)  # type: ignore[arg-type]
     if marker is not None and os.path.exists(marker):
         os.unlink(marker)

@@ -10,7 +10,7 @@ batch equals the request served alone.  The property suite in
 ``tests/test_serve_batcher.py`` proves this over arbitrary
 interleavings.
 
-Resilience reuses the :mod:`repro.parallel.resilient` policy: batch
+Resilience reuses the executor's :class:`~repro.parallel.RetryPolicy`: batch
 evaluation runs on an isolated single-thread pool so a stalled worker
 can be abandoned and rebuilt (``RetryPolicy.timeout``), failed batches
 are retried with backoff, and a crashed dispatcher resubmits its
@@ -47,7 +47,7 @@ from repro.core.saab import SAAB
 from repro.device.variation import IDEAL, NonIdealFactors
 from repro.obs import metrics as obs_metrics
 from repro.obs.log import get_logger
-from repro.parallel.resilient import RetryPolicy
+from repro.parallel.executor import RetryPolicy
 
 __all__ = [
     "BatchPolicy",
@@ -397,8 +397,8 @@ class MicroBatcher:
 
         A stall (no result within ``retry.timeout``) abandons the
         evaluation pool — its late result, if any, is discarded — and
-        resubmits the batch on a fresh pool, mirroring the
-        ``resilient_map`` pool-rebuild semantics.
+        resubmits the batch on a fresh pool, mirroring the pool rebuild
+        of ``get_executor(...).map`` under a policy.
         """
         policy = self.retry
         last_error: Optional[BaseException] = None

@@ -10,7 +10,6 @@ from repro.xbar.mapping import (
     solve_conductances,
 )
 from repro.xbar.mna import MNACrossbar
-from repro.xbar.netlist import crossbar_netlist
 from repro.xbar.redundancy import RemapReport, remap_spare_columns
 from repro.xbar.tiling import TiledDifferentialCrossbar
 
@@ -26,7 +25,6 @@ __all__ = [
     "map_matrix",
     "solve_conductances",
     "MNACrossbar",
-    "crossbar_netlist",
     "RemapReport",
     "remap_spare_columns",
     "TiledDifferentialCrossbar",

@@ -180,7 +180,7 @@ def mapping_cache_stats() -> Dict[str, float]:
     """Live cache effectiveness view (manifest helper).
 
     Hit/miss totals come from the process-wide metrics registry, so
-    after a ``ProcessExecutor`` sweep they include the workers'
+    after a process-pool sweep they include the workers'
     lookups (shipped home with each task's metric diff).
     """
     snap = obs_metrics.snapshot()["counters"]

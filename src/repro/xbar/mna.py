@@ -125,13 +125,6 @@ class MNACrossbar:
     # unknowns: W(i,j) for j >= 1, then all B(i,j), then T(j).
     # W(i,0) is the driven (known) node of row i.
 
-    def _w_index(self, i: int, j: int) -> int:
-        # j >= 1 only; W(i, 0) is a source node.
-        return i * (self.cols - 1) + (j - 1) if self.cols > 1 else -1
-
-    def _b_index(self, i: int, j: int) -> int:
-        return self._n_w + i * self.cols + j
-
     def _t_index(self, j: int) -> int:
         return self._n_w + self.rows * self.cols + j
 

@@ -41,12 +41,10 @@ MODULES = [
     "repro.device.variation",
     "repro.device.programming",
     "repro.device.faults",
-    "repro.device.dynamics",
     "repro.xbar.crossbar",
     "repro.xbar.mapping",
     "repro.xbar.mna",
     "repro.xbar.ir_drop",
-    "repro.xbar.netlist",
     "repro.xbar.compensation",
     "repro.xbar.tiling",
     "repro.analog.converters",

@@ -403,7 +403,7 @@ class TestHistoryAndReport:
         assert len(entries_of_kind(history, "errorbudget")) == 1
 
     def test_report_renders_stacked_budget(self):
-        from repro.obs.report import errorbudget_breakdown, stacked_budget_svg
+        from repro.obs.report import errorbudget_breakdown, render_html, stacked_budget_svg
 
         history = [
             {
@@ -416,6 +416,12 @@ class TestHistoryAndReport:
                     "errorbudget.fft.err_ideal": 0.12,
                     "errorbudget.fft.stage.pv.delta": 0.06,
                     "errorbudget.fft.stage.input_codec.delta": 0.01,
+                    "errorbudget.fft.stage.pv.leave_one_in": 0.05,
+                    "errorbudget.fft.stage.input_codec.leave_one_in": 0.02,
+                    "errorbudget.fft.bitplane.bit1": 0.25,
+                    "errorbudget.fft.bitplane.bit0": 0.125,
+                    "errorbudget.fft.weighted_bit_error": 0.1875,
+                    "errorbudget.fft.snr_db": 21.5,
                 },
             }
         ]
@@ -425,3 +431,17 @@ class TestHistoryAndReport:
         assert stages[0][0] == "pv"
         svg = stacked_budget_svg(stages)
         assert svg.startswith("<svg") and "pv" in svg
+        record = breakdown["fft"]
+        assert record["leave_one_in"] == {"pv": 0.05, "input_codec": 0.02}
+        assert record["bitplanes"] == [0.125, 0.25]  # MSB first
+        assert record["weighted_bit_error"] == 0.1875
+        assert record["snr_db"] == 21.5
+        # The trajectory page carries the whole budget: real and ideal
+        # error columns plus the per-stage detail table.
+        page = render_html(history)
+        assert "err real" in page and "err ideal" in page
+        assert "0.2000" in page and "0.1200" in page
+        assert "Per-stage detail" in page
+        assert "+0.06000" in page and "+0.05000" in page  # pv delta, leave-one-in
+        assert "0.125 0.250" in page
+        assert "0.1875" in page and "21.5 dB" in page

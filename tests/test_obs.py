@@ -1,8 +1,8 @@
 """Tests for the observability layer (``repro.obs``).
 
 Covers span nesting/ordering, JSONL log schema round-trips, metrics
-accounting (including cross-process merge through the
-``ProcessExecutor``), run manifests, the CLI wiring, and the
+accounting (including cross-process merge through process-pool
+maps), run manifests, the CLI wiring, and the
 disabled-path overhead bound.
 """
 
@@ -26,7 +26,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import runinfo
 from repro.obs import trace as obs_trace
 from repro.obs.trace import span
-from repro.parallel import ProcessExecutor
+from repro.parallel import get_executor
 
 TINY = ExperimentScale(name="tiny", n_train=300, n_test=80, epochs=15, noise_trials=2)
 
@@ -273,7 +273,7 @@ def _worker_task(item):
 class TestCrossProcessMerge:
     def test_process_executor_ships_spans_and_metrics_home(self):
         obs_trace.enable(True)
-        results = ProcessExecutor(2).map(_worker_task, [1, 2, 3])
+        results = get_executor(2, kind="process").map(_worker_task, [1, 2, 3])
         assert results == [2, 4, 6]
         records = obs_trace.get_records()
         paths = sorted(r.path for r in records)
@@ -291,7 +291,7 @@ class TestCrossProcessMerge:
 
     def test_executor_metrics_flow_without_tracing(self):
         assert not obs_trace.enabled()
-        results = ProcessExecutor(2).map(_worker_task, [4, 5])
+        results = get_executor(2, kind="process").map(_worker_task, [4, 5])
         assert results == [8, 10]
         assert obs_trace.get_records() == []
         snap = obs_metrics.snapshot()

@@ -13,7 +13,7 @@ import pytest
 from repro.obs import metrics as obs_metrics
 from repro.obs import openmetrics as obs_openmetrics
 from repro.obs import trace as obs_trace
-from repro.parallel import ProcessExecutor, ThreadExecutor, parallel_map
+from repro.parallel import get_executor
 
 
 @pytest.fixture(autouse=True)
@@ -114,7 +114,7 @@ class TestCrossProcessHistogramMerge:
     def test_worker_buckets_merge_home_exactly(self):
         """Mirror of the span-merge test for histogram sketches."""
         values = [[0.001 * (i + 1)] * 5 for i in range(4)]
-        results = ProcessExecutor(2).map(
+        results = get_executor(2, kind="process").map(
             _latency_task, list(enumerate(values))
         )
         assert sorted(results) == [0, 1, 2, 3]
@@ -128,7 +128,7 @@ class TestCrossProcessHistogramMerge:
 
     def test_serial_and_parallel_sketches_agree(self):
         values = [[0.01 * (i + 1)] for i in range(6)]
-        ProcessExecutor(2).map(_latency_task, list(enumerate(values)))
+        get_executor(2, kind="process").map(_latency_task, list(enumerate(values)))
         parallel_summary = obs_metrics.snapshot()["histograms"][
             "task_latency_seconds"
         ]
@@ -144,7 +144,7 @@ class TestCrossProcessHistogramMerge:
 
 class TestQueueDepthGauge:
     def test_depth_settles_to_zero_after_map(self):
-        parallel_map(_noop_task, list(range(6)), workers=2, executor=ThreadExecutor(2))
+        get_executor(2, kind="thread").map(_noop_task, list(range(6)))
         snap = obs_metrics.snapshot()
         assert snap["gauges"]["executor_queue_depth"] == 0.0
         assert snap["counters"]["executor_tasks"] == 6.0

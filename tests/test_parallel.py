@@ -6,6 +6,8 @@ executor maps, seed repeats, noise sweeps and the DSE ladder.
 """
 
 import functools
+import os
+import signal
 import warnings
 
 import numpy as np
@@ -17,13 +19,9 @@ from repro.device.variation import NonIdealFactors, trial_indices
 from repro.metrics.robustness import noise_sweep
 from repro.nn.trainer import TrainConfig
 from repro.parallel import (
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
     derive_seed,
     derive_seeds,
     get_executor,
-    parallel_map,
     resolve_workers,
 )
 from repro.parallel.executor import EXECUTOR_ENV, WORKERS_ENV
@@ -33,6 +31,26 @@ from tests import reference_chain as oracle
 def _square(v):
     """Module-level so process pools can pickle it."""
     return v * v
+
+
+def _count_and_fail_on_three(args):
+    """Append one line per call to ``log``; item 3 raises."""
+    value, log = args
+    with open(log, "a", encoding="utf-8") as handle:
+        handle.write(f"{value}\n")
+    if value == 3:
+        raise KeyError(f"item {value} is bad")
+    return value
+
+
+def _kill_worker_once(args):
+    """SIGKILL the worker the first time; the parent always succeeds."""
+    value, marker, parent_pid = args
+    if os.getpid() != parent_pid and not os.path.exists(marker):
+        with open(marker, "w", encoding="utf-8") as handle:
+            handle.write(str(os.getpid()))
+        os.kill(os.getpid(), signal.SIGKILL)
+    return value * value
 
 
 def _seeded_value(seed):
@@ -80,20 +98,23 @@ class TestResolveWorkers:
 class TestGetExecutor:
     def test_one_worker_is_serial(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV, raising=False)
-        assert isinstance(get_executor(), SerialExecutor)
-        assert isinstance(get_executor(1), SerialExecutor)
+        assert get_executor().kind == "serial"
+        assert get_executor(1).kind == "serial"
+        assert get_executor(1).workers == 1
 
     def test_default_multiworker_kind_is_process(self, monkeypatch):
         monkeypatch.delenv(EXECUTOR_ENV, raising=False)
-        assert isinstance(get_executor(2), ProcessExecutor)
+        executor = get_executor(2)
+        assert (executor.kind, executor.workers) == ("process", 2)
 
     def test_kind_argument(self):
-        assert isinstance(get_executor(2, kind="thread"), ThreadExecutor)
-        assert isinstance(get_executor(2, kind="serial"), SerialExecutor)
+        assert get_executor(2, kind="thread").kind == "thread"
+        assert get_executor(2, kind="serial").kind == "serial"
+        assert get_executor(2, kind="serial").workers == 1
 
     def test_kind_from_env(self, monkeypatch):
         monkeypatch.setenv(EXECUTOR_ENV, "thread")
-        assert isinstance(get_executor(2), ThreadExecutor)
+        assert get_executor(2).kind == "thread"
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -104,35 +125,59 @@ class TestExecutorEquivalence:
     ITEMS = [3, 1, 4, 1, 5, 9, 2, 6]
 
     def test_serial_preserves_order(self):
-        assert SerialExecutor().map(_square, self.ITEMS) == [v * v for v in self.ITEMS]
+        assert get_executor(1).map(_square, self.ITEMS) == [v * v for v in self.ITEMS]
 
     def test_thread_matches_serial(self):
-        serial = SerialExecutor().map(_square, self.ITEMS)
-        assert ThreadExecutor(4).map(_square, self.ITEMS) == serial
+        serial = get_executor(1).map(_square, self.ITEMS)
+        assert get_executor(4, kind="thread").map(_square, self.ITEMS) == serial
 
     def test_process_matches_serial(self):
-        serial = SerialExecutor().map(_square, self.ITEMS)
-        assert ProcessExecutor(2).map(_square, self.ITEMS) == serial
+        serial = get_executor(1).map(_square, self.ITEMS)
+        assert get_executor(2, kind="process").map(_square, self.ITEMS) == serial
 
     def test_process_lambda_falls_back_to_serial(self):
         offset = 10
         with pytest.warns(RuntimeWarning, match="not picklable"):
-            result = ProcessExecutor(2).map(lambda v: v + offset, [1, 2, 3])
+            result = get_executor(2, kind="process").map(lambda v: v + offset, [1, 2, 3])
         assert result == [11, 12, 13]
 
     def test_single_item_skips_pool(self):
         # No pool spin-up (and no pickling requirement) for one task.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert ProcessExecutor(4).map(lambda v: v + 1, [41]) == [42]
+            assert get_executor(4, kind="process").map(lambda v: v + 1, [41]) == [42]
 
     def test_parallel_map_helper(self):
-        assert parallel_map(_square, self.ITEMS, workers=1) == [
+        # One entry point: a worker count of 1 is the serial special case.
+        assert get_executor(workers=1).map(_square, self.ITEMS) == [
             v * v for v in self.ITEMS
         ]
-        assert parallel_map(
-            _square, self.ITEMS, executor=ThreadExecutor(2)
-        ) == [v * v for v in self.ITEMS]
+        assert get_executor(2, kind="thread").map(_square, self.ITEMS) == [
+            v * v for v in self.ITEMS
+        ]
+
+    @pytest.mark.parametrize("workers,kind", [(1, "serial"), (2, "process")])
+    def test_task_exception_surfaces_unwrapped_and_runs_once(
+        self, tmp_path, workers, kind
+    ):
+        # No policy: the task's own exception reaches the caller, not a
+        # TaskError, and the failing task is not re-run anywhere.
+        log = tmp_path / "calls.log"
+        items = [(v, str(log)) for v in range(1, 5)]
+        with pytest.raises(KeyError, match="item 3 is bad"):
+            get_executor(workers, kind).map(_count_and_fail_on_three, items)
+        calls = log.read_text(encoding="utf-8").split()
+        assert calls.count("3") == 1
+
+    def test_broken_pool_runs_unfinished_tasks_serially(self, tmp_path):
+        # No policy: a killed worker breaks the pool once; the tasks it
+        # left unfinished run in the parent, with a RuntimeWarning.
+        marker = str(tmp_path / "killed")
+        items = [(v, marker, os.getpid()) for v in range(6)]
+        with pytest.warns(RuntimeWarning, match="broke"):
+            result = get_executor(2, kind="process").map(_kill_worker_once, items)
+        assert result == [v * v for v in range(6)]
+        assert os.path.exists(marker)
 
 
 class TestSeedDerivation:
@@ -171,10 +216,10 @@ class TestRepeatWithSeeds:
     def test_parallel_matches_serial(self):
         _, _, serial = repeat_with_seeds(_seeded_value, range(6))
         _, _, threaded = repeat_with_seeds(
-            _seeded_value, range(6), executor=ThreadExecutor(3)
+            _seeded_value, range(6), executor=get_executor(3, kind="thread")
         )
         _, _, processed = repeat_with_seeds(
-            _seeded_value, range(6), executor=ProcessExecutor(2)
+            _seeded_value, range(6), executor=get_executor(2, kind="process")
         )
         assert np.array_equal(serial, threaded)
         assert np.array_equal(serial, processed)
@@ -191,7 +236,7 @@ class TestNoiseSweepExecutors:
         serial = noise_sweep(_NoisyIdentity(), x, x, _mae, noises, trials=6)
         threaded = noise_sweep(
             _NoisyIdentity(), x, x, _mae, noises, trials=6,
-            executor=ThreadExecutor(3),
+            executor=get_executor(3, kind="thread"),
         )
         for a, b in zip(serial, threaded):
             assert np.array_equal(a.values, b.values)
@@ -278,10 +323,10 @@ class TestDSEParallelLadder:
     def test_parallel_ladder_matches_serial(self, rng):
         x, y, make_mei, config, train = self._setup(rng)
         mei_s, hidden_s, hist_s = search_hidden_size(
-            make_mei, x, y, x, y, _mae, config, train, executor=SerialExecutor()
+            make_mei, x, y, x, y, _mae, config, train, executor=get_executor(1)
         )
         mei_p, hidden_p, hist_p = search_hidden_size(
-            make_mei, x, y, x, y, _mae, config, train, executor=ThreadExecutor(3)
+            make_mei, x, y, x, y, _mae, config, train, executor=get_executor(3, kind="thread")
         )
         assert hidden_s == hidden_p
         assert hist_s == hist_p

@@ -1,10 +1,10 @@
-"""Chaos tests for the resilient executor layer.
+"""Chaos tests for ``get_executor(...).map`` under a retry policy.
 
 Workers here genuinely misbehave — raise, hang, SIGKILL their own
 process — and the assertions check the campaign-grade semantics:
-bounded retry with backoff, stall-timeout pool rebuilds, crashed-worker
-resubmission, and graceful degradation to serial execution (logged and
-recorded in a span).
+bounded retry with backoff, stall-timeout pool rebuilds (with the hung
+worker terminated), crashed-worker resubmission, and graceful
+degradation to serial execution (logged and recorded in a span).
 """
 
 import os
@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+import repro.sanitize as sanitize
 from repro.obs import trace as obs_trace
 from repro.parallel import (
     TASK_RETRIES_ENV,
@@ -21,14 +22,35 @@ from repro.parallel import (
     ResilienceReport,
     RetryPolicy,
     TaskError,
-    resilient_map,
+    get_executor,
 )
+from repro.parallel.executor import MAX_BACKOFF
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 def _square(v):
     return v * v
+
+
+def resilient_run(fn, items, workers, kind=None, policy=None):
+    """One policy-driven map: ``(results, report)``."""
+    report = ResilienceReport()
+    results = get_executor(workers, kind).map(
+        fn, items,
+        policy=policy if policy is not None else RetryPolicy.from_env(),
+        report=report,
+    )
+    return results, report
+
+
+def _pid_alive(pid):
+    """True while ``pid`` exists and is not a reaped-pending zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 def _kill_self_once(args):
@@ -69,6 +91,10 @@ def _fail_in_workers(args):
     return value * value
 
 
+def _first(pair):
+    return pair[0]
+
+
 def _always_raise(value):
     raise ValueError(f"task {value} is doomed")
 
@@ -86,8 +112,6 @@ class TestRetryPolicy:
             RetryPolicy(retries=-1)
         with pytest.raises(ValueError):
             RetryPolicy(backoff=-0.1)
-        with pytest.raises(ValueError):
-            RetryPolicy(max_pool_rebuilds=-1)
 
     def test_from_env(self, monkeypatch):
         monkeypatch.setenv(TASK_TIMEOUT_ENV, "12.5")
@@ -111,19 +135,20 @@ class TestRetryPolicy:
         assert policy.retries == 2
 
     def test_backoff_doubles_and_caps(self):
-        policy = RetryPolicy(backoff=0.1, max_backoff=0.35)
-        assert policy.sleep_for(0) == pytest.approx(0.1)
-        assert policy.sleep_for(1) == pytest.approx(0.2)
-        assert policy.sleep_for(2) == pytest.approx(0.35)
+        policy = RetryPolicy(backoff=0.5)
+        assert policy.sleep_for(0) == pytest.approx(0.5)
+        assert policy.sleep_for(1) == pytest.approx(1.0)
+        assert policy.sleep_for(2) == pytest.approx(MAX_BACKOFF)
+        assert policy.sleep_for(3) == pytest.approx(MAX_BACKOFF)
         assert RetryPolicy(backoff=0.0).sleep_for(5) == 0.0
 
 
 class TestSerialResilience:
     def test_happy_path_keeps_order(self):
-        outcome = resilient_map(_square, [3, 1, 4, 1, 5], workers=1)
-        assert outcome.results == [9, 1, 16, 1, 25]
-        assert outcome.report.tasks == 5
-        assert not outcome.report.degraded
+        results, report = resilient_run(_square, [3, 1, 4, 1, 5], workers=1)
+        assert results == [9, 1, 16, 1, 25]
+        assert report.tasks == 5
+        assert not report.degraded
 
     def test_retry_in_parent(self):
         state = {"calls": 0}
@@ -134,15 +159,15 @@ class TestSerialResilience:
                 raise RuntimeError("first call fails")
             return v + 1
 
-        outcome = resilient_map(
+        results, report = resilient_run(
             flaky, [41], workers=1, policy=RetryPolicy(retries=2, backoff=0)
         )
-        assert outcome.results == [42]
-        assert outcome.report.retries == 1
+        assert results == [42]
+        assert report.retries == 1
 
     def test_exhaustion_raises_task_error_with_cause(self):
         with pytest.raises(TaskError) as excinfo:
-            resilient_map(
+            resilient_run(
                 _always_raise, [7], workers=1,
                 policy=RetryPolicy(retries=1, backoff=0),
             )
@@ -152,7 +177,7 @@ class TestSerialResilience:
 
     def test_zero_retries(self):
         with pytest.raises(TaskError):
-            resilient_map(
+            resilient_run(
                 _always_raise, [1], workers=1,
                 policy=RetryPolicy(retries=0, backoff=0),
             )
@@ -162,49 +187,56 @@ class TestChaosProcessPool:
     def test_crashed_worker_is_resubmitted(self, tmp_path):
         marker = tmp_path / "crash-marker"
         items = [(v, str(marker), os.getpid()) for v in range(6)]
-        outcome = resilient_map(
+        results, report = resilient_run(
             _kill_self_once, items, workers=2, kind="process",
             policy=RetryPolicy(retries=2, backoff=0.01),
         )
-        assert outcome.results == [v * v for v in range(6)]
-        assert outcome.report.crashes >= 1
-        assert outcome.report.pool_rebuilds >= 1
+        assert results == [v * v for v in range(6)]
+        assert report.crashes >= 1
+        assert report.pool_rebuilds >= 1
         assert marker.exists()
-        assert any("crashed" in event for event in outcome.report.events)
+        assert any("crashed" in event for event in report.events)
 
     def test_stall_timeout_fires_and_recovers(self, tmp_path):
         marker = tmp_path / "hang-marker"
         items = [(v, str(marker)) for v in range(4)]
         start = time.monotonic()
-        outcome = resilient_map(
+        results, report = resilient_run(
             _hang_once, items, workers=2, kind="process",
             policy=RetryPolicy(timeout=1.0, retries=2, backoff=0.01),
         )
         elapsed = time.monotonic() - start
-        assert outcome.results == [v * v for v in range(4)]
-        assert outcome.report.timeouts >= 1
+        assert results == [v * v for v in range(4)]
+        assert report.timeouts >= 1
         assert elapsed < 30  # rebuilt, not waiting out the 60s sleep
-        assert any("rebuilding pool" in event for event in outcome.report.events)
+        assert any("rebuilding pool" in event for event in report.events)
+        # The hung worker is terminated with its pool, not left sleeping
+        # (which would hold the interpreter at exit for the full 60 s).
+        hung_pid = int(marker.read_text(encoding="utf-8"))
+        deadline = time.monotonic() + 5.0
+        while _pid_alive(hung_pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _pid_alive(hung_pid)
 
     def test_worker_exception_is_retried(self, tmp_path):
         marker = tmp_path / "raise-marker"
         items = [(v, str(marker)) for v in range(5)]
-        outcome = resilient_map(
+        results, report = resilient_run(
             _raise_once, items, workers=2, kind="process",
             policy=RetryPolicy(retries=2, backoff=0.01),
         )
-        assert outcome.results == [v * v for v in range(5)]
-        assert outcome.report.retries >= 1
+        assert results == [v * v for v in range(5)]
+        assert report.retries >= 1
 
     def test_thread_pool_retry(self, tmp_path):
         marker = tmp_path / "thread-marker"
         items = [(v, str(marker)) for v in range(4)]
-        outcome = resilient_map(
+        results, report = resilient_run(
             _raise_once, items, workers=2, kind="thread",
             policy=RetryPolicy(retries=2, backoff=0.01),
         )
-        assert outcome.results == [v * v for v in range(4)]
-        assert outcome.report.retries >= 1
+        assert results == [v * v for v in range(4)]
+        assert report.retries >= 1
 
 
 class TestSerialDegradation:
@@ -215,7 +247,7 @@ class TestSerialDegradation:
         obs_trace.enable(True)
         obs_trace.clear()
         try:
-            outcome = resilient_map(
+            results, report = resilient_run(
                 _fail_in_workers, items, workers=2, kind="process",
                 policy=RetryPolicy(retries=1, backoff=0.01),
             )
@@ -223,26 +255,43 @@ class TestSerialDegradation:
         finally:
             obs_trace.enable(False)
             obs_trace.clear()
-        assert outcome.results == [0, 1, 4]
-        assert outcome.report.degraded
-        assert outcome.report.serial_fallback_tasks == 3
+        assert results == [0, 1, 4]
+        assert report.degraded
+        assert report.serial_fallback_tasks == 3
         assert "resilient_serial_fallback" in names
-        assert "resilient_map" in names
-        assert any("degrading" in event for event in outcome.report.events)
+        assert "parallel_map" in names
+        assert any("degrading" in event for event in report.events)
 
     def test_unpicklable_work_degrades_upfront(self):
         offset = 5
         with pytest.warns(RuntimeWarning, match="not picklable"):
-            outcome = resilient_map(
+            results, report = resilient_run(
                 lambda v: v + offset, [1, 2, 3], workers=2, kind="process"
             )
-        assert outcome.results == [6, 7, 8]
-        assert outcome.report.degraded
-        assert any("not picklable" in event for event in outcome.report.events)
+        assert results == [6, 7, 8]
+        assert report.degraded
+        assert any("not picklable" in event for event in report.events)
+
+    def test_thread_map_scans_payloads_for_shared_generators(self):
+        # Resilient thread maps run the same submission-time scan as
+        # plain ones: one Generator in two payloads is a finding.
+        shared = np.random.default_rng(0)
+        sanitize.reset()
+        sanitize.set_enabled(True)
+        try:
+            results, _ = resilient_run(
+                _first, [(1, shared), (2, shared)], workers=2, kind="thread",
+                policy=RetryPolicy(retries=0, backoff=0),
+            )
+            kinds = [finding.kind for finding in sanitize.findings()]
+        finally:
+            sanitize.reset()
+        assert results == [1, 2]
+        assert "rng-shared" in kinds
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown executor kind"):
-            resilient_map(_square, [1, 2], workers=2, kind="gpu")
+            resilient_run(_square, [1, 2], workers=2, kind="gpu")
 
 
 class TestReportShape:
@@ -258,12 +307,12 @@ class TestReportShape:
         }
 
     def test_results_iterate_in_order(self):
-        outcome = resilient_map(_square, [2, 3], workers=1)
-        assert list(outcome) == [4, 9]
+        results, _ = resilient_run(_square, [2, 3], workers=1)
+        assert list(results) == [4, 9]
 
     def test_bit_identity_serial_vs_pooled(self):
         """Resilience must not change results, only where tasks run."""
         values = list(np.linspace(0.0, 1.0, 8))
-        serial = resilient_map(_square, values, workers=1).results
-        pooled = resilient_map(_square, values, workers=2, kind="process").results
+        serial, _ = resilient_run(_square, values, workers=1)
+        pooled, _ = resilient_run(_square, values, workers=2, kind="process")
         assert serial == pooled

@@ -1,6 +1,6 @@
 """Shared-memory ndarray transport (``REPRO_SHM``).
 
-Contract: with the knob on, a :class:`ProcessExecutor` sweep returns
+Contract: with the knob on, a process-pool map returns
 results bit-identical to the default pickling path, ships each large
 array into shared memory exactly once, and leaves no ``/dev/shm``
 segment behind when the map completes.
@@ -12,7 +12,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.parallel.executor import ProcessExecutor, SerialExecutor
+from repro.parallel import RetryPolicy, get_executor
 from repro.parallel.shm import SHM_MIN_BYTES, ShmRef, ShmSession, dumps, loads, shm_enabled
 
 
@@ -117,12 +117,12 @@ class TestExecutorIntegration:
     def test_shm_map_matches_default_and_serial(self, monkeypatch):
         base = _big()
         items = [(base, w) for w in (0.5, 1.0, 2.0, 4.0)]
-        expected = SerialExecutor().map(_weighted_sum, items)
+        expected = get_executor(1).map(_weighted_sum, items)
 
         monkeypatch.delenv("REPRO_SHM", raising=False)
-        default = ProcessExecutor(workers=2).map(_weighted_sum, items)
+        default = get_executor(2, kind="process").map(_weighted_sum, items)
         monkeypatch.setenv("REPRO_SHM", "1")
-        via_shm = ProcessExecutor(workers=2).map(_weighted_sum, items)
+        via_shm = get_executor(2, kind="process").map(_weighted_sum, items)
 
         assert via_shm == default == expected
 
@@ -130,17 +130,27 @@ class TestExecutorIntegration:
         monkeypatch.setenv("REPRO_SHM", "1")
         before = _shm_segments()
         base = _big()
-        ProcessExecutor(workers=2).map(_weighted_sum, [(base, 1.0), (base, 2.0)])
+        get_executor(2, kind="process").map(_weighted_sum, [(base, 1.0), (base, 2.0)])
         assert _shm_segments() - before == set()
 
     def test_unpicklable_task_falls_back_to_serial(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHM", "1")
         offset = 10.0
         with pytest.warns(RuntimeWarning, match="picklable"):
-            out = ProcessExecutor(workers=2).map(
+            out = get_executor(2, kind="process").map(
                 lambda v: v + offset, [1.0, 2.0]
             )
         assert out == [11.0, 12.0]
+
+    def test_policy_driven_shm_map_matches_serial(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SHM", "1")
+        base = _big()
+        items = [(base, w) for w in (0.5, 1.0, 2.0, 4.0)]
+        expected = get_executor(1).map(_weighted_sum, items)
+        via_shm = get_executor(2, kind="process").map(
+            _weighted_sum, items, policy=RetryPolicy(retries=1, backoff=0)
+        )
+        assert via_shm == expected
 
 
 def test_shmref_is_compact():

@@ -1,11 +1,10 @@
-"""Extended property-based tests: scalers, metrics, devices, dynamics."""
+"""Extended property-based tests: scalers, metrics, devices, codecs."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.device.dynamics import SwitchingModel
 from repro.device.rram import RRAMDevice
 from repro.metrics.error import average_relative_error, image_diff, miss_rate
 from repro.metrics.image import psnr
@@ -103,24 +102,6 @@ class TestDeviceProperties:
         once = device.discretize(np.array([g]))
         twice = device.discretize(once)
         assert np.allclose(once, twice)
-
-    @given(
-        state=st.floats(0, 1),
-        voltage=st.floats(-2, 2),
-        dt=st.floats(1e-9, 1e-6),
-    )
-    @settings(max_examples=50)
-    def test_switching_state_bounded(self, state, voltage, dt):
-        model = SwitchingModel()
-        after = model.step(np.array([state]), np.array([voltage]), dt)
-        assert 0.0 <= after[0] <= 1.0
-
-    @given(state=st.floats(0.01, 0.99), voltage=st.floats(0.4, 2))
-    @settings(max_examples=50)
-    def test_set_never_decreases_state(self, state, voltage):
-        model = SwitchingModel()
-        after = model.apply_pulse(np.array([state]), voltage, 10e-9)
-        assert after[0] >= state - 1e-12
 
 
 class TestCodecCrossProperties:

@@ -26,7 +26,7 @@ from repro.config import knobs
 from repro.core.mei import MEI, MEIConfig
 from repro.nn.trainer import TrainConfig
 from repro.obs import metrics as obs_metrics
-from repro.parallel.resilient import RetryPolicy
+from repro.parallel import RetryPolicy
 from repro.serve import (
     BatchPolicy,
     DeadlineExceeded,

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.obs import metrics as obs_metrics
-from repro.parallel.resilient import RetryPolicy
+from repro.parallel import RetryPolicy
 from repro.serve import BatchPolicy, MicroBatcher, ServeError
 
 
