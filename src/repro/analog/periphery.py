@@ -24,6 +24,11 @@ from repro.sanitize import guards as sanitize_guards
 
 __all__ = ["SigmoidNeuron", "Comparator"]
 
+_DECISION_BAND_ULPS = 2**10
+"""Half-width, in ``eps`` of the stack's dtype, of the band about a zero
+pre-activation inside which :meth:`SigmoidNeuron.at_least_half`
+evaluates the sigmoid instead of taking the sign."""
+
 
 @dataclass
 class SigmoidNeuron:
@@ -66,19 +71,65 @@ class SigmoidNeuron:
         ``(trials, samples, ports)`` stack costs one allocation instead
         of one per operation; ``analog_in`` is only read.
         """
+        return _sigmoid_in_place(self._exp_argument(analog_in))
+
+    def at_least_half(self, analog_in: np.ndarray) -> np.ndarray:
+        """``apply(analog_in) >= 0.5`` as 1.0/0.0, decided on the pre-activation.
+
+        The sigmoid of ``z = gain * x + bias + offsets`` reaches 0.5
+        iff ``z >= 0``, except within a few ulps of 0, where ``exp`` and
+        ``1 + ·`` round onto 0.5 exactly (e.g. at a tiny negative
+        ``z``).  Outside a band of ``2**10 * eps`` (of the stack's
+        dtype) about 0 the sigmoid is hundreds of ulps away from 0.5,
+        so the sign of ``z`` decides; the rare elements inside it are
+        re-decided with :meth:`apply`'s own formula.  ``analog_in`` is
+        consumed as scratch: a writable stack of the active dtype is
+        overwritten with ``-z`` and then with the decision, 1.0 or 0.0,
+        which is returned in it (else in a fresh buffer).
+        """
+        arg = self._exp_argument(analog_in, scratch=True)
+        band = _DECISION_BAND_ULPS * np.finfo(arg.dtype).eps
+        high = arg <= -band
+        if np.count_nonzero(arg < band) != np.count_nonzero(high):
+            near = np.flatnonzero((arg < band) ^ high)
+            high.flat[near] = _sigmoid_in_place(arg.flat[near]) >= 0.5
+        np.copyto(arg, high)
+        return arg
+
+    def _exp_argument(self, analog_in: np.ndarray, scratch: bool = False) -> np.ndarray:
+        """``-(gain * x + bias + offsets)``: the sigmoid's exp argument, unclipped.
+
+        Built as ``(-gain) * x - bias - offsets``: IEEE rounding is
+        symmetric in sign, so this is the negated sum bit for bit but
+        for the sign of an exact zero, which only ever reaches
+        ``exp(±0) = 1``.  Zero offsets (``offset_sigma == 0``) are not
+        subtracted.  With ``scratch``, a writable ``analog_in`` of the
+        result's dtype is the buffer; otherwise it is only read.
+        """
         analog_in = _astype(analog_in)
         sanitize_guards.check_finite("periphery", "neuron_in", analog_in)
-        pre = self.gain * analog_in
-        if fits_in_place(pre, self.bias, self._offsets):
-            pre += self.bias
-            pre += self._offsets
-        else:  # promotes, e.g. float64 mismatch offsets on a float32 stack
-            pre = pre + self.bias + self._offsets
-        np.clip(pre, -60.0, 60.0, out=pre)
-        np.negative(pre, out=pre)
-        np.exp(pre, out=pre)
-        pre += 1.0
-        return np.divide(1.0, pre, out=pre)
+        neg_gain = -self.gain
+        if scratch and fits_in_place(analog_in, neg_gain):
+            arg = np.multiply(analog_in, neg_gain, out=analog_in)
+        else:
+            arg = neg_gain * analog_in
+        terms = (self.bias, self._offsets) if self.offset_sigma > 0 else (self.bias,)
+        if fits_in_place(arg, *terms):
+            for term in terms:
+                arg -= term
+            return arg
+        # Promotes, e.g. float64 mismatch offsets on a float32 stack.
+        for term in terms:
+            arg = arg - term
+        return arg
+
+
+def _sigmoid_in_place(arg: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(clip(arg)))`` built in ``arg``; ``arg`` is the negated pre-activation."""
+    np.clip(arg, -60.0, 60.0, out=arg)
+    np.exp(arg, out=arg)
+    arg += 1.0
+    return np.divide(1.0, arg, out=arg)
 
 
 @dataclass
@@ -111,8 +162,29 @@ class Comparator:
             raise ValueError("offset_sigma must be >= 0")
         self._rng = np.random.default_rng(self.seed) if self.seed is not None else None
 
-    def apply(self, analog_in: np.ndarray, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        """Threshold analog levels into hard 0/1 bits."""
+    @property
+    def is_ideal(self) -> bool:
+        """No offset noise and the midpoint threshold: a sigmoid's sign decides."""
+        return self.offset_sigma == 0 and self.threshold == 0.5
+
+    def apply(
+        self,
+        analog_in: np.ndarray,
+        rng: Optional[np.random.Generator] = None,
+        neuron: Optional[SigmoidNeuron] = None,
+    ) -> np.ndarray:
+        """Threshold analog levels into hard 0/1 bits.
+
+        With ``neuron``, ``analog_in`` is that sigmoid stage's *input*
+        (consumed as scratch) and the bits are those of its output
+        level, decided by :meth:`SigmoidNeuron.at_least_half` without
+        evaluating the sigmoid.  Only an ideal comparator
+        (:attr:`is_ideal`) can decide that way.
+        """
+        if neuron is not None:
+            if not self.is_ideal:
+                raise ValueError("only an ideal comparator decides on a neuron's input")
+            return _astype(neuron.at_least_half(analog_in))
         analog_in = _astype(analog_in)
         sanitize_guards.check_finite("periphery", "comparator_in", analog_in)
         threshold = self.threshold

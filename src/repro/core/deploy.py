@@ -21,7 +21,7 @@ import numpy as np
 
 from typing import TYPE_CHECKING
 
-from repro.analog.periphery import SigmoidNeuron
+from repro.analog.periphery import Comparator, SigmoidNeuron
 from repro.device.rram import HFOX_DEVICE, RRAMDevice
 from repro.device.variation import (
     IDEAL,
@@ -253,14 +253,19 @@ class AnalogMLP:
         x: np.ndarray,
         noise: NonIdealFactors = IDEAL,
         trials: TrialSpec = 1,
+        comparator: "Optional[Comparator]" = None,
     ) -> np.ndarray:
         """Analog forward pass over a stack of Monte-Carlo trials.
 
         Draws every trial's variation tensors up front (one generator
         per trial: input signal fluctuation, then every array's process
-        variation in :meth:`arrays` order) and pushes one
-        ``(trials, samples, ports)`` stack through the layer chain.
-        Noise-free, one 1-trial pass is computed and repeated.  The raw
+        variation in :meth:`arrays` order) and pushes each *distinct*
+        trial input through the layer chain once, as one
+        ``(passes, samples, ports)`` stack.  Without PV, trials whose
+        inputs coincide share a pass: noise-free, every trial is the
+        one noise-free pass; digital inputs that SF left clean are too.
+        A pass runs the same per-slice matmuls and elementwise ops as
+        the trial it stands for, so sharing changes no bit.  The raw
         output is the last sigmoid stage's analog level; the
         architecture layer (AD/DA's ADC or MEI's comparator) digitizes it.
 
@@ -273,6 +278,12 @@ class AnalogMLP:
         trials:
             Trial count ``n`` (trials ``0..n-1``) or explicit trial
             indices.
+        comparator:
+            Optional 1-bit output stage: the result is then its 0/1
+            decision of the output level.  An ideal one with no
+            ``output_correction`` decides on the last stage's
+            pre-activation (:meth:`Comparator.apply` with ``neuron``),
+            once per pass.
 
         Returns
         -------
@@ -284,10 +295,9 @@ class AnalogMLP:
             raise ValueError(f"input has {base.shape[1]} ports, network expects {self.in_dim}")
         indices = trial_indices(trials)
         rngs = None if noise.is_ideal else noise.rngs(indices)
-        passes = 1 if rngs is None else len(rngs)
-        # One analog MAC per RRAM cell per sample (Eq. 2's column sums).
-        obs_metrics.counter("crossbar_macs").inc(self.device_count * base.shape[0] * passes)
-        obs_metrics.counter("forward_passes").inc()
+        # Trial t's input is out[which[t]].
+        which = np.zeros(len(indices), dtype=np.intp)
+        out = base[np.newaxis]
         t0 = time.perf_counter()
         # Signal fluctuation is *interface* noise (Sec. 5.3: "noise to
         # the electrical signal, such as the input signal"): it
@@ -298,27 +308,48 @@ class AnalogMLP:
             # Digital receivers regenerate 0/1 levels: only noise that
             # crosses the logic threshold survives — MEI's Fig. 5
             # advantage.
-            out = regenerated_bit_stack(base, noise.sigma_sf, rngs)
+            out, which = regenerated_bit_stack(base, noise.sigma_sf, rngs)
         elif rngs is not None and noise.sigma_sf > 0:
             out = base * lognormal_factor_stack(base.shape, noise.sigma_sf, rngs)
-        else:
-            out = np.broadcast_to(base, (passes,) + base.shape)
+            which = np.arange(len(indices))
         pv_only = None
         pv_factor_args: "List" = [None] * len(self.crossbars)
         if rngs is not None and noise.sigma_pv > 0:
+            # Every trial draws its own conductances: one pass each.
+            if len(out) == 1:
+                out = np.broadcast_to(out, (len(indices),) + base.shape)
+            elif len(out) < len(indices):
+                out = out[which]
+            which = np.arange(len(indices))
             pv_only = NonIdealFactors(sigma_pv=noise.sigma_pv, sigma_sf=0.0, seed=noise.seed)
             pv_factor_args = pv_factor_stacks(self.crossbars, noise.sigma_pv, rngs)
-        for xbar, neuron, pv_factors in zip(self.crossbars, self.neurons, pv_factor_args):
+        passes = len(out)
+        # One analog MAC per RRAM cell per sample (Eq. 2's column sums).
+        obs_metrics.counter("crossbar_macs").inc(self.device_count * base.shape[0] * passes)
+        obs_metrics.counter("forward_passes").inc()
+        decide = (
+            comparator is not None and comparator.is_ideal and self.output_correction is None
+        )
+        last = len(self.crossbars) - 1
+        for index, (xbar, neuron, pv_factors) in enumerate(
+            zip(self.crossbars, self.neurons, pv_factor_args)
+        ):
             analog = xbar.apply_trials(out, pv_only, rngs, pv_factors=pv_factors)
-            out = neuron.apply(analog)
+            if decide and index == last:
+                out = comparator.apply(analog, neuron=neuron)
+            else:
+                out = neuron.apply(analog)
         if self.output_correction is not None:
             gain, offset = self.output_correction
             out = np.clip(gain * out + offset, 0.0, 1.0)
         obs_metrics.histogram("forward_latency_seconds").observe(
             time.perf_counter() - t0
         )
-        if passes < len(indices):
-            out = np.broadcast_to(out, (len(indices),) + out.shape[1:]).copy()
+        if passes < len(indices):  # else ``which`` is the identity
+            out = out[which]
+        if comparator is not None and not decide:
+            # Offset noise is drawn per conversion: after the fan-out.
+            out = comparator.apply(out)
         return out
 
     def freeze_variation(

@@ -285,14 +285,14 @@ class MEI:
     ) -> np.ndarray:
         """Digital-in digital-out path over Monte-Carlo trials.
 
-        Bits -> crossbars -> comparator, as one stacked crossbar pass;
-        returns a ``(trials, samples, ports)`` stack.
+        Bits -> crossbars -> comparator, as one stacked crossbar pass
+        that hands the comparator to the last stage; returns a
+        ``(trials, samples, ports)`` stack.
         """
         if self.analog is None:
             raise RuntimeError("train() or deploy() must run before predict_bits_trials()")
         x_bits = self.encode_inputs(x)
-        analog_out = self.analog.forward_trials(x_bits, noise, trials)
-        hard = self.comparator.apply(analog_out)
+        hard = self.analog.forward_trials(x_bits, noise, trials, comparator=self.comparator)
         if self.out_bits < self.bits:
             hard = hard * self.out_mask
         return hard

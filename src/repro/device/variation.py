@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -151,35 +151,50 @@ def regenerated_bit_stack(
     base: np.ndarray,
     sigma: float,
     rngs: "Sequence[np.random.Generator]",
-) -> np.ndarray:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Digital 0/1 inputs after signal fluctuation and receiver regeneration.
 
-    Equals ``(base * lognormal_factor_stack(base.shape, sigma, rngs)
-    >= 0.5).astype(float)`` bit for bit, and consumes each generator
-    identically, but skips the exp: ``Generator.lognormal(0, sigma)``
-    is ``exp(0 + sigma * z)`` over the same standard normals ``z`` that
-    ``standard_normal`` draws, so for a 0/1 input a "1" survives iff
-    ``exp(sigma * z) >= 0.5`` (:func:`exp_at_least_half`) and a "0"
-    never turns on.  Inputs other than 0/1 take the multiply-and-compare
-    path.  The result is a float64 ``(trials,) + base.shape`` stack.
+    Returns ``(stack, which)``: trial ``t``'s regenerated bits are
+    ``stack[which[t]]``, and ``stack[which]`` equals
+    ``(base * lognormal_factor_stack(base.shape, sigma, rngs)
+    >= 0.5).astype(float)`` bit for bit.  Each generator is consumed
+    identically, but the exp is skipped: ``Generator.lognormal(0,
+    sigma)`` is ``exp(0 + sigma * z)`` over the same standard normals
+    ``z`` that ``standard_normal`` draws, so for a 0/1 input a "1"
+    survives iff ``exp(sigma * z) >= 0.5`` (:func:`exp_at_least_half`)
+    and a "0" never turns on.  Trials that came back clean (no bit
+    flipped, Sec. 5.3's common case) are not materialised one by one:
+    they share the slot of the first of them.  Slots keep trial order,
+    so ``which`` is ``arange(trials)`` exactly when no two trials
+    share one.  Inputs other than 0/1 take the multiply-and-compare
+    path, one slot per trial.  ``stack`` is float64.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
     base = np.asarray(base, dtype=np.float64)
     on = base != 0
     if not np.all(base[on] == 1):
-        return (base * lognormal_factor_stack(base.shape, sigma, rngs) >= 0.5).astype(
-            np.float64
-        )
-    out = np.empty((len(rngs),) + base.shape)
+        stack = base * lognormal_factor_stack(base.shape, sigma, rngs) >= 0.5
+        return stack.astype(np.float64), np.arange(len(rngs))
+    n_on = np.count_nonzero(on)
+    stack = np.empty((len(rngs),) + base.shape)
+    which = np.empty(len(rngs), dtype=np.intp)
+    passes, clean_slot = 0, None
     z = np.empty(base.shape)
     for t, rng in enumerate(rngs):
         rng.standard_normal(out=z)
         z *= sigma
         high = exp_at_least_half(z)
         high &= on
-        out[t] = high
-    return out
+        if np.count_nonzero(high) == n_on:
+            if clean_slot is not None:
+                which[t] = clean_slot
+                continue
+            clean_slot = passes
+        stack[passes] = high
+        which[t] = passes
+        passes += 1
+    return stack[:passes], which
 
 
 @dataclass(frozen=True)

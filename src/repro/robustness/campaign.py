@@ -160,6 +160,9 @@ class CampaignRow:
     total_cells: int = 0
     spares_used: int = 0
     defect_seeds: List[Optional[int]] = field(default_factory=list)
+    boosted_rounds: Optional[int] = None
+    """``retrain`` rows: SAAB rounds with ``alpha > 0``.  Zero means no
+    round beat chance and the vote is an unweighted bag."""
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -173,6 +176,7 @@ class CampaignRow:
             "total_cells": self.total_cells,
             "spares_used": self.spares_used,
             "defect_seeds": list(self.defect_seeds),
+            "boosted_rounds": self.boosted_rounds,
         }
 
 
@@ -263,7 +267,7 @@ def _campaign_cell(task: "_CampaignTask") -> List[CampaignRow]:
     obs_metrics.counter("campaign_cells").inc()
 
     def row(mitigation: str, error: float, spares: int,
-            seeds: List[Optional[int]]) -> CampaignRow:
+            seeds: List[Optional[int]], boosted: Optional[int] = None) -> CampaignRow:
         return CampaignRow(
             benchmark=task.benchmark,
             saf_rate=task.saf_rate,
@@ -275,12 +279,14 @@ def _campaign_cell(task: "_CampaignTask") -> List[CampaignRow]:
             total_cells=injection.total_cells,
             spares_used=spares,
             defect_seeds=seeds,
+            boosted_rounds=boosted,
         )
 
     return [
         row("none", error_none, 0, list(injection.array_seeds)),
         row("remap", error_remap, spares_used, list(injection.array_seeds)),
-        row("retrain", error_retrain, 0, retrain_seeds),
+        row("retrain", error_retrain, 0, retrain_seeds,
+            sum(1 for alpha in saab.alphas if alpha > 0)),
     ]
 
 
@@ -302,6 +308,15 @@ class CampaignResult:
         if not values:
             raise KeyError(f"no rows for ({benchmark}, {rate}, {mitigation})")
         return float(sum(values) / len(values))
+
+    def mean_boosted(self, benchmark: str, rate: float) -> float:
+        """Seed-averaged boosted rounds of the ``retrain`` ensembles."""
+        values = [
+            r.boosted_rounds for r in self.rows
+            if (r.benchmark, r.mitigation) == (benchmark, "retrain")
+            and r.saf_rate == rate and r.boosted_rounds is not None
+        ]
+        return float(sum(values) / len(values)) if values else 0.0
 
     def recovery(self, benchmark: str, rate: float, mitigation: str) -> float:
         """Fraction of the fault-induced error recovered by a mitigation.
@@ -337,16 +352,18 @@ class CampaignResult:
                     entry[f"recovery_{mitigation}"] = self.recovery(
                         benchmark, rate, mitigation
                     )
+                entry["boosted_retrain"] = self.mean_boosted(benchmark, rate)
                 table.append(entry)
         return table
 
     def render(self) -> str:
         headers = ["benchmark", "rate", "err none", "err remap", "err retrain",
-                   "rec remap", "rec retrain"]
+                   "rec remap", "rec retrain", "boosted"]
         rows = [
             [e["benchmark"], f"{e['saf_rate']:.2f}", e["error_none"],
              e["error_remap"], e["error_retrain"],
-             e["recovery_remap"], e["recovery_retrain"]]
+             e["recovery_remap"], e["recovery_retrain"],
+             f"{e['boosted_retrain']:.1f}/{self.config.ensemble_k}"]
             for e in self.mitigation_table()
         ]
         lines = [
@@ -354,7 +371,8 @@ class CampaignResult:
             f"(scale {self.scale.name}: {len(self.rows)} rows, "
             f"{len(self.config.seeds)} defect seeds, "
             f"{self.config.spare_columns} spare cols/array, "
-            f"K={self.config.ensemble_k} retrain ensemble)",
+            f"K={self.config.ensemble_k} retrain ensemble; boosted = mean "
+            f"rounds with alpha > 0, 0 = unweighted bag)",
             format_table(headers, rows),
         ]
         if self.resilience is not None:

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.analog.periphery import SigmoidNeuron
+from repro.analog.periphery import Comparator, SigmoidNeuron
 from repro.config import dtype as cfg_dtype
 from repro.core.deploy import AnalogMLP
 from repro.core.mei import MEI, MEIConfig
@@ -101,10 +101,16 @@ class TestRegeneratedBitStack:
         base = _bases((150, 48), np.random.default_rng(3))[kind]
         noise = NonIdealFactors(sigma_sf=sigma, seed=7)
         fast_rngs, ref_rngs = noise.rngs(4), noise.rngs(4)
-        fast = regenerated_bit_stack(base, sigma, fast_rngs)
+        stack, which = regenerated_bit_stack(base, sigma, fast_rngs)
+        fast = stack[which]
         ref = (base * lognormal_factor_stack(base.shape, sigma, ref_rngs) >= 0.5).astype(float)
         assert fast.dtype == ref.dtype == np.float64
         assert np.array_equal(fast, ref)
+        # Clean trials share one slot; every flipped trial has its own.
+        clean = [np.array_equal(r, base) for r in ref]
+        assert len(stack) == (1 if any(clean) else 0) + clean.count(False)
+        assert len({which[t] for t in range(len(clean)) if clean[t]}) <= 1
+        assert list(which) == sorted(which)
         # The generators were consumed identically.
         for a, b in zip(fast_rngs, ref_rngs):
             assert a.standard_normal() == b.standard_normal()
@@ -112,9 +118,10 @@ class TestRegeneratedBitStack:
     def test_non_binary_inputs_take_the_multiply_path(self):
         base = np.random.default_rng(4).uniform(0.0, 1.5, (20, 6))
         noise = NonIdealFactors(sigma_sf=0.3, seed=2)
-        fast = regenerated_bit_stack(base, 0.3, noise.rngs(3))
+        stack, which = regenerated_bit_stack(base, 0.3, noise.rngs(3))
         ref = base * lognormal_factor_stack(base.shape, 0.3, noise.rngs(3)) >= 0.5
-        assert np.array_equal(fast, ref.astype(float))
+        assert np.array_equal(stack, ref.astype(float))
+        assert which.tolist() == [0, 1, 2]
 
     def test_rejects_non_positive_sigma(self):
         with pytest.raises(ValueError):
@@ -124,9 +131,9 @@ class TestRegeneratedBitStack:
 class TestNoAliasing:
     """Each in-place stage leaves its inputs alone and keeps its dtype."""
 
-    def test_sigmoid_neuron(self, dtype):
+    def test_sigmoid_neuron(self, dtype, offset_sigma=0.1):
         rng = np.random.default_rng(0)
-        neuron = SigmoidNeuron(gain=1.5, bias=rng.normal(size=4), offset_sigma=0.1,
+        neuron = SigmoidNeuron(gain=1.5, bias=rng.normal(size=4), offset_sigma=offset_sigma,
                                rng=np.random.default_rng(1))
         x = cfg_dtype.astype(rng.normal(0, 30, (3, 5, 4)))
         before = x.copy()
@@ -137,6 +144,19 @@ class TestNoAliasing:
         assert out.dtype == ref.dtype
         assert np.array_equal(out, ref)
         assert np.array_equal(neuron.apply(_read_only(x)), ref)
+
+    def test_sigmoid_neuron_without_mismatch(self, dtype):
+        # offset_sigma == 0 skips the zero offsets: same bits as adding them.
+        self.test_sigmoid_neuron(dtype, offset_sigma=0.0)
+
+    def test_sigmoid_neuron_exact_zero_pre_activation(self, dtype):
+        # -(x + bias) is +0 where the textbook negation gives -0: both exp to 1.
+        bias = cfg_dtype.astype(np.random.default_rng(2).normal(size=6))
+        neuron = SigmoidNeuron(gain=1.0, bias=bias)
+        x = np.stack([-bias, bias, -2 * bias])
+        ref = 1.0 / (1.0 + np.exp(-np.clip(neuron.gain * x + neuron.bias, -60.0, 60.0)))
+        assert np.array_equal(neuron.apply(x), ref)
+        assert np.all(neuron.apply(x)[0] == 0.5)
 
     def _pair(self):
         weights = np.random.default_rng(2).normal(size=(6, 3))
@@ -216,3 +236,68 @@ class TestNoAliasing:
         assert np.array_equal(saab.predict_bits_trials(_read_only(probe), NOISE, trials=3), out)
         for t in range(3):
             assert np.array_equal(out[t], oracle.saab_bits(saab, probe, NOISE, t))
+
+
+def _band_probe(dtype):
+    """Pre-activations at and around the comparator's decision point."""
+    band = 2**10 * np.finfo(dtype).eps
+    z = [0.0, -0.0, -1e-7, 1e-7, -1e-9, np.inf, -np.inf, np.nan]
+    for start in (0.0, band, -band):
+        for direction in (-np.inf, np.inf):
+            value = dtype.type(start)
+            for _ in range(4):
+                value = np.nextafter(value, dtype.type(direction))
+                z.append(value)
+    z.extend(np.linspace(-2 * band, 2 * band, 2001))
+    z.extend(np.random.default_rng(0).normal(0.0, band, 500))
+    return np.array(z, dtype=dtype)
+
+
+def _textbook_decision(z):
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0))) >= 0.5
+
+
+class TestComparatorDecision:
+    """MEI's ideal comparator decides on the last stage's pre-activation;
+    pinned to thresholding the textbook sigmoid at the float sign's
+    blind spots: exact zeros, the first ulps around it, both band edges,
+    -1e-7 (inside the float32 band) and the non-finite values."""
+
+    def test_sign_alone_would_disagree(self, dtype):
+        z = _band_probe(dtype)
+        assert np.any((z >= 0) != _textbook_decision(z))
+
+    def test_neuron_then_comparator_is_the_textbook(self, dtype):
+        z = _band_probe(dtype)
+        neuron = SigmoidNeuron(gain=1.0, bias=np.zeros(1))
+        decided = Comparator().apply(neuron.apply(z[:, None]))[:, 0]
+        assert decided.tolist() == _textbook_decision(z).astype(float).tolist()
+
+    def test_decision_on_the_neuron_input(self, dtype):
+        z = _band_probe(dtype)
+        neuron = SigmoidNeuron(gain=1.0, bias=np.zeros(1))
+        expected = Comparator().apply(neuron.apply(z[:, None]))
+        decided = Comparator().apply(z[:, None].copy(), neuron=neuron)
+        assert decided.dtype == expected.dtype
+        assert decided.tolist() == expected.tolist()
+        with pytest.raises(ValueError):
+            Comparator(offset_sigma=0.1).apply(z[:, None], neuron=neuron)
+        with pytest.raises(ValueError):
+            Comparator(threshold=0.6).apply(z[:, None], neuron=neuron)
+
+    def test_mei_chain_decides_like_the_textbook(self, dtype):
+        # Zero last-layer weights on an exact mapping: the comparator's
+        # pre-activation is the last layer's bias, i.e. exactly ``z``.
+        z = _band_probe(dtype)
+        bits = 8
+        groups = -(-len(z) // bits)
+        mei = MEI(MEIConfig(1, groups, 2, bits=bits), seed=0)
+        last = mei.network.layers[-1]
+        last.weights[...] = 0.0
+        last.bias[...] = 0.0
+        last.bias[: len(z)] = z
+        mei = mei.deploy_variant(exact_mapping=True)
+        out = mei.predict_bits_trials(np.array([[0.3], [0.7]]))
+        assert out.shape == (1, 2, groups * bits)
+        for sample in out[0]:
+            assert sample[: len(z)].tolist() == _textbook_decision(z).astype(float).tolist()

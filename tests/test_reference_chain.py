@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from repro.core.deploy import AnalogMLP
+from repro.core.mei import MEI, MEIConfig
 from repro.device.faults import FaultModel, inject_faults_analog_report
-from repro.device.variation import IDEAL, NonIdealFactors
+from repro.device.variation import IDEAL, NonIdealFactors, lognormal_factors
 from repro.nn.network import MLP
 from repro.xbar.mapping import MappingConfig
 from tests import reference_chain as oracle
@@ -81,3 +82,53 @@ def test_matrix_stage_apply_matches_oracle(kind, noise):
     assert np.array_equal(np.stack([xbar.apply(x, noise_arg, noise.rng(t)) for t in TRIALS]), stack)
     if kind != "tiled":  # tiles share the default generator: test_xbar_tiling
         assert np.array_equal(xbar.apply(x, noise_arg), stack[0])  # default rng: trial 0
+
+
+# SF strong enough that some trials' regenerated digital inputs flip
+# and others come back clean; PV on top (same seed, so the same SF
+# draws) makes every trial a pass of its own again.
+MIXED_SF = {
+    "sf-mixed": NonIdealFactors(sigma_sf=0.3, seed=4),
+    "pv+sf-mixed": NonIdealFactors(sigma_pv=0.08, sigma_sf=0.3, seed=4),
+}
+MIXED_TRIALS = [0, 1, 2, 3, 6]
+
+
+def _clean_trials(x, noise, trials):
+    """Per trial: did the receivers regenerate exactly the clean bits?"""
+    return [
+        np.array_equal((x * lognormal_factors(x.shape, noise.sigma_sf, noise.rng(t)) >= 0.5), x)
+        for t in trials
+    ]
+
+
+@pytest.mark.parametrize("noise", MIXED_SF.values(), ids=MIXED_SF.keys())
+@pytest.mark.parametrize("kind", DEPLOYMENTS)
+def test_forward_trials_mixed_clean_and_flipped_inputs(kind, noise):
+    x = _inputs(True)
+    clean = _clean_trials(x, noise, MIXED_TRIALS)
+    assert any(clean) and not all(clean), clean
+    analog = _deploy(kind, (11, 7, 5), digital_input=True)
+    stack = analog.forward_trials(x, noise, MIXED_TRIALS)
+    assert stack.shape[0] == len(MIXED_TRIALS)
+    for slot, trial in enumerate(MIXED_TRIALS):
+        assert np.array_equal(stack[slot], oracle.forward(analog, x, noise, trial)), trial
+    # Clean trials share a pass but not memory: the stack is the caller's.
+    first, second = [slot for slot, c in enumerate(clean) if c][:2]
+    before = stack[second].copy()
+    stack[first] += 1.0
+    assert np.array_equal(stack[second], before)
+
+
+@pytest.mark.parametrize("noise", {**MIXED_SF, **NOISES}.values(),
+                         ids={**MIXED_SF, **NOISES}.keys())
+def test_mei_bits_mixed_clean_and_flipped_inputs(noise):
+    mei = MEI(MEIConfig(3, 2, 9, bits=4), seed=1)
+    mei.deploy()
+    x = np.random.default_rng(8).uniform(size=(40, 3))
+    if noise.sigma_sf == 0.3:
+        clean = _clean_trials(mei.encode_inputs(x), noise, MIXED_TRIALS)
+        assert any(clean) and not all(clean), clean
+    stack = mei.predict_bits_trials(x, noise, MIXED_TRIALS)
+    for slot, trial in enumerate(MIXED_TRIALS):
+        assert np.array_equal(stack[slot], oracle.mei_bits(mei, x, noise, trial)), trial

@@ -90,6 +90,19 @@ class TestCampaignResult:
                 assert f"error_{mitigation}" in entry
             assert "recovery_remap" in entry
             assert "recovery_retrain" in entry
+            assert 0.0 <= entry["boosted_retrain"] <= MICRO_CONFIG.ensemble_k
+
+    def test_retrain_rows_count_boosted_rounds(self, micro_result):
+        for row in micro_result.rows:
+            if row.mitigation == "retrain":
+                assert isinstance(row.boosted_rounds, int)
+                assert 0 <= row.boosted_rounds <= MICRO_CONFIG.ensemble_k
+            else:
+                assert row.boosted_rounds is None
+        for entry in micro_result.mitigation_table():
+            boosted = [r.boosted_rounds for r in micro_result.rows
+                       if r.mitigation == "retrain" and r.saf_rate == entry["saf_rate"]]
+            assert entry["boosted_retrain"] == sum(boosted) / len(boosted)
 
     def test_metrics_keys(self, micro_result):
         metrics = micro_result.metrics()
@@ -101,6 +114,9 @@ class TestCampaignResult:
         text = micro_result.render()
         assert "err none" in text
         assert "resilience:" in text
+        assert "boosted" in text
+        for entry in micro_result.mitigation_table():
+            assert f"{entry['boosted_retrain']:.1f}/{MICRO_CONFIG.ensemble_k}" in text
 
     def test_to_dict_is_json_safe_manifest_payload(self, micro_result):
         payload = json.loads(json.dumps(micro_result.to_dict()))
@@ -109,6 +125,9 @@ class TestCampaignResult:
         assert len(payload["rows"]) == len(micro_result.rows)
         row = next(r for r in payload["rows"] if r["saf_rate"] > 0)
         assert row["defect_seeds"]
+        retrain = [r for r in payload["rows"] if r["mitigation"] == "retrain"]
+        assert all(isinstance(r["boosted_rounds"], int) for r in retrain)
+        assert all("boosted_retrain" in e for e in payload["mitigation_table"])
 
     def test_mean_error_unknown_cell_raises(self, micro_result):
         with pytest.raises(KeyError):
