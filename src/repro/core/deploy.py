@@ -6,10 +6,10 @@
 pair (matrix) plus a bank of sigmoid neurons (activation + bias), which
 is exactly the paper's RCS structure (Fig. 1(b), Sec. 2.1).
 
-The forward pass accepts :class:`NonIdealFactors`; process variation
-perturbs every crossbar's conductances and signal fluctuation perturbs
-every analog signal entering a crossbar, each re-drawn per Monte-Carlo
-trial.
+The forward pass accepts :class:`NonIdealFactors` and is the chain's
+one draw site: per Monte-Carlo trial it draws signal fluctuation on the
+input ports and process variation on every crossbar's conductances,
+and hands each crossbar its factors (the crossbars only compute).
 """
 
 from __future__ import annotations
@@ -312,7 +312,6 @@ class AnalogMLP:
         elif rngs is not None and noise.sigma_sf > 0:
             out = base * lognormal_factor_stack(base.shape, noise.sigma_sf, rngs)
             which = np.arange(len(indices))
-        pv_only = None
         pv_factor_args: "List" = [None] * len(self.crossbars)
         if rngs is not None and noise.sigma_pv > 0:
             # Every trial draws its own conductances: one pass each.
@@ -321,7 +320,6 @@ class AnalogMLP:
             elif len(out) < len(indices):
                 out = out[which]
             which = np.arange(len(indices))
-            pv_only = NonIdealFactors(sigma_pv=noise.sigma_pv, sigma_sf=0.0, seed=noise.seed)
             pv_factor_args = pv_factor_stacks(self.crossbars, noise.sigma_pv, rngs)
         passes = len(out)
         # One analog MAC per RRAM cell per sample (Eq. 2's column sums).
@@ -334,7 +332,7 @@ class AnalogMLP:
         for index, (xbar, neuron, pv_factors) in enumerate(
             zip(self.crossbars, self.neurons, pv_factor_args)
         ):
-            analog = xbar.apply_trials(out, pv_only, rngs, pv_factors=pv_factors)
+            analog = xbar.apply_trials(out, pv_factors)
             if decide and index == last:
                 out = comparator.apply(analog, neuron=neuron)
             else:

@@ -8,7 +8,7 @@ server: it parses one HTTP/1.1 request per connection and answers
   :class:`repro.serve.batcher.MicroBatcher` and decoded back to
   ``{"outputs": [...], "samples": n}``.  Overload returns 503,
   a missed deadline 504, a malformed payload 400, a slow request 408,
-  an over-long header line 431, and any other failure a JSON 500 —
+  an over-long header line or header block 431, and any other failure a JSON 500 —
   no request ends in a dropped connection;
 * ``GET /healthz`` — liveness;
 * ``GET /model`` — the loaded artifact's summary (system kind,
@@ -50,6 +50,7 @@ __all__ = ["BackgroundServer", "InferenceService", "run_service"]
 _log = get_logger("serve.service")
 
 _MAX_BODY_BYTES = 8 * 1024 * 1024
+_MAX_HEADER_LINES = 100  # the reader's limit bounds one line, this the count; then 431
 _READ_TIMEOUT_S = 10.0  # to send request line, headers and body; then 408
 
 
@@ -197,12 +198,15 @@ async def _read_request(reader: asyncio.StreamReader) -> Tuple[str, str, bytes]:
     if len(parts) < 2:
         raise _BadRequest(_json_error(400, "Bad Request", "malformed request line"))
     headers: Dict[str, str] = {}
-    while True:
+    for _ in range(_MAX_HEADER_LINES + 1):
         line = await reader.readline()
         if line in (b"\r\n", b"\n", b""):
             break
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
+    else:
+        raise _BadRequest(_json_error(431, "Request Header Fields Too Large",
+                                      f"over {_MAX_HEADER_LINES} header lines"))
     raw_length = headers.get("content-length", "0") or "0"
     try:
         length = int(raw_length)

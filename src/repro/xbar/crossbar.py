@@ -29,7 +29,8 @@ import numpy as np
 
 from repro.config.dtype import astype as _astype, fits_in_place
 from repro.device.rram import HFOX_DEVICE, RRAMDevice
-from repro.device.variation import NonIdealFactors, lognormal_factor_stack
+# Unused here; perfbench's device.sf_draw probe wraps this name in this module.
+from repro.device.variation import lognormal_factor_stack  # noqa: F401
 from repro.sanitize import enabled as sanitize_enabled, guards as sanitize_guards
 
 __all__ = [
@@ -88,19 +89,12 @@ def sinh_nonlinearity(v: np.ndarray, alpha: float) -> np.ndarray:
     return np.sinh(alpha * v) / np.sinh(alpha)
 
 
-def one_trial_apply(
-    self: Any,
-    x: np.ndarray,
-    noise: Optional[NonIdealFactors] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """Every crossbar stage's ``apply``: slice ``[0]`` of a 1-trial ``apply_trials``.
+def one_trial_apply(self: Any, x: np.ndarray) -> np.ndarray:
+    """Every crossbar stage's ``apply``: slice ``[0]`` of a noise-free 1-trial ``apply_trials``.
 
-    ``x`` is ``(batch, ports)`` or ``(ports,)``; ``rng`` (default: the
-    noise object's trial-0 generator) draws the trial's SF and PV.
+    ``x`` is ``(batch, ports)`` or ``(ports,)``.
     """
-    rngs = None if noise is None else [rng if rng is not None else noise.rng()]
-    return self.apply_trials(np.atleast_2d(x)[None], noise, rngs)[0]
+    return self.apply_trials(np.atleast_2d(x)[None])[0]
 
 
 def coefficients_from_conductance(g: np.ndarray, g_s: float) -> np.ndarray:
@@ -165,25 +159,18 @@ class Crossbar:
     def cols(self) -> int:
         return self.conductances.shape[1]
 
-    def coefficients(self, noise: Optional[NonIdealFactors] = None,
-                     rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        """Effective coefficient matrix, optionally under process variation.
-
-        Process variation perturbs the *conductances*; the coupled
-        denominators of Eq. 2 are recomputed from the perturbed states,
-        so PV on one cell shifts every coefficient in its row — a
-        second-order effect SPICE would capture and we preserve.
-        """
-        if noise is not None and noise.sigma_pv > 0:
-            rngs = [rng if rng is not None else noise.rng()]
-            factors = lognormal_factor_stack(self.conductances.shape, noise.sigma_pv, rngs)
-            return self._perturbed_coefficients(factors)[0]
+    def coefficients(self) -> np.ndarray:
+        """Effective (noise-free) coefficient matrix of Eq. 2."""
         g = effective_conductances(self.conductances, self.wire_resistance)
         return coefficients_from_conductance(g, self.g_s)
 
     def _perturbed_coefficients(self, factors: np.ndarray) -> np.ndarray:
         """Eq. 2 coefficients of a ``(trials, rows, cols)`` PV factor stack.
 
+        Process variation perturbs the *conductances*; the coupled
+        denominators of Eq. 2 are recomputed from the perturbed states,
+        so PV on one cell shifts every coefficient in its column — a
+        second-order effect SPICE would capture and we preserve.
         Multiply, clip to the device window, optional wire attenuation,
         then the column-sum normalization — all in the factor stack
         itself when it is writable scratch of the right dtype.
@@ -220,8 +207,6 @@ class Crossbar:
     def apply_trials(
         self,
         v_in: np.ndarray,
-        noise: Optional[NonIdealFactors] = None,
-        rngs: "Optional[list]" = None,
         pv_factors: "Optional[np.ndarray]" = None,
     ) -> np.ndarray:
         """Analog matrix-vector product over a stack of Monte-Carlo trials.
@@ -231,20 +216,12 @@ class Crossbar:
         v_in:
             Input voltage stack of shape ``(trials, batch, rows)``;
             broadcasting views (e.g. ``np.broadcast_to``) are accepted.
-        noise:
-            Optional non-ideal factors shared by all trials; SF perturbs
-            the input voltages, PV the conductances.
-        rngs:
-            One generator per trial (see
-            :meth:`repro.device.variation.NonIdealFactors.rngs`);
-            required whenever ``noise`` is given.  Each trial's
-            generator draws its SF factors, then its PV factors.
         pv_factors:
-            Optional precomputed process-variation factor stack of
-            shape ``(trials, rows, cols)``; when given, the per-trial
-            PV draws are skipped (the caller already consumed the
-            generators — see :meth:`consume_pv_factors`).  The stack
-            is *consumed*: a writable one is overwritten with the
+            Optional process-variation factor stack of shape
+            ``(trials, rows, cols)``, drawn by the caller
+            (:func:`repro.device.variation.pv_factor_stacks`); ``None``
+            computes with the programmed conductances.  The stack is
+            *consumed*: a writable one is overwritten with the
             perturbed conductances and coefficients, so pass a copy to
             keep it.
 
@@ -267,25 +244,10 @@ class Crossbar:
                 self.device.g_min, self.device.g_max,
             )
             sanitize_guards.check_finite("crossbar", "v_in", v_in)
-        if noise is not None:
-            if rngs is None:
-                raise ValueError("rngs (one per trial) are required when noise is given")
-            if len(rngs) != v_in.shape[0]:
-                raise ValueError(
-                    f"got {len(rngs)} generators for {v_in.shape[0]} trials"
-                )
-            if noise.sigma_sf > 0:
-                v_in = v_in * lognormal_factor_stack(
-                    v_in.shape[1:], noise.sigma_sf, rngs
-                )
         if self.nonlinearity > 0:
             v_in = sinh_nonlinearity(v_in, self.nonlinearity)
-        if noise is not None and noise.sigma_pv > 0:
-            if pv_factors is None:
-                pv_factors = lognormal_factor_stack(
-                    self.conductances.shape, noise.sigma_pv, rngs
-                )
-            c = self._perturbed_coefficients(pv_factors)
-        else:
+        if pv_factors is None:
             c = self.coefficients()
+        else:
+            c = self._perturbed_coefficients(pv_factors)
         return v_in @ c

@@ -35,11 +35,8 @@ import numpy as np
 
 from repro.config.dtype import astype as _astype, fits_in_place
 from repro.device.rram import HFOX_DEVICE, RRAMDevice
-from repro.device.variation import (
-    NonIdealFactors,
-    lognormal_factor_stack,
-    pv_factor_stacks,
-)
+# Unused here; perfbench's device.sf_draw probe wraps this name in this module.
+from repro.device.variation import lognormal_factor_stack  # noqa: F401
 from repro.obs import metrics as obs_metrics
 from repro.sanitize import guards as sanitize_guards
 from repro.xbar.crossbar import Crossbar, one_trial_apply
@@ -324,36 +321,20 @@ class DifferentialCrossbar:
     def apply_trials(
         self,
         x: np.ndarray,
-        noise: Optional[NonIdealFactors] = None,
-        rngs: "Optional[list]" = None,
         pv_factors: "Optional[tuple]" = None,
     ) -> np.ndarray:
         """Monte-Carlo ``x @ W`` (gain restored) over a ``(trials, batch, in)`` stack.
 
-        Signal fluctuation is applied once to the shared input voltages
-        (both arrays see the same fluctuated signal, as in hardware);
-        process variation is drawn independently per array.  Each
-        trial's generator draws the SF factors, then the positive-array
-        PV, then the negative-array PV.  ``pv_factors`` is the optional
-        precomputed ``(positive, negative)`` factor pair from
-        :meth:`consume_pv_factors`.
+        Both arrays see the same input voltages, as in hardware.
+        ``pv_factors`` is the optional ``(positive, negative)`` process
+        variation factor pair from :meth:`consume_pv_factors`.
         """
         x = _astype(x)
         if x.ndim != 3:
             raise ValueError(f"trial stack must be 3-D, got shape {x.shape}")
-        if noise is not None:
-            if rngs is None:
-                raise ValueError("rngs (one per trial) are required when noise is given")
-            if noise.sigma_sf > 0:
-                x = x * lognormal_factor_stack(x.shape[1:], noise.sigma_sf, rngs)
-            if noise.sigma_pv > 0 and pv_factors is None:
-                (pv_factors,) = pv_factor_stacks([self], noise.sigma_pv, rngs)
-            pv_pos, pv_neg = pv_factors if pv_factors is not None else (None, None)
-            pv_only = NonIdealFactors(sigma_pv=noise.sigma_pv, sigma_sf=0.0, seed=noise.seed)
-            pos = self.positive.apply_trials(x, pv_only, rngs, pv_factors=pv_pos)
-            neg = self.negative.apply_trials(x, pv_only, rngs, pv_factors=pv_neg)
-        else:
-            pos, neg = self.positive.apply_trials(x), self.negative.apply_trials(x)
+        pv_pos, pv_neg = pv_factors if pv_factors is not None else (None, None)
+        pos = self.positive.apply_trials(x, pv_pos)
+        neg = self.negative.apply_trials(x, pv_neg)
         # (pos - neg) * gain, built in pos (a fresh apply_trials output).
         if not fits_in_place(pos, neg, self.gain):
             return (pos - neg) * self.gain
@@ -373,10 +354,9 @@ class ExactDifferentialCrossbar:
     process variation still acts on a positive and a negative array.
 
     Paired-seed counterfactuals require bit-identical random streams,
-    so this class mirrors the pair's noise interface exactly: the same
-    ``pv_shapes`` (positive then negative, each ``weights.shape``) and
-    the same per-trial draw order (shared signal fluctuation first,
-    then positive-array PV, then negative-array PV).  PV factors
+    so this class has the pair's ``pv_shapes`` (positive then negative,
+    each ``weights.shape``): :func:`repro.device.variation.pv_factor_stacks`
+    draws the same factors for it as for the pair.  PV factors
     multiply the split weights directly — the relative-lognormal
     perturbation of :class:`repro.device.variation.NonIdealFactors`
     applied to an ideal realization.
@@ -429,14 +409,12 @@ class ExactDifferentialCrossbar:
     def apply_trials(
         self,
         x: np.ndarray,
-        noise: Optional[NonIdealFactors] = None,
-        rngs: "Optional[list]" = None,
         pv_factors: "Optional[tuple]" = None,
     ) -> np.ndarray:
         """``x @ W`` over a ``(trials, batch, in)`` stack, PV on each half.
 
-        Same draw order as :meth:`DifferentialCrossbar.apply_trials`:
-        shared SF, then positive-array PV, then negative-array PV.
+        ``pv_factors`` is the optional ``(positive, negative)`` factor
+        pair from :meth:`consume_pv_factors`.
         """
         x = _astype(x)
         if x.ndim != 3:
@@ -445,17 +423,10 @@ class ExactDifferentialCrossbar:
             raise ValueError(
                 f"input has {x.shape[2]} ports, matrix has {self.in_dim} rows"
             )
-        if noise is not None:
-            if rngs is None:
-                raise ValueError("rngs (one per trial) are required when noise is given")
-            if noise.sigma_sf > 0:
-                x = x * lognormal_factor_stack(x.shape[1:], noise.sigma_sf, rngs)
-            if noise.sigma_pv > 0:
-                if pv_factors is None:
-                    (pv_factors,) = pv_factor_stacks([self], noise.sigma_pv, rngs)
-                f_pos, f_neg = pv_factors
-                return x @ (self.w_pos[None] * f_pos - self.w_neg[None] * f_neg)
-        return x @ self.weights
+        if pv_factors is None:
+            return x @ self.weights
+        f_pos, f_neg = pv_factors
+        return x @ (self.w_pos[None] * f_pos - self.w_neg[None] * f_neg)
 
 
 def map_matrix(

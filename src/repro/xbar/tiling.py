@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.config.dtype import astype as _astype
 from repro.device.rram import HFOX_DEVICE, RRAMDevice
-from repro.device.variation import NonIdealFactors
 from repro.xbar.crossbar import one_trial_apply
 from repro.xbar.mapping import DifferentialCrossbar, MappingConfig
 
@@ -94,14 +93,10 @@ class TiledDifferentialCrossbar:
     def apply_trials(
         self,
         x: np.ndarray,
-        noise: Optional[NonIdealFactors] = None,
-        rngs: "Optional[list]" = None,
         pv_factors: "Optional[list]" = None,
     ) -> np.ndarray:
         """``x @ W`` over a ``(trials, batch, in)`` stack, summing the tiles' currents.
 
-        Tiles are visited in row order, so each trial's generator draws,
-        per tile: signal fluctuation, positive PV, negative PV.
         ``pv_factors`` is the optional per-tile list from
         :meth:`consume_pv_factors`.
         """
@@ -114,6 +109,6 @@ class TiledDifferentialCrossbar:
             pv_factors = [None] * len(self.tiles)
         total = None
         for rows, tile, factors in zip(self._row_slices, self.tiles, pv_factors):
-            partial = tile.apply_trials(x[:, :, rows], noise, rngs, pv_factors=factors)
+            partial = tile.apply_trials(x[:, :, rows], factors)
             total = partial if total is None else total + partial
         return total

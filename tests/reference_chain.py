@@ -4,9 +4,11 @@ A plain loop, one Monte-Carlo trial at a time, over the module-level
 primitives; it reads deployed objects' attributes only.  Trial ``t``
 draws from ``noise.rng(t)``: signal fluctuation (SF) on the network's
 input ports (digital inputs then regenerated at 0.5), then per layer
-and tile, positive-array PV and negative-array PV.  A matrix stage
-applied on its own (:func:`layer_apply`) draws SF on its own inputs,
-per tile, before that tile's PV.
+and tile, positive-array PV and negative-array PV.  Those are the
+chain's only draws: a matrix stage (:func:`layer_output`) draws
+nothing of its own, it computes under the PV factors its caller drew
+(``repro.device.variation.pv_factor_stacks``), with the same
+generator draw order as here.
 """
 
 import numpy as np
@@ -32,15 +34,13 @@ def array_output(array, v, sigma_pv, rng):
     return v @ coefficients_from_conductance(g, array.g_s)
 
 
-def layer_output(xbar, x, sigma_pv, rng, sigma_sf=0.0):
-    """One matrix stage (single array, plain, tiled or exact pair); SF only if ``sigma_sf``."""
+def layer_output(xbar, x, sigma_pv, rng):
+    """One matrix stage (single array, plain, tiled or exact pair); PV drawn from ``rng``."""
     tiles = getattr(xbar, "tiles", None)
     if tiles is not None:
-        parts = [layer_output(tile, x[:, rows], sigma_pv, rng, sigma_sf)
+        parts = [layer_output(tile, x[:, rows], sigma_pv, rng)
                  for rows, tile in zip(xbar._row_slices, tiles)]
         return sum(parts[1:], parts[0])
-    if sigma_sf > 0:
-        x = x * lognormal_factors(x.shape, sigma_sf, rng)
     if hasattr(xbar, "conductances"):
         return array_output(xbar, x, sigma_pv, rng)
     if isinstance(xbar, ExactDifferentialCrossbar):
@@ -52,11 +52,6 @@ def layer_output(xbar, x, sigma_pv, rng, sigma_sf=0.0):
     pos = array_output(xbar.positive, x, sigma_pv, rng)
     neg = array_output(xbar.negative, x, sigma_pv, rng)
     return (pos - neg) * xbar.gain
-
-
-def layer_apply(xbar, x, noise, rng):
-    """A matrix stage called on its own, under ``noise`` drawn from ``rng``."""
-    return layer_output(xbar, x, noise.sigma_pv, rng, noise.sigma_sf)
 
 
 def forward(analog, x, noise, trial):

@@ -25,7 +25,7 @@ from repro.analysis.errorbudget import (
 )
 from repro.core.mei import MEI, MEIConfig
 from repro.core.saab import SAAB, SAABConfig
-from repro.device.variation import NonIdealFactors
+from repro.device.variation import NonIdealFactors, pv_factor_stacks
 from repro.nn.trainer import TrainConfig
 from repro.obs import metrics as obs_metrics
 from repro.obs import openmetrics
@@ -133,11 +133,13 @@ class TestExactDifferentialCrossbar:
     def test_trials_match_serial_apply_under_noise(self):
         w = np.random.default_rng(8).uniform(-1.0, 1.0, size=(3, 2))
         x = np.random.default_rng(9).uniform(0.0, 1.0, size=(5, 3))
-        noise = NonIdealFactors(sigma_pv=0.2, sigma_sf=0.1, seed=11)
+        noise = NonIdealFactors(sigma_pv=0.2, seed=11)
         xbar = ExactDifferentialCrossbar(w)
         x3 = np.broadcast_to(x, (3,) + x.shape).copy()
-        stacked = xbar.apply_trials(x3, noise, [noise.rng(t) for t in range(3)])
-        serial = np.stack([oracle.layer_apply(xbar, x, noise, noise.rng(t)) for t in range(3)])
+        (factors,) = pv_factor_stacks([xbar], noise.sigma_pv, noise.rngs(3))
+        stacked = xbar.apply_trials(x3, factors)
+        serial = np.stack([oracle.layer_output(xbar, x, noise.sigma_pv, noise.rng(t))
+                           for t in range(3)])
         np.testing.assert_array_equal(stacked, serial)
 
     def test_pv_shapes_match_differential_pair(self):

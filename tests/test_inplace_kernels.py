@@ -22,6 +22,7 @@ from repro.device.variation import (
     NonIdealFactors,
     exp_at_least_half,
     lognormal_factor_stack,
+    pv_factor_stacks,
     regenerated_bit_stack,
 )
 from repro.nn.network import MLP
@@ -170,13 +171,12 @@ class TestNoAliasing:
         before = v.copy()
         g = array.device.clip_conductance(array.conductances * factors)
         ref = v @ (g / (array.g_s + g.sum(axis=1, keepdims=True)))
-        out = array.apply_trials(v, PV_ONLY, PV_ONLY.rngs(2), pv_factors=factors.copy())
+        out = array.apply_trials(v, factors.copy())
         assert np.array_equal(v, before)
         assert out.dtype == ref.dtype
         assert np.array_equal(out, ref)
         # Read-only inputs, including a read-only factor stack, work.
-        again = array.apply_trials(_read_only(v), PV_ONLY, PV_ONLY.rngs(2),
-                                   pv_factors=_read_only(factors))
+        again = array.apply_trials(_read_only(v), _read_only(factors))
         assert np.array_equal(again, ref)
 
     def test_differential_apply(self, dtype):
@@ -199,11 +199,12 @@ class TestNoAliasing:
         assert np.array_equal(x, before)
         assert out.dtype == ref.dtype
         assert np.array_equal(out, ref)
-        noisy = pair.apply_trials(x, NOISE, NOISE.rngs(3))
+        noisy = pair.apply_trials(x, pv_factor_stacks([pair], NOISE.sigma_pv, NOISE.rngs(3))[0])
         assert np.array_equal(x, before)
-        assert np.array_equal(pair.apply_trials(_read_only(x), NOISE, NOISE.rngs(3)), noisy)
+        again = pv_factor_stacks([pair], NOISE.sigma_pv, NOISE.rngs(3))[0]
+        assert np.array_equal(pair.apply_trials(_read_only(x), again), noisy)
         for t in range(3):
-            serial = oracle.layer_apply(pair, x[t], NOISE, NOISE.rng(t))
+            serial = oracle.layer_output(pair, x[t], NOISE.sigma_pv, NOISE.rng(t))
             _assert_matches_serial(noisy[t], serial, dtype)
 
     def test_forward_trials(self, dtype):

@@ -2,7 +2,8 @@
 
 Bit for bit (float64) over plain, tiled, exact, wired (IR drop + input
 nonlinearity) and faulted deployments, analog and digital inputs, under
-PV, SF, both and neither.  MEI, RCS and SAAB systems are pinned to the
+PV, SF, both and neither; each matrix stage under the factors its
+caller draws.  MEI, RCS and SAAB systems are pinned to the
 same oracle in ``test_metrics_robustness`` and ``test_parallel``.
 """
 
@@ -12,7 +13,13 @@ import pytest
 from repro.core.deploy import AnalogMLP
 from repro.core.mei import MEI, MEIConfig
 from repro.device.faults import FaultModel, inject_faults_analog_report
-from repro.device.variation import IDEAL, NonIdealFactors, lognormal_factors
+from repro.device.variation import (
+    IDEAL,
+    NonIdealFactors,
+    lognormal_factor_stack,
+    lognormal_factors,
+    pv_factor_stacks,
+)
 from repro.nn.network import MLP
 from repro.xbar.mapping import MappingConfig
 from tests import reference_chain as oracle
@@ -72,16 +79,27 @@ def test_forward_trials_matches_oracle(kind, noise, digital):
 @pytest.mark.parametrize("noise", NOISES.values(), ids=NOISES.keys())
 @pytest.mark.parametrize("kind", ["single", "plain", "tiled", "wired", "exact"])
 def test_matrix_stage_apply_matches_oracle(kind, noise):
+    """A stage draws nothing: it computes under its caller's draws, made
+    in the chain's order (SF on the inputs, then the stage's PV)."""
     xbar = _deploy("wired" if kind == "single" else kind, (11, 5)).crossbars[0]
     xbar = xbar.positive if kind == "single" else xbar
     x = _inputs(False)
-    noise_arg = None if noise.is_ideal else noise
-    rngs = None if noise.is_ideal else noise.rngs(TRIALS)
-    stack = xbar.apply_trials(np.broadcast_to(x, (3,) + x.shape), noise_arg, rngs)
-    _assert_matches(stack, lambda t: oracle.layer_apply(xbar, x, noise, noise.rng(t)))
-    assert np.array_equal(np.stack([xbar.apply(x, noise_arg, noise.rng(t)) for t in TRIALS]), stack)
-    if kind != "tiled":  # tiles share the default generator: test_xbar_tiling
-        assert np.array_equal(xbar.apply(x, noise_arg), stack[0])  # default rng: trial 0
+    v, pv_factors = np.broadcast_to(x, (len(TRIALS),) + x.shape), None
+    if not noise.is_ideal:
+        rngs = noise.rngs(TRIALS)
+        if noise.sigma_sf > 0:
+            v = v * lognormal_factor_stack(x.shape, noise.sigma_sf, rngs)
+        if noise.sigma_pv > 0:
+            (pv_factors,) = pv_factor_stacks([xbar], noise.sigma_pv, rngs)
+    stack = xbar.apply_trials(v, pv_factors)
+
+    def reference(trial):
+        rng = None if noise.is_ideal else noise.rng(trial)
+        v_t = x * lognormal_factors(x.shape, noise.sigma_sf, rng) if noise.sigma_sf > 0 else x
+        return oracle.layer_output(xbar, v_t, noise.sigma_pv, rng)
+
+    _assert_matches(stack, reference)
+    assert np.array_equal(xbar.apply(x), oracle.layer_output(xbar, x, 0.0, None))
 
 
 # SF strong enough that some trials' regenerated digital inputs flip

@@ -16,7 +16,7 @@ import pytest
 
 import repro.sanitize as sanitize
 from repro.core.deploy import AnalogMLP
-from repro.device.variation import NonIdealFactors
+from repro.device.variation import NonIdealFactors, pv_factor_stacks
 from repro.nn.network import MLP
 from repro.nn.trainer import TrainConfig, Trainer
 from repro.obs import metrics as obs_metrics
@@ -158,7 +158,8 @@ class TestInjectedFaults:
         if path == "apply":
             pair.apply(np.ones(3))
         elif path == "apply_trials":
-            pair.apply_trials(np.ones((2, 4, 3)), noise, noise.rngs(2))
+            (factors,) = pv_factor_stacks([pair], noise.sigma_pv, noise.rngs(2))
+            pair.apply_trials(np.ones((2, 4, 3)), factors)
         else:
             analog.forward_trials(np.ones((4, 3)), noise, trials=2)
         assert "crossbar" in stages()

@@ -180,6 +180,20 @@ class TestBoundedRequestRead:
         assert status == 431
         assert "error" in body
 
+    def test_header_block_over_the_line_cap_is_431(self, server):
+        def healthz(n_headers):
+            headers = b"".join(b"X-Header-%d: %d\r\n" % (i, i) for i in range(n_headers))
+            return _raw_request(
+                server.url, b"GET /healthz HTTP/1.1\r\n" + headers + b"\r\n", timeout=5
+            )
+
+        status, body = healthz(200)
+        assert status == 431
+        assert "header lines" in body["error"]
+        assert healthz(0)[0] == 200
+        assert healthz(service_module._MAX_HEADER_LINES)[0] == 200
+        assert healthz(service_module._MAX_HEADER_LINES + 1)[0] == 431
+
     def test_prompt_request_still_served(self, server):
         status, body = _raw_request(server.url, b"GET /healthz HTTP/1.1\r\n\r\n",
                                     timeout=5)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.device.rram import HFOX_DEVICE, RRAMDevice
-from repro.device.variation import NonIdealFactors
+from repro.device.variation import pv_factor_stacks
 from repro.xbar.crossbar import Crossbar, coefficients_from_conductance
 from repro.xbar.ir_drop import IRDropPoint, sweep_ir_drop, wire_resistance_for_node
 from repro.xbar.mapping import DifferentialCrossbar, MappingConfig, solve_conductances
@@ -53,16 +53,10 @@ class TestCrossbar:
     def test_pv_perturbs_coefficients(self, rng):
         g = rng.uniform(HFOX_DEVICE.g_min, HFOX_DEVICE.g_max, (5, 5))
         xbar = Crossbar(g, g_s=1e-3)
-        noise = NonIdealFactors(sigma_pv=0.3, seed=0)
-        c_noisy = xbar.coefficients(noise, noise.rng())
+        (factors,) = pv_factor_stacks([xbar], 0.3, [np.random.default_rng(0)])
+        # Unit input vectors read the coefficient matrix out row by row.
+        c_noisy = xbar.apply_trials(np.eye(5)[None], factors)[0]
         assert not np.allclose(c_noisy, xbar.coefficients())
-
-    def test_sf_perturbs_output(self, rng):
-        g = rng.uniform(HFOX_DEVICE.g_min, HFOX_DEVICE.g_max, (5, 5))
-        xbar = Crossbar(g, g_s=1e-3)
-        v = rng.uniform(0.1, 1, (2, 5))
-        noise = NonIdealFactors(sigma_sf=0.3, seed=0)
-        assert not np.allclose(xbar.apply(v, noise), xbar.apply(v))
 
     def test_conductances_snapped_to_device(self):
         device = RRAMDevice(levels=2)
@@ -113,8 +107,8 @@ class TestMapping:
     def test_pv_noise_changes_output(self, rng):
         pair = DifferentialCrossbar(rng.normal(size=(6, 3)))
         x = rng.uniform(0, 1, (2, 6))
-        noise = NonIdealFactors(sigma_pv=0.2, seed=1)
-        assert not np.allclose(pair.apply(x, noise), pair.apply(x))
+        (factors,) = pv_factor_stacks([pair], 0.2, [np.random.default_rng(1)])
+        assert not np.allclose(pair.apply_trials(x[None], factors)[0], pair.apply(x))
 
     def test_too_many_rows_raises(self):
         # Base coefficient times rows must stay under the headroom.

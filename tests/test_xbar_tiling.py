@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.device.rram import RRAMDevice
-from repro.device.variation import NonIdealFactors
+from repro.device.variation import pv_factor_stacks
 from repro.xbar.mapping import DifferentialCrossbar, MappingConfig
 from repro.xbar.tiling import TiledDifferentialCrossbar
+from tests import reference_chain as oracle
 
 
 class TestTiling:
@@ -18,11 +19,13 @@ class TestTiling:
         scale = max(float(np.max(np.abs(ideal))), 1e-12)
         assert np.max(np.abs(tiled.apply(x) - ideal)) / scale < 1e-9
 
-    def test_default_rng_is_one_trial_zero_stream_across_tiles(self, rng):
+    def test_pv_draw_is_one_stream_across_tiles(self, rng):
+        """One trial's generator draws every tile's PV, tile after tile."""
         tiled = TiledDifferentialCrossbar(rng.normal(size=(40, 3)), max_rows=16)
         x = rng.uniform(0, 1, (5, 40))
-        noise = NonIdealFactors(sigma_pv=0.1, sigma_sf=0.05, seed=4)
-        assert np.array_equal(tiled.apply(x, noise), tiled.apply(x, noise, noise.rng(0)))
+        (factors,) = pv_factor_stacks([tiled], 0.1, [np.random.default_rng(4)])
+        expected = oracle.layer_output(tiled, x, 0.1, np.random.default_rng(4))
+        assert np.array_equal(tiled.apply_trials(x[None], factors)[0], expected)
 
     def test_tile_count(self, rng):
         tiled = TiledDifferentialCrossbar(rng.normal(size=(50, 4)), max_rows=16)
@@ -65,8 +68,8 @@ class TestTiling:
         weights = rng.normal(size=(30, 4))
         tiled = TiledDifferentialCrossbar(weights, max_rows=10)
         x = rng.uniform(0, 1, (3, 30))
-        noise = NonIdealFactors(sigma_pv=0.2, seed=1)
-        assert not np.allclose(tiled.apply(x, noise, noise.rng()), tiled.apply(x))
+        (factors,) = pv_factor_stacks([tiled], 0.2, [np.random.default_rng(1)])
+        assert not np.allclose(tiled.apply_trials(x[None], factors)[0], tiled.apply(x))
 
     def test_validation(self, rng):
         with pytest.raises(ValueError):
