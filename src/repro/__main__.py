@@ -36,11 +36,9 @@ minutes.
 Observability: tables go to **stdout**, diagnostics to **stderr**, so
 ``python -m repro table1 > results.txt`` captures clean tables.  Use
 ``--log-level debug`` (or ``REPRO_LOG=debug``) for per-epoch progress,
-``--trace`` (or ``REPRO_TRACE=1``) to record a span tree, and
-``--run-dir DIR`` (or ``REPRO_RUN_DIR``) to choose where run manifests
-land (default ``runs/``).  A manifest is written per experiment
-whenever tracing is enabled or ``--run-dir`` is given; see
-``docs/observability.md``.
+and ``--run-dir DIR`` to write a run manifest per experiment into
+``DIR``.  ``faults`` always writes one (default directory
+``REPRO_RUN_DIR`` or ``runs/``); see ``docs/observability.md``.
 
 Benchmark trajectory: ``bench`` appends a provenance-stamped metric
 entry to the history store (``runs/history.jsonl`` or ``--history`` /
@@ -78,8 +76,6 @@ from repro.experiments.table1 import run_benchmark_row, run_table1
 from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
 from repro.obs import runinfo
-from repro.obs import trace as obs_trace
-from repro.obs.trace import span
 from repro.workloads.registry import BENCHMARK_NAMES
 
 _log = obs_log.get_logger("cli")
@@ -87,8 +83,7 @@ _log = obs_log.get_logger("cli")
 
 def _table1(args, scale) -> str:
     if args.bench:
-        with span("table1", benchmarks=[args.bench], seed=args.seed):
-            row = run_benchmark_row(args.bench, scale, seed=args.seed)
+        row = run_benchmark_row(args.bench, scale, seed=args.seed)
         return (
             f"Table 1 row — {row.name}\n"
             f"pruned MEI topology: {row.pruned_topology}\n"
@@ -279,15 +274,14 @@ def _run_faults(args) -> int:
     chaos = not args.no_chaos
     workers = args.workers if args.workers is not None else 2
     benchmarks = (args.bench,) if args.bench else None
-    with span("faults", scale=scale.name, seed=args.seed, chaos=chaos):
-        result = run_fig_faults(
-            scale=scale,
-            seed=args.seed,
-            benchmarks=benchmarks,
-            workers=workers,
-            policy=RetryPolicy.from_env(),
-            chaos=chaos,
-        )
+    result = run_fig_faults(
+        scale=scale,
+        seed=args.seed,
+        benchmarks=benchmarks,
+        workers=workers,
+        policy=RetryPolicy.from_env(),
+        chaos=chaos,
+    )
     print(result.render())
     path = runinfo.write_manifest(
         "faults",
@@ -296,8 +290,6 @@ def _run_faults(args) -> int:
         scale=scale,
         argv=sys.argv[1:],
         extra={"campaign": result.to_dict()},
-        spans=obs_trace.get_records(),
-        metrics_snapshot=obs_metrics.snapshot(),
     )
     _log.info(
         "wrote run manifest",
@@ -331,10 +323,9 @@ def _run_serve(args, scale) -> int:
             extra={"fields": {"benchmark": name, "scale": scale.name,
                               "seed": args.seed, "ensemble": ensemble}},
         )
-        with span("serve-train", benchmark=name, seed=args.seed):
-            system, _ = train_serve_system(
-                name, scale=scale, seed=args.seed, ensemble=ensemble
-            )
+        system, _ = train_serve_system(
+            name, scale=scale, seed=args.seed, ensemble=ensemble
+        )
         if artifact is None:
             run_dir = args.run_dir or knobs.get_path("REPRO_RUN_DIR") or "runs"
             pathlib.Path(run_dir).mkdir(parents=True, exist_ok=True)
@@ -483,9 +474,6 @@ def main(argv=None) -> int:
     parser.add_argument("--log-level", default=None,
                         choices=["debug", "info", "warning", "error"],
                         help="diagnostic verbosity on stderr (default: REPRO_LOG or info)")
-    parser.add_argument("--trace", action="store_true",
-                        help="record a span tree and write a run manifest "
-                             "(same as REPRO_TRACE=1)")
     parser.add_argument("--run-dir", default=None, metavar="DIR",
                         help="directory for run manifests (default: REPRO_RUN_DIR or "
                              "'runs/'); implies writing a manifest")
@@ -584,8 +572,6 @@ def main(argv=None) -> int:
         level=args.log_level if args.log_level else obs_log.level_from_env(logging.INFO),
         force=True,
     )
-    if args.trace:
-        obs_trace.enable(True)
 
     if args.experiment == "bench":
         return _run_bench(args, scale)
@@ -605,8 +591,6 @@ def main(argv=None) -> int:
     if args.experiment == "serve":
         return _run_serve(args, scale)
 
-    write_manifests = obs_trace.enabled() or args.run_dir is not None
-
     runners = {
         "fig2": lambda: run_fig2().render(),
         "fig3": lambda: run_fig3(scale=scale, seed=args.seed).render(),
@@ -620,21 +604,18 @@ def main(argv=None) -> int:
         _log.info(
             "running experiment",
             extra={"fields": {"experiment": name, "scale": scale.name,
-                              "seed": args.seed, "trace": obs_trace.enabled()}},
+                              "seed": args.seed}},
         )
-        obs_trace.clear()
         obs_metrics.clear()
         print(runners[name]())
         print()
-        if write_manifests:
+        if args.run_dir is not None:
             path = runinfo.write_manifest(
                 name,
                 run_dir=args.run_dir,
                 seed=args.seed,
                 scale=scale,
                 argv=list(argv) if argv is not None else sys.argv[1:],
-                spans=obs_trace.get_records(),
-                metrics_snapshot=obs_metrics.snapshot(),
             )
             _log.info(
                 "wrote run manifest",

@@ -56,7 +56,6 @@ from repro.core.saab import SAAB
 from repro.device.variation import NonIdealFactors
 from repro.metrics.signal import bit_error_rate, snr_db, weighted_bit_error
 from repro.obs import metrics as obs_metrics
-from repro.obs.trace import span
 from repro.xbar.mapping import MappingConfig
 
 __all__ = [
@@ -326,51 +325,44 @@ def attribute_error(
     y = np.asarray(y, dtype=float)
     seed, trials = config.seed, config.trials
 
-    with span(
-        "errorbudget_attribution",
-        benchmark=benchmark,
-        stages=list(config.stages),
-        trials=trials,
-    ) as sp:
-        err_real, real_bits, real_decoded = _measure(
-            _variant(system, real, seed), x, y, error_fn, real, seed, trials
-        )
-        err_ideal, _, ideal_decoded = _measure(
-            _variant(system, ideal, seed), x, y, error_fn, ideal, seed, trials
-        )
-        total_gap = err_real - err_ideal
+    err_real, real_bits, real_decoded = _measure(
+        _variant(system, real, seed), x, y, error_fn, real, seed, trials
+    )
+    err_ideal, _, ideal_decoded = _measure(
+        _variant(system, ideal, seed), x, y, error_fn, ideal, seed, trials
+    )
+    total_gap = err_real - err_ideal
 
-        rows: List[StageAttribution] = []
-        for stage in config.stages:
-            counterfactual = real.substituting(stage, ideal)
-            err_cf, _, _ = _measure(
-                _variant(system, counterfactual, seed),
-                x, y, error_fn, counterfactual, seed, trials,
+    rows: List[StageAttribution] = []
+    for stage in config.stages:
+        counterfactual = real.substituting(stage, ideal)
+        err_cf, _, _ = _measure(
+            _variant(system, counterfactual, seed),
+            x, y, error_fn, counterfactual, seed, trials,
+        )
+        leave_one_in = ideal.substituting(stage, real)
+        err_loi, _, _ = _measure(
+            _variant(system, leave_one_in, seed),
+            x, y, error_fn, leave_one_in, seed, trials,
+        )
+        rows.append(
+            StageAttribution(
+                stage=stage,
+                delta=err_real - err_cf,
+                counterfactual_error=err_cf,
+                leave_one_in_error=err_loi,
+                leave_one_in_delta=err_loi - err_ideal,
             )
-            leave_one_in = ideal.substituting(stage, real)
-            err_loi, _, _ = _measure(
-                _variant(system, leave_one_in, seed),
-                x, y, error_fn, leave_one_in, seed, trials,
-            )
-            rows.append(
-                StageAttribution(
-                    stage=stage,
-                    delta=err_real - err_cf,
-                    counterfactual_error=err_cf,
-                    leave_one_in_error=err_loi,
-                    leave_one_in_delta=err_loi - err_ideal,
-                )
-            )
-        residual = total_gap - sum(row.delta for row in rows)
+        )
+    residual = total_gap - sum(row.delta for row in rows)
 
-        # Bit-plane view of the real deployment: targets are the
-        # *unmasked* encoded references, so output truncation shows up
-        # as LSB-plane error instead of being defined away.
-        target_bits = first.encode_targets(y)
-        plane_rates = bit_error_rate(real_bits, target_bits, bits=bits)
-        weighted = weighted_bit_error(plane_rates, decay=first.config.weight_decay_ratio)
-        snr = snr_db(ideal_decoded, real_decoded)
-        sp.set(total_gap=total_gap, residual=residual)
+    # Bit-plane view of the real deployment: targets are the
+    # *unmasked* encoded references, so output truncation shows up
+    # as LSB-plane error instead of being defined away.
+    target_bits = first.encode_targets(y)
+    plane_rates = bit_error_rate(real_bits, target_bits, bits=bits)
+    weighted = weighted_bit_error(plane_rates, decay=first.config.weight_decay_ratio)
+    snr = snr_db(ideal_decoded, real_decoded)
 
     return ErrorBudgetResult(
         benchmark=benchmark,

@@ -1,7 +1,7 @@
 """Registry of every ``REPRO_*`` environment knob the pipeline reads.
 
 The reproduction is steered by a small set of environment variables
-(``REPRO_WORKERS``, ``REPRO_TRACE``, ...).  Before this module existed
+(``REPRO_WORKERS``, ``REPRO_LOG``, ...).  Before this module existed
 they were read at nine scattered ``os.environ`` call sites, which made
 the set undiscoverable and let typos fail silently.  Now:
 
@@ -242,12 +242,6 @@ register(
     "path",
     None,
     "File additionally receiving every log record as one JSON object per line.",
-)
-register(
-    "REPRO_TRACE",
-    "bool",
-    "0",
-    "Enable span tracing (`1`/`true`/`yes`/`on`); same effect as the CLI `--trace` flag.",
 )
 register(
     "REPRO_RUN_DIR",

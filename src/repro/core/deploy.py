@@ -35,7 +35,6 @@ from repro.device.variation import (
 )
 from repro.nn.network import MLP
 from repro.obs import metrics as obs_metrics
-from repro.obs.trace import span
 from repro.xbar.mapping import (
     DifferentialCrossbar,
     ExactDifferentialCrossbar,
@@ -102,31 +101,27 @@ class AnalogMLP:
         """Optional per-port affine correction ``(gain, offset)`` set by
         ICE-style inline calibration (:mod:`repro.core.calibration`)."""
         tile_rows = mapping_config.max_rows_per_tile if mapping_config is not None else None
-        with span(
-            "deploy", layers=list(mlp.layer_sizes), digital_input=digital_input
-        ) as sp:
-            for index, layer in enumerate(mlp.layers):
-                if exact_mapping:
-                    xbar = ExactDifferentialCrossbar(
-                        layer.weights, config=mapping_config, device=device
-                    )
-                elif tile_rows is not None and layer.weights.shape[0] > tile_rows:
-                    from repro.xbar.tiling import TiledDifferentialCrossbar
+        for index, layer in enumerate(mlp.layers):
+            if exact_mapping:
+                xbar = ExactDifferentialCrossbar(
+                    layer.weights, config=mapping_config, device=device
+                )
+            elif tile_rows is not None and layer.weights.shape[0] > tile_rows:
+                from repro.xbar.tiling import TiledDifferentialCrossbar
 
-                    xbar = TiledDifferentialCrossbar(
-                        layer.weights, tile_rows, config=mapping_config, device=device
-                    )
-                else:
-                    xbar = DifferentialCrossbar(
-                        layer.weights, config=mapping_config, device=device
-                    )
-                if programming is not None:
-                    self._program(xbar, programming, index)
-                self.crossbars.append(xbar)
-                # The crossbar's apply() restores the mapping gain, so the
-                # neuron only contributes the trained bias and the sigmoid.
-                self.neurons.append(SigmoidNeuron(gain=1.0, bias=layer.bias.copy()))
-            sp.set(devices=self.device_count)
+                xbar = TiledDifferentialCrossbar(
+                    layer.weights, tile_rows, config=mapping_config, device=device
+                )
+            else:
+                xbar = DifferentialCrossbar(
+                    layer.weights, config=mapping_config, device=device
+                )
+            if programming is not None:
+                self._program(xbar, programming, index)
+            self.crossbars.append(xbar)
+            # The crossbar's apply() restores the mapping gain, so the
+            # neuron only contributes the trained bias and the sigmoid.
+            self.neurons.append(SigmoidNeuron(gain=1.0, bias=layer.bias.copy()))
         obs_metrics.counter("deployments").inc()
         obs_metrics.counter("rram_devices_programmed").inc(self.device_count)
 
@@ -196,16 +191,10 @@ class AnalogMLP:
                 f"got {len(defect_maps)} defect maps and {len(pristine)} "
                 f"snapshots for {len(arrays)} arrays"
             )
-        with span("spare_repair", arrays=len(arrays), spares=spares_per_array) as sp:
-            reports = [
-                remap_spare_columns(array, defects, targets, spares_per_array)
-                for array, defects, targets in zip(arrays, defect_maps, pristine)
-            ]
-            sp.set(
-                spares_used=sum(r.spares_used for r in reports),
-                cells_repaired=sum(r.cells_repaired for r in reports),
-            )
-        return reports
+        return [
+            remap_spare_columns(array, defects, targets, spares_per_array)
+            for array, defects, targets in zip(arrays, defect_maps, pristine)
+        ]
 
     @classmethod
     def _program(cls, xbar, config: "ProgrammingConfig", index: int) -> None:

@@ -41,7 +41,6 @@ from repro.metrics.robustness import evaluate_under_noise, robustness_index
 from repro.nn.trainer import TrainConfig
 from repro.obs import metrics as obs_metrics
 from repro.obs.log import get_logger
-from repro.obs.trace import span
 
 __all__ = ["DSEConfig", "DSEResult", "explore", "search_hidden_size"]
 
@@ -156,24 +155,18 @@ def _evaluate(
     ``predict_trials`` path (one stacked crossbar pass for all trials)
     — bit-identical to the serial Monte-Carlo loop under fixed seeds.
     """
-    with span("evaluate", trials=trials) as sp:
-        clean = metric(system.predict(x), y)
-        if noise.is_ideal:
-            sp.set(clean=float(clean), robustness=1.0)
-            return clean, 1.0
-        noisy = evaluate_under_noise(system, x, y, metric, noise, trials).mean
-        robustness = robustness_index(clean, noisy)
-        sp.set(clean=float(clean), noisy=float(noisy), robustness=float(robustness))
-    return clean, robustness
+    clean = metric(system.predict(x), y)
+    if noise.is_ideal:
+        return clean, 1.0
+    noisy = evaluate_under_noise(system, x, y, metric, noise, trials).mean
+    return clean, robustness_index(clean, noisy)
 
 
 def _train_candidate(args) -> Tuple[MEI, float]:
     """Train and score one hidden-size candidate (picklable task)."""
     make_mei, hidden, seed, x_train, y_train, x_test, y_test, metric, train_config = args
-    with span(f"candidate:h{hidden}", hidden=hidden) as sp:
-        mei = make_mei(hidden, seed).train(x_train, y_train, train_config)
-        error = float(metric(mei.predict(x_test), y_test))
-        sp.set(error=error)
+    mei = make_mei(hidden, seed).train(x_train, y_train, train_config)
+    error = float(metric(mei.predict(x_test), y_test))
     obs_metrics.counter("dse_candidates_trained").inc()
     return mei, error
 
@@ -217,42 +210,40 @@ def search_hidden_size(
         hidden *= 2
 
     obs_metrics.gauge("dse_ladder_size").set(len(ladder))
-    with span("hidden_search", ladder=list(ladder)) as sp:
-        if getattr(executor, "workers", 1) > 1 and len(ladder) > 1:
-            tasks = [
-                (make_mei, h, config.seed, x_train, y_train, x_test, y_test, metric,
-                 train_config)
-                for h in ladder
-            ]
-            trained = executor.map(_train_candidate, tasks)
-            candidates = ((h, mei, error) for h, (mei, error) in zip(ladder, trained))
-        else:
+    if getattr(executor, "workers", 1) > 1 and len(ladder) > 1:
+        tasks = [
+            (make_mei, h, config.seed, x_train, y_train, x_test, y_test, metric,
+             train_config)
+            for h in ladder
+        ]
+        trained = executor.map(_train_candidate, tasks)
+        candidates = ((h, mei, error) for h, (mei, error) in zip(ladder, trained))
+    else:
 
-            def _lazy():
-                for h in ladder:
-                    mei, error = _train_candidate(
-                        (make_mei, h, config.seed, x_train, y_train, x_test, y_test,
-                         metric, train_config)
-                    )
-                    yield h, mei, error
+        def _lazy():
+            for h in ladder:
+                mei, error = _train_candidate(
+                    (make_mei, h, config.seed, x_train, y_train, x_test, y_test,
+                     metric, train_config)
+                )
+                yield h, mei, error
 
-            candidates = _lazy()
+        candidates = _lazy()
 
-        history: List[Tuple[int, float]] = []
-        best: Optional[MEI] = None
-        best_error = np.inf
-        previous_error: Optional[float] = None
-        for h, mei, error in candidates:
-            history.append((h, error))
-            if error < best_error:
-                best, best_error = mei, error
-            if previous_error is not None and previous_error > 0:
-                eta = abs(error - previous_error) / previous_error  # Eq. 8
-                if eta < config.change_rate_threshold:
-                    break
-            previous_error = error
-        assert best is not None
-        sp.set(selected_hidden=best.config.hidden, history=[list(p) for p in history])
+    history: List[Tuple[int, float]] = []
+    best: Optional[MEI] = None
+    best_error = np.inf
+    previous_error: Optional[float] = None
+    for h, mei, error in candidates:
+        history.append((h, error))
+        if error < best_error:
+            best, best_error = mei, error
+        if previous_error is not None and previous_error > 0:
+            eta = abs(error - previous_error) / previous_error  # Eq. 8
+            if eta < config.change_rate_threshold:
+                break
+        previous_error = error
+    assert best is not None
     _log.debug(
         "hidden search done",
         extra={"fields": {"hidden": best.config.hidden, "history": history}},

@@ -33,7 +33,6 @@ from repro.nn.datasets import resample
 from repro.nn.trainer import TrainConfig
 from repro.obs import metrics as obs_metrics
 from repro.obs.log import get_logger
-from repro.obs.trace import span
 from repro.quant.binarray import msb_match
 
 __all__ = ["BoostableLearner", "SAABConfig", "SAAB"]
@@ -168,55 +167,53 @@ class SAAB:
 
         for _ in range(n_rounds):  # Line 2
             k = len(self.learners)
-            with span("saab_round", k=k) as sp:
-                probabilities = self._weights / self._weights.sum()  # Line 3
-                learner = self.factory(k)
-                if self.config.sampling == "resample":
-                    # Line 4 literally: bootstrap by the distribution.
-                    xs, ys = resample(x, y, probabilities, self.config.sample_size, self._rng)
-                    learner.train(xs, ys, train_config)  # Line 5
-                else:
-                    # Reweighting form: full set, per-sample loss weights
-                    # normalized to mean 1 so learning rates are unchanged.
-                    learner.train(x, y, train_config, sample_weights=probabilities * n)
+            probabilities = self._weights / self._weights.sum()  # Line 3
+            learner = self.factory(k)
+            if self.config.sampling == "resample":
+                # Line 4 literally: bootstrap by the distribution.
+                xs, ys = resample(x, y, probabilities, self.config.sample_size, self._rng)
+                learner.train(xs, ys, train_config)  # Line 5
+            else:
+                # Reweighting form: full set, per-sample loss weights
+                # normalized to mean 1 so learning rates are unchanged.
+                learner.train(x, y, train_config, sample_weights=probabilities * n)
 
-                # Line 6: relaxed, noise-aware error on the *original* set.
-                predicted = learner.predict_bits_trials(x, self.config.noise, [k])[0]
-                correct = msb_match(
-                    predicted,
-                    learner.target_bits(y),
-                    learner.bits_per_group,
-                    min(self.config.compare_bits, learner.bits_per_group),
+            # Line 6: relaxed, noise-aware error on the *original* set.
+            predicted = learner.predict_bits_trials(x, self.config.noise, [k])[0]
+            correct = msb_match(
+                predicted,
+                learner.target_bits(y),
+                learner.bits_per_group,
+                min(self.config.compare_bits, learner.bits_per_group),
+            )
+            error = float(np.sum(probabilities[~correct]))
+            error = float(np.clip(error, 1e-10, 1.0 - 1e-10))
+            alpha = 0.5 * np.log((1.0 - error) / error)  # Line 7
+
+            if error < 0.5:  # noqa: SIM108 -- branch comments are load-bearing
+                # Line 8: up-weight misclassified samples.
+                self._weights = self._weights * np.where(
+                    correct, np.exp(-alpha), np.exp(alpha)
                 )
-                error = float(np.sum(probabilities[~correct]))
-                error = float(np.clip(error, 1e-10, 1.0 - 1e-10))
-                alpha = 0.5 * np.log((1.0 - error) / error)  # Line 7
+            else:
+                # AdaBoost's assumptions break for a worse-than-chance
+                # learner (the regime the paper's B_C relaxation is
+                # designed to avoid): updating weights with a negative
+                # alpha would *reinforce* the errors.  Standard
+                # AdaBoost.M1 practice: reset the distribution and
+                # keep the learner out of the vote (see predict_bits_trials).
+                self._weights = np.full(n, 1.0 / n)
 
-                if error < 0.5:  # noqa: SIM108 -- branch comments are load-bearing
-                    # Line 8: up-weight misclassified samples.
-                    self._weights = self._weights * np.where(
-                        correct, np.exp(-alpha), np.exp(alpha)
-                    )
-                else:
-                    # AdaBoost's assumptions break for a worse-than-chance
-                    # learner (the regime the paper's B_C relaxation is
-                    # designed to avoid): updating weights with a negative
-                    # alpha would *reinforce* the errors.  Standard
-                    # AdaBoost.M1 practice: reset the distribution and
-                    # keep the learner out of the vote (see predict_bits_trials).
-                    self._weights = np.full(n, 1.0 / n)
-
-                self.learners.append(learner)
-                self.alphas.append(alpha)
-                self.rounds.append(_BoostRound(error=error, alpha=alpha))
-                sp.set(error=error, alpha=float(alpha))
+            self.learners.append(learner)
+            self.alphas.append(alpha)
+            self.rounds.append(_BoostRound(error=error, alpha=alpha))
             obs_metrics.counter("saab_rounds").inc()
             _log.debug(
                 "boost round done",
                 extra={"fields": {"k": k, "error": round(error, 6),
                                   "alpha": round(float(alpha), 6)}},
             )
-        if n_rounds > 0 and all(r.error >= 0.5 for r in self.rounds):
+        if n_rounds > 0 and self.boosted_rounds == 0:
             _log.warning(
                 "no SAAB round boosted: the vote is an unweighted bag",
                 extra={"fields": {"K": len(self.rounds),
@@ -227,6 +224,12 @@ class SAAB:
     @property
     def is_trained(self) -> bool:
         return bool(self.learners)
+
+    @property
+    def boosted_rounds(self) -> int:
+        """Rounds with ``alpha > 0``; 0 means no learner beat chance and
+        the vote is an unweighted bag."""
+        return sum(1 for alpha in self.alphas if alpha > 0)
 
     def remapped(self, transform: "Callable[[BoostableLearner], BoostableLearner]") -> "SAAB":
         """Clone with every learner passed through ``transform``.

@@ -25,7 +25,6 @@ from repro.experiments.table1 import Table1Result, calibrated_params, run_benchm
 from repro.obs import history as obs_history
 from repro.obs import runinfo
 from repro.obs.log import get_logger
-from repro.obs.trace import span
 from repro.workloads.registry import BENCHMARK_NAMES
 
 __all__ = ["run_bench", "write_baseline", "render_bench_entry"]
@@ -51,8 +50,7 @@ def run_bench(
     scale = scale if scale is not None else default_scale()
     names = list(names)
     params = calibrated_params()
-    with span("bench", benchmarks=names, seed=seed, scale=scale.name):
-        rows = [run_benchmark_row(name, scale, seed, params) for name in names]
+    rows = [run_benchmark_row(name, scale, seed, params) for name in names]
     metrics = Table1Result(rows=rows).metrics()
     if include_archive:
         archived = obs_history.ingest_out_dir(out_dir)

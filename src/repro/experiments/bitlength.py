@@ -21,7 +21,6 @@ from repro.core.mei import MEI, MEIConfig
 from repro.core.runner import ExperimentScale, default_scale, format_table, train_config
 from repro.cost.power import savings
 from repro.obs.log import get_logger
-from repro.obs.trace import span
 from repro.workloads.registry import PAPER_TABLE1, make_benchmark
 
 __all__ = ["BitLengthPoint", "BitLengthResult", "run_bitlength"]
@@ -77,28 +76,26 @@ def run_bitlength(
     topology = bench.spec.topology
     hidden = PAPER_TABLE1[name].pruned_mei.hidden
     result = BitLengthResult(benchmark=name)
-    with span("bitlength", benchmark=name, bit_lengths=list(bit_lengths), seed=seed):
-        for bits in bit_lengths:
-            with span(f"bits:{bits}", bits=bits):
-                mei = MEI(
-                    MEIConfig(topology.inputs, topology.outputs, hidden, bits=bits),
-                    seed=seed,
-                ).train(data.x_train, data.y_train, cfg)
-                mei_topology = mei.topology()
-                point = BitLengthPoint(
-                    bits=bits,
-                    error=bench.error_normalized(mei.predict(data.x_test), data.y_test),
-                    mse=mei.mse(data.x_test, data.y_test),
-                    area_saved=savings(
-                        topology, mei_topology, params["area"]
-                    ).saved_fraction,
-                    power_saved=savings(
-                        topology, mei_topology, params["power"]
-                    ).saved_fraction,
-                )
-                result.points.append(point)
-                _log.debug(
-                    "bitlength point done",
-                    extra={"fields": {"bits": bits, "error": round(point.error, 6)}},
-                )
+    for bits in bit_lengths:
+        mei = MEI(
+            MEIConfig(topology.inputs, topology.outputs, hidden, bits=bits),
+            seed=seed,
+        ).train(data.x_train, data.y_train, cfg)
+        mei_topology = mei.topology()
+        point = BitLengthPoint(
+            bits=bits,
+            error=bench.error_normalized(mei.predict(data.x_test), data.y_test),
+            mse=mei.mse(data.x_test, data.y_test),
+            area_saved=savings(
+                topology, mei_topology, params["area"]
+            ).saved_fraction,
+            power_saved=savings(
+                topology, mei_topology, params["power"]
+            ).saved_fraction,
+        )
+        result.points.append(point)
+        _log.debug(
+            "bitlength point done",
+            extra={"fields": {"bits": bits, "error": round(point.error, 6)}},
+        )
     return result

@@ -48,7 +48,6 @@ from repro.obs import history as obs_history
 from repro.obs import metrics as obs_metrics
 from repro.obs import runinfo
 from repro.obs.log import get_logger
-from repro.obs.trace import span
 from repro.parallel.executor import RetryPolicy, get_executor
 from repro.workloads.registry import BENCHMARK_NAMES, PAPER_TABLE1, make_benchmark
 
@@ -159,45 +158,43 @@ def run_benchmark_errorbudget(
     topology = bench.spec.topology
     in_bits = paper.pruned_mei.in_ports // topology.inputs
     out_bits = paper.pruned_mei.out_ports // topology.outputs
-    with span(f"errorbudget:{name}", benchmark=name, seed=seed, scale=scale.name):
-        data = bench.dataset(
-            n_train=train_samples_for(name, scale), n_test=scale.n_test, seed=seed
+    data = bench.dataset(
+        n_train=train_samples_for(name, scale), n_test=scale.n_test, seed=seed
+    )
+    cfg = train_config(scale, seed)
+    mei_config = MEIConfig(
+        in_groups=topology.inputs,
+        out_groups=topology.outputs,
+        hidden=paper.pruned_mei.hidden,
+        bits=topology.bits,
+    )
+    if ensemble > 1:
+        saab = SAAB(
+            lambda k: MEI(mei_config, seed=seed + k),
+            SAABConfig(
+                n_learners=ensemble,
+                noise=NonIdealFactors(
+                    sigma_pv=config.sigma_pv, seed=seed + 617
+                ),
+                seed=seed,
+            ),
+        ).train(data.x_train, data.y_train, cfg)
+        system = saab.remapped(
+            lambda learner: learner.pruned(in_bits, out_bits)
         )
-        cfg = train_config(scale, seed)
-        mei_config = MEIConfig(
-            in_groups=topology.inputs,
-            out_groups=topology.outputs,
-            hidden=paper.pruned_mei.hidden,
-            bits=topology.bits,
+    else:
+        mei = MEI(mei_config, seed=seed).train(
+            data.x_train, data.y_train, cfg
         )
-        with span("train", ensemble=ensemble):
-            if ensemble > 1:
-                saab = SAAB(
-                    lambda k: MEI(mei_config, seed=seed + k),
-                    SAABConfig(
-                        n_learners=ensemble,
-                        noise=NonIdealFactors(
-                            sigma_pv=config.sigma_pv, seed=seed + 617
-                        ),
-                        seed=seed,
-                    ),
-                ).train(data.x_train, data.y_train, cfg)
-                system = saab.remapped(
-                    lambda learner: learner.pruned(in_bits, out_bits)
-                )
-            else:
-                mei = MEI(mei_config, seed=seed).train(
-                    data.x_train, data.y_train, cfg
-                )
-                system = mei.pruned(in_bits, out_bits)
-        result = attribute_error(
-            system,
-            data.x_test,
-            data.y_test,
-            bench.error_normalized,
-            config,
-            benchmark=name,
-        )
+        system = mei.pruned(in_bits, out_bits)
+    result = attribute_error(
+        system,
+        data.x_test,
+        data.y_test,
+        bench.error_normalized,
+        config,
+        benchmark=name,
+    )
     _log.info(
         "errorbudget done",
         extra={
@@ -238,12 +235,11 @@ def run_errorbudget(
     config = config if config is not None else ErrorBudgetConfig()
     names = list(names)
     obs_metrics.reset()
-    with span("errorbudget", benchmarks=names, seed=seed, scale=scale.name):
-        mapped = get_executor(workers).map(
-            _bench_task,
-            [(name, scale, seed, config, ensemble) for name in names],
-            policy=RetryPolicy.from_env(),
-        )
+    mapped = get_executor(workers).map(
+        _bench_task,
+        [(name, scale, seed, config, ensemble) for name in names],
+        policy=RetryPolicy.from_env(),
+    )
     results = [r for r in mapped if r is not None]
     suite = ErrorBudgetSuite(
         results=results,

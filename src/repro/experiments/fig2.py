@@ -15,7 +15,6 @@ from repro.core.runner import format_table
 from repro.cost.area import Topology
 from repro.cost.breakdown import Breakdown, breakdown
 from repro.cost.params import LITERATURE_AREA, LITERATURE_POWER, CostParams
-from repro.obs.trace import span
 
 __all__ = ["Fig2Result", "run_fig2"]
 
@@ -51,9 +50,8 @@ def run_fig2(
     power_params: CostParams = LITERATURE_POWER,
 ) -> Fig2Result:
     """Regenerate the Fig. 2 decomposition."""
-    with span("fig2", topology=str(topology)):
-        return Fig2Result(
-            topology=topology,
-            area=breakdown(topology, area_params),
-            power=breakdown(topology, power_params),
-        )
+    return Fig2Result(
+        topology=topology,
+        area=breakdown(topology, area_params),
+        power=breakdown(topology, power_params),
+    )

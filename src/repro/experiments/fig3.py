@@ -24,7 +24,6 @@ from repro.core.rcs import TraditionalRCS
 from repro.core.runner import ExperimentScale, default_scale, format_table, train_config
 from repro.cost.area import Topology
 from repro.obs.log import get_logger
-from repro.obs.trace import span
 from repro.workloads.expfit import ExpFitBenchmark
 
 __all__ = ["Fig3Point", "Fig3Result", "run_fig3"]
@@ -72,42 +71,40 @@ def run_fig3(
     data = bench.dataset(n_train=scale.n_train, n_test=scale.n_test, seed=seed)
     cfg = train_config(scale, seed)
     result = Fig3Result()
-    with span("fig3", hidden_sizes=list(hidden_sizes), seed=seed):
-        for hidden in hidden_sizes:
-            with span(f"hidden:{hidden}", hidden=hidden):
-                rcs = TraditionalRCS(
-                    Topology(inputs=1, hidden=hidden, outputs=1), seed=seed
-                ).train(data.x_train, data.y_train, cfg)
-                error_adda = bench.error_normalized(rcs.predict(data.x_test), data.y_test)
+    for hidden in hidden_sizes:
+        rcs = TraditionalRCS(
+            Topology(inputs=1, hidden=hidden, outputs=1), seed=seed
+        ).train(data.x_train, data.y_train, cfg)
+        error_adda = bench.error_normalized(rcs.predict(data.x_test), data.y_test)
 
-                # MEI gets the same hidden budget scaled by the port ratio the
-                # paper's Table 1 exhibits (MEI hidden ~2x the AD/DA hidden).
-                mei_hidden = 2 * hidden
-                plain = MEI(
-                    MEIConfig(1, 1, mei_hidden, msb_weighted=False), seed=seed
-                ).train(data.x_train, data.y_train, cfg)
-                weighted = MEI(
-                    MEIConfig(1, 1, mei_hidden, msb_weighted=True), seed=seed
-                ).train(data.x_train, data.y_train, cfg)
-                point = Fig3Point(
-                    hidden=hidden,
-                    error_adda=error_adda,
-                    error_mei_plain=bench.error_normalized(
-                        plain.predict(data.x_test), data.y_test
-                    ),
-                    error_mei_weighted=bench.error_normalized(
-                        weighted.predict(data.x_test), data.y_test
-                    ),
-                )
-                result.points.append(point)
-                _log.debug(
-                    "fig3 point done",
-                    extra={
-                        "fields": {
-                            "hidden": hidden,
-                            "error_adda": round(point.error_adda, 6),
-                            "error_mei_weighted": round(point.error_mei_weighted, 6),
-                        }
-                    },
-                )
+        # MEI gets the same hidden budget scaled by the port ratio the
+        # paper's Table 1 exhibits (MEI hidden ~2x the AD/DA hidden).
+        mei_hidden = 2 * hidden
+        plain = MEI(
+            MEIConfig(1, 1, mei_hidden, msb_weighted=False), seed=seed
+        ).train(data.x_train, data.y_train, cfg)
+        weighted = MEI(
+            MEIConfig(1, 1, mei_hidden, msb_weighted=True), seed=seed
+        ).train(data.x_train, data.y_train, cfg)
+        point = Fig3Point(
+            hidden=hidden,
+            error_adda=error_adda,
+            error_mei_plain=bench.error_normalized(
+                plain.predict(data.x_test), data.y_test
+            ),
+            error_mei_weighted=bench.error_normalized(
+                weighted.predict(data.x_test), data.y_test
+            ),
+        )
+        result.points.append(point)
+        _log.debug(
+            "fig3 point done",
+            extra={
+                "fields": {
+                    "hidden": hidden,
+                    "error_adda": round(point.error_adda, 6),
+                    "error_mei_weighted": round(point.error_mei_weighted, 6),
+                }
+            },
+        )
     return result

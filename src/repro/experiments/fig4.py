@@ -19,7 +19,7 @@ trade-off bench).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.mei import MEI, MEIConfig
 from repro.core.rcs import TraditionalRCS
@@ -36,7 +36,6 @@ from repro.experiments.table1 import calibrated_params
 from repro.nn.network import MLP
 from repro.nn.trainer import Trainer
 from repro.obs.log import get_logger
-from repro.obs.trace import span
 from repro.workloads.registry import BENCHMARK_NAMES, PAPER_TABLE1, make_benchmark
 
 __all__ = ["Fig4Row", "Fig4Result", "run_fig4"]
@@ -54,6 +53,10 @@ class Fig4Row:
     accuracy_adda: float
     accuracy_mei: float
     accuracy_saab: float
+    boosted_rounds: int
+    """SAAB rounds with ``alpha > 0``; 0 means the vote is an unweighted bag."""
+    round_errors: Tuple[float, ...]
+    """Relaxed, noise-aware error of each SAAB round (Algorithm 1, Line 6)."""
 
     @property
     def saab_improvement(self) -> float:
@@ -70,6 +73,8 @@ class Fig4Row:
             "accuracy_mei": self.accuracy_mei,
             "accuracy_saab": self.accuracy_saab,
             "saab_improvement": self.saab_improvement,
+            "boosted_rounds": self.boosted_rounds,
+            "round_errors": list(self.round_errors),
         }
 
 
@@ -100,14 +105,14 @@ class Fig4Result:
     def table_rows(self) -> List[List[object]]:
         return [
             [r.name, r.k_used, r.accuracy_digital, r.accuracy_adda, r.accuracy_mei,
-             r.accuracy_saab, r.saab_improvement]
+             r.accuracy_saab, r.saab_improvement, f"{r.boosted_rounds}/{r.k_used}"]
             for r in self.rows
         ]
 
     def render(self) -> str:
         header = "Fig. 4 — accuracy comparison of methods\n"
         body = format_table(
-            ["name", "K", "Digital", "AD/DA", "MEI", "MEI+SAAB", "SAAB gain"],
+            ["name", "K", "Digital", "AD/DA", "MEI", "MEI+SAAB", "SAAB gain", "boosted"],
             self.table_rows(),
         )
         average = f"average SAAB improvement: {self.average_improvement:.4f}"
@@ -117,11 +122,6 @@ class Fig4Result:
 def _fig4_row(args) -> Fig4Row:
     """One benchmark's four-system comparison (picklable sweep task)."""
     name, scale, seed, max_k, params = args
-    with span(f"row:{name}", benchmark=name, seed=seed):
-        return _fig4_row_body(name, scale, seed, max_k, params)
-
-
-def _fig4_row_body(name, scale, seed, max_k, params) -> Fig4Row:
     bench = make_benchmark(name)
     paper = PAPER_TABLE1[name]
     data = bench.dataset(
@@ -139,14 +139,12 @@ def _fig4_row_body(name, scale, seed, max_k, params) -> Fig4Row:
     )
     topology = bench.spec.topology
 
-    with span("digital"):
-        digital = MLP((topology.inputs, topology.hidden, topology.outputs), rng=seed)
-        Trainer(config=cfg).fit(digital, data.x_train, data.y_train)
-        err_digital = bench.error_normalized(digital.predict(data.x_test), data.y_test)
+    digital = MLP((topology.inputs, topology.hidden, topology.outputs), rng=seed)
+    Trainer(config=cfg).fit(digital, data.x_train, data.y_train)
+    err_digital = bench.error_normalized(digital.predict(data.x_test), data.y_test)
 
-    with span("adda"):
-        rcs = TraditionalRCS(topology, seed=seed).train(data.x_train, data.y_train, cfg)
-        err_adda = bench.error_normalized(rcs.predict(data.x_test), data.y_test)
+    rcs = TraditionalRCS(topology, seed=seed).train(data.x_train, data.y_train, cfg)
+    err_adda = bench.error_normalized(rcs.predict(data.x_test), data.y_test)
 
     mei_config = MEIConfig(
         in_groups=topology.inputs,
@@ -159,13 +157,12 @@ def _fig4_row_body(name, scale, seed, max_k, params) -> Fig4Row:
     # Default (weighted) SAAB trains its first learner on the full
     # set with uniform weights — that learner IS the standalone
     # Table 1 MEI, so it provides the MEI bar directly.
-    with span("saab", k=k):
-        saab = SAAB(
-            lambda i: MEI(mei_config, seed=seed + i),
-            SAABConfig(n_learners=k, compare_bits=4, seed=seed),
-        ).train(data.x_train, data.y_train, cfg)
-        err_mei = bench.error_normalized(saab.learners[0].predict(data.x_test), data.y_test)
-        err_saab = bench.error_normalized(saab.predict(data.x_test), data.y_test)
+    saab = SAAB(
+        lambda i: MEI(mei_config, seed=seed + i),
+        SAABConfig(n_learners=k, compare_bits=4, seed=seed),
+    ).train(data.x_train, data.y_train, cfg)
+    err_mei = bench.error_normalized(saab.learners[0].predict(data.x_test), data.y_test)
+    err_saab = bench.error_normalized(saab.predict(data.x_test), data.y_test)
 
     return Fig4Row(
         name=name,
@@ -174,6 +171,8 @@ def _fig4_row_body(name, scale, seed, max_k, params) -> Fig4Row:
         accuracy_adda=1.0 - err_adda,
         accuracy_mei=1.0 - err_mei,
         accuracy_saab=1.0 - err_saab,
+        boosted_rounds=saab.boosted_rounds,
+        round_errors=tuple(r.error for r in saab.rounds),
     )
 
 
@@ -199,8 +198,7 @@ def run_fig4(
     scale = scale if scale is not None else default_scale()
     params = params if params is not None else calibrated_params()
     executor = get_executor(workers)
-    with span("fig4", benchmarks=list(names), seed=seed):
-        rows = executor.map(_fig4_row, [(name, scale, seed, max_k, params) for name in names])
+    rows = executor.map(_fig4_row, [(name, scale, seed, max_k, params) for name in names])
     result = Fig4Result(rows=rows)
     _log.info(
         "fig4 done",

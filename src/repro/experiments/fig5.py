@@ -34,7 +34,6 @@ from repro.core.saab import SAAB, SAABConfig
 from repro.device.variation import NonIdealFactors
 from repro.metrics.robustness import evaluate_under_noise
 from repro.obs.log import get_logger
-from repro.obs.trace import span
 from repro.workloads.registry import PAPER_TABLE1, make_benchmark
 
 __all__ = ["Fig5Curve", "Fig5Result", "run_fig5"]
@@ -115,66 +114,62 @@ def _fig5_benchmark(args) -> List[Fig5Curve]:
     the serial per-trial loop.
     """
     name, sigmas, scale, seed, k = args
-    with span(f"benchmark:{name}", benchmark=name, seed=seed):
-        bench = make_benchmark(name)
-        paper = PAPER_TABLE1[name]
-        data = bench.dataset(
-            n_train=train_samples_for(name, scale), n_test=scale.n_test, seed=seed
-        )
-        cfg = train_config(scale, seed)
-        topology = bench.spec.topology
-        hidden = paper.pruned_mei.hidden
+    bench = make_benchmark(name)
+    paper = PAPER_TABLE1[name]
+    data = bench.dataset(
+        n_train=train_samples_for(name, scale), n_test=scale.n_test, seed=seed
+    )
+    cfg = train_config(scale, seed)
+    topology = bench.spec.topology
+    hidden = paper.pruned_mei.hidden
 
-        mei_config = MEIConfig(topology.inputs, topology.outputs, hidden, topology.bits)
-        wide_config = MEIConfig(
-            topology.inputs, topology.outputs, hidden * k, topology.bits
-        )
+    mei_config = MEIConfig(topology.inputs, topology.outputs, hidden, topology.bits)
+    wide_config = MEIConfig(
+        topology.inputs, topology.outputs, hidden * k, topology.bits
+    )
 
-        with span("train-systems", k=k):
-            systems = {
-                "adda": TraditionalRCS(topology, seed=seed).train(
-                    data.x_train, data.y_train, cfg
-                ),
-                "mei": MEI(mei_config, seed=seed).train(data.x_train, data.y_train, cfg),
-                "saab": SAAB(
-                    lambda i: MEI(mei_config, seed=seed + 1 + i),
-                    SAABConfig(
-                        n_learners=k,
-                        compare_bits=5,
-                        noise=NonIdealFactors(sigma_pv=0.05, sigma_sf=0.05, seed=seed),
-                        seed=seed,
-                    ),
-                ).train(data.x_train, data.y_train, cfg),
-                "wide": MEI(wide_config, seed=seed).train(data.x_train, data.y_train, cfg),
-            }
+    systems = {
+        "adda": TraditionalRCS(topology, seed=seed).train(
+            data.x_train, data.y_train, cfg
+        ),
+        "mei": MEI(mei_config, seed=seed).train(data.x_train, data.y_train, cfg),
+        "saab": SAAB(
+            lambda i: MEI(mei_config, seed=seed + 1 + i),
+            SAABConfig(
+                n_learners=k,
+                compare_bits=5,
+                noise=NonIdealFactors(sigma_pv=0.05, sigma_sf=0.05, seed=seed),
+                seed=seed,
+            ),
+        ).train(data.x_train, data.y_train, cfg),
+        "wide": MEI(wide_config, seed=seed).train(data.x_train, data.y_train, cfg),
+    }
 
-        metric = bench.error_normalized
-        curves: List[Fig5Curve] = []
-        for system_name, system in systems.items():
-            for noise_type in ("pv", "sf"):
-                with span(f"sweep:{system_name}-{noise_type}", system=system_name,
-                          noise_type=noise_type):
-                    curve = Fig5Curve(
-                        benchmark=name, system=system_name, noise_type=noise_type
-                    )
-                    for sigma in sigmas:
-                        noise = _noise(noise_type, float(sigma), seed + 99)
-                        evaluation = evaluate_under_noise(
-                            system,
-                            data.x_test,
-                            data.y_test,
-                            metric,
-                            noise,
-                            trials=scale.noise_trials,
-                        )
-                        curve.sigmas.append(float(sigma))
-                        curve.errors.append(evaluation.mean)
-                    curves.append(curve)
-        _log.debug(
-            "fig5 benchmark done",
-            extra={"fields": {"benchmark": name, "curves": len(curves)}},
-        )
-        return curves
+    metric = bench.error_normalized
+    curves: List[Fig5Curve] = []
+    for system_name, system in systems.items():
+        for noise_type in ("pv", "sf"):
+            curve = Fig5Curve(
+                benchmark=name, system=system_name, noise_type=noise_type
+            )
+            for sigma in sigmas:
+                noise = _noise(noise_type, float(sigma), seed + 99)
+                evaluation = evaluate_under_noise(
+                    system,
+                    data.x_test,
+                    data.y_test,
+                    metric,
+                    noise,
+                    trials=scale.noise_trials,
+                )
+                curve.sigmas.append(float(sigma))
+                curve.errors.append(evaluation.mean)
+            curves.append(curve)
+    _log.debug(
+        "fig5 benchmark done",
+        extra={"fields": {"benchmark": name, "curves": len(curves)}},
+    )
+    return curves
 
 
 def run_fig5(
@@ -199,10 +194,9 @@ def run_fig5(
     scale = scale if scale is not None else default_scale()
     executor = get_executor(workers)
     sigmas = tuple(float(s) for s in sigmas)
-    with span("fig5", benchmarks=list(names), sigmas=list(sigmas), k=k):
-        per_benchmark = executor.map(
-            _fig5_benchmark, [(name, sigmas, scale, seed, k) for name in names]
-        )
+    per_benchmark = executor.map(
+        _fig5_benchmark, [(name, sigmas, scale, seed, k) for name in names]
+    )
     result = Fig5Result()
     for curves in per_benchmark:
         result.curves.extend(curves)

@@ -48,7 +48,6 @@ from repro.nn.losses import mse
 from repro.nn.network import MLP
 from repro.nn.trainer import Trainer
 from repro.obs.log import get_logger
-from repro.obs.trace import span
 from repro.quant.fixedpoint import FixedPointCodec
 from repro.workloads.registry import BENCHMARK_NAMES, PAPER_TABLE1, make_benchmark
 
@@ -229,87 +228,81 @@ def run_benchmark_row(
     params = params if params is not None else calibrated_params()
     bench = make_benchmark(name)
     paper = PAPER_TABLE1[name]
-    with span(f"row:{name}", benchmark=name, seed=seed, scale=scale.name):
-        data = bench.dataset(
-            n_train=train_samples_for(name, scale), n_test=scale.n_test, seed=seed
-        )
-        cfg = train_config(scale, seed)
-        topology = bench.spec.topology
-        codec = FixedPointCodec(topology.bits)
-        y_test_q = codec.quantize(data.y_test)
+    data = bench.dataset(
+        n_train=train_samples_for(name, scale), n_test=scale.n_test, seed=seed
+    )
+    cfg = train_config(scale, seed)
+    topology = bench.spec.topology
+    codec = FixedPointCodec(topology.bits)
+    y_test_q = codec.quantize(data.y_test)
 
-        # Digital ANN: ideal floating-point network on raw unit data.
-        with span("digital"):
-            digital = MLP((topology.inputs, topology.hidden, topology.outputs), rng=seed)
-            Trainer(config=cfg).fit(digital, data.x_train, data.y_train)
-            digital_pred = digital.predict(data.x_test)
+    # Digital ANN: ideal floating-point network on raw unit data.
+    digital = MLP((topology.inputs, topology.hidden, topology.outputs), rng=seed)
+    Trainer(config=cfg).fit(digital, data.x_train, data.y_train)
+    digital_pred = digital.predict(data.x_test)
 
-        # Traditional AD/DA RCS.
-        with span("adda"):
-            rcs = TraditionalRCS(topology, seed=seed).train(data.x_train, data.y_train, cfg)
-            adda_pred = rcs.predict(data.x_test)
+    # Traditional AD/DA RCS.
+    rcs = TraditionalRCS(topology, seed=seed).train(data.x_train, data.y_train, cfg)
+    adda_pred = rcs.predict(data.x_test)
 
-        # MEI, trained then LSB-pruned (Algorithm 2 Line 22).
-        with span("mei"):
-            mei = MEI(
-                MEIConfig(
-                    in_groups=topology.inputs,
-                    out_groups=topology.outputs,
-                    hidden=paper.pruned_mei.hidden,
-                    bits=topology.bits,
-                ),
-                seed=seed,
-            ).train(data.x_train, data.y_train, cfg)
-        mei_error_fn = lambda candidate: bench.error_normalized(
-            candidate.predict(data.x_test), data.y_test
-        )
-        with span("prune") as prune_span:
-            unpruned_error = mei_error_fn(mei)
-            pruned = prune_lsbs(
-                mei,
-                mei_error_fn,
-                max_error=unpruned_error * 1.05,
-                mse=mei.mse(data.x_test, data.y_test),
-            ).mei
-            mei_pred = pruned.predict(data.x_test)
-            prune_span.set(in_bits=pruned.in_bits, out_bits=pruned.out_bits)
+    # MEI, trained then LSB-pruned (Algorithm 2 Line 22).
+    mei = MEI(
+        MEIConfig(
+            in_groups=topology.inputs,
+            out_groups=topology.outputs,
+            hidden=paper.pruned_mei.hidden,
+            bits=topology.bits,
+        ),
+        seed=seed,
+    ).train(data.x_train, data.y_train, cfg)
+    mei_error_fn = lambda candidate: bench.error_normalized(
+        candidate.predict(data.x_test), data.y_test
+    )
+    unpruned_error = mei_error_fn(mei)
+    pruned = prune_lsbs(
+        mei,
+        mei_error_fn,
+        max_error=unpruned_error * 1.05,
+        mse=mei.mse(data.x_test, data.y_test),
+    ).mei
+    mei_pred = pruned.predict(data.x_test)
 
-        # Robustness spot-check of the deployed MEI (Sec. 5.3 style).
-        error_mei = bench.error_normalized(mei_pred, data.y_test)
-        noisy = evaluate_under_noise(
-            pruned,
-            data.x_test,
-            data.y_test,
-            bench.error_normalized,
-            NonIdealFactors(sigma_pv=ROBUSTNESS_SIGMA_PV, seed=seed + 991),
-            trials=scale.noise_trials,
-        )
-        robustness_mei = robustness_index(error_mei, noisy.mean)
+    # Robustness spot-check of the deployed MEI (Sec. 5.3 style).
+    error_mei = bench.error_normalized(mei_pred, data.y_test)
+    noisy = evaluate_under_noise(
+        pruned,
+        data.x_test,
+        data.y_test,
+        bench.error_normalized,
+        NonIdealFactors(sigma_pv=ROBUSTNESS_SIGMA_PV, seed=seed + 991),
+        trials=scale.noise_trials,
+    )
+    robustness_mei = robustness_index(error_mei, noisy.mean)
 
-        row = Table1Row(
-            name=name,
-            topology=topology,
-            pruned_topology=pruned.topology(),
-            mse_digital=mse(digital_pred, data.y_test),
-            mse_adda=mse(adda_pred, y_test_q),
-            mse_mei=mse(mei_pred, y_test_q),
-            error_digital=bench.error_normalized(digital_pred, data.y_test),
-            error_adda=bench.error_normalized(adda_pred, data.y_test),
-            error_mei=error_mei,
-            area_saved_paper_topology=savings(
-                topology, paper.pruned_mei, params["area"]
-            ).saved_fraction,
-            power_saved_paper_topology=savings(
-                topology, paper.pruned_mei, params["power"]
-            ).saved_fraction,
-            area_saved_measured=savings(
-                topology, pruned.topology(), params["area"]
-            ).saved_fraction,
-            power_saved_measured=savings(
-                topology, pruned.topology(), params["power"]
-            ).saved_fraction,
-            robustness_mei=robustness_mei,
-        )
+    row = Table1Row(
+        name=name,
+        topology=topology,
+        pruned_topology=pruned.topology(),
+        mse_digital=mse(digital_pred, data.y_test),
+        mse_adda=mse(adda_pred, y_test_q),
+        mse_mei=mse(mei_pred, y_test_q),
+        error_digital=bench.error_normalized(digital_pred, data.y_test),
+        error_adda=bench.error_normalized(adda_pred, data.y_test),
+        error_mei=error_mei,
+        area_saved_paper_topology=savings(
+            topology, paper.pruned_mei, params["area"]
+        ).saved_fraction,
+        power_saved_paper_topology=savings(
+            topology, paper.pruned_mei, params["power"]
+        ).saved_fraction,
+        area_saved_measured=savings(
+            topology, pruned.topology(), params["area"]
+        ).saved_fraction,
+        power_saved_measured=savings(
+            topology, pruned.topology(), params["power"]
+        ).saved_fraction,
+        robustness_mei=robustness_mei,
+    )
     _log.info(
         "table1 row done",
         extra={
@@ -344,6 +337,5 @@ def run_table1(
 
     params = calibrated_params()
     executor = get_executor(workers)
-    with span("table1", benchmarks=list(names), seed=seed):
-        rows = executor.map(_row_task, [(name, scale, seed, params) for name in names])
+    rows = executor.map(_row_task, [(name, scale, seed, params) for name in names])
     return Table1Result(rows=rows)

@@ -28,7 +28,6 @@ RPR008    knob lifecycle: every registered ``REPRO_*`` knob is read
 RPR009    metric objects come from the registry factories and family
           names never collide
 RPR010    executors and SHM arenas are context-managed
-RPR011    trace spans are opened with ``with span(...)``
 ========  ==========================================================
 
 Run with ``python -m repro lint [--json | --graph dot|svg]``; suppress

@@ -37,7 +37,7 @@ PathLike = Union[str, pathlib.Path]
 
 SCHEMA_VERSION = 2
 """Version of the ``--json`` report schema.  2 added the field itself,
-program-rule findings (RPR006–RPR011) and globally stable ordering."""
+program-rule findings and globally stable ordering."""
 
 _SUPPRESSION = re.compile(r"#\s*repro-lint:\s*disable=([A-Z0-9,\s]+)")
 

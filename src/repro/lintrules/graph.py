@@ -48,7 +48,7 @@ __all__ = [
 LAYER_RANKS: Dict[str, int] = {
     # foundation: stdlib-only configuration
     "config": 0,
-    # cross-cutting observability (log/metrics/trace); everything above
+    # cross-cutting observability (log/metrics/manifests); everything above
     # may use it, it only sees config
     "obs": 10,
     # runtime sanitizer: guards are called from every layer above

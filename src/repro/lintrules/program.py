@@ -65,7 +65,7 @@ class ProgramContext:
     docs_dir: Optional[pathlib.Path] = None
     constants: Dict[str, Dict[str, str]] = field(default_factory=dict)
     """module -> {CONSTANT: "REPRO_..."} string constants assigned at
-    module scope (used to resolve ``knobs.get_bool(TRACE_ENV)``)."""
+    module scope (used to resolve ``knobs.get_str(EXECUTOR_ENV)``)."""
 
 
 @dataclass(frozen=True)

@@ -386,31 +386,6 @@ def _check_rpr010(tree: ast.AST, imports: ImportMap, is_library: bool) -> Iterat
             )
 
 
-# ---------------------------------------------------------------------------
-# RPR011 — spans opened without `with`
-# ---------------------------------------------------------------------------
-
-
-def _check_rpr011(tree: ast.AST, imports: ImportMap, is_library: bool) -> Iterator[RawFinding]:
-    managed = _managed_context_calls(tree)
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call) or id(node) in managed:
-            continue
-        name = _canonical(imports.qualify(node.func))
-        if name == "repro.obs.trace.span":
-            yield (
-                node.lineno,
-                node.col_offset,
-                "span(...) called without `with` never closes: the timing "
-                "never reaches the run manifest's span tree and the span "
-                "stack corrupts; use `with span(...):`",
-            )
-
-
-def _not_trace_module(path: pathlib.Path) -> bool:
-    return path.name != "trace.py" or "obs" not in path.parts
-
-
 ALL_RULES: Tuple[Rule, ...] = (
     Rule(
         code="RPR001",
@@ -495,16 +470,6 @@ ALL_RULES: Tuple[Rule, ...] = (
             "exception-safe."
         ),
         check=_check_rpr010,
-    ),
-    Rule(
-        code="RPR011",
-        summary="trace spans are opened with `with span(...)`",
-        rationale=(
-            "An unclosed span corrupts the span stack and drops its timing "
-            "from the run manifest's span tree."
-        ),
-        check=_check_rpr011,
-        applies=_not_trace_module,
     ),
 )
 

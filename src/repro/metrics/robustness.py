@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.device.variation import NonIdealFactors
 from repro.obs import metrics as obs_metrics
-from repro.obs.trace import span
 
 __all__ = ["NoisyEvaluation", "evaluate_under_noise", "robustness_index", "noise_sweep"]
 
@@ -81,15 +80,8 @@ def evaluate_under_noise(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if noise.is_ideal:
         trials = 1
-    with span(
-        "noise-eval",
-        trials=trials,
-        sigma_pv=float(noise.sigma_pv),
-        sigma_sf=float(noise.sigma_sf),
-    ) as sp:
-        stack = np.asarray(system.predict_trials(x, noise, trials))
-        values = np.array([metric(stack[t], y_true) for t in range(trials)])
-        sp.set(mean=float(values.mean()), std=float(values.std()))
+    stack = np.asarray(system.predict_trials(x, noise, trials))
+    values = np.array([metric(stack[t], y_true) for t in range(trials)])
     obs_metrics.counter("mc_trials_evaluated").inc(trials)
     return NoisyEvaluation(noise=noise, trials=trials, values=values)
 

@@ -26,7 +26,6 @@ from repro.nn.network import MLP
 from repro.nn.optimizers import Optimizer
 from repro.obs import metrics as obs_metrics
 from repro.obs.log import get_logger
-from repro.obs.trace import span
 from repro.sanitize import guards as sanitize_guards
 
 __all__ = ["TrainConfig", "TrainResult", "Trainer"]
@@ -169,94 +168,79 @@ class Trainer:
         best_layers = None
         debug = _log.isEnabledFor(logging.DEBUG)
 
-        with span(
-            "train",
-            epochs=self.config.epochs,
-            samples=int(x.shape[0]),
-            layers=list(model.layer_sizes),
-        ) as sp:
-            for epoch in range(self.config.epochs):
-                epoch_start = time.perf_counter()
-                if (
-                    self.config.lr_decay_every
-                    and epoch
-                    and epoch % self.config.lr_decay_every == 0
-                ):
-                    optimizer.learning_rate *= self.config.lr_decay
-                for xb, yb, wb in minibatches(x, y, self.config.batch_size, rng, sample_weights):
-                    if clean_params is not None:
-                        np.copyto(clean_params, params)
-                        for layer in model.layers:
-                            layer.weights *= rng.lognormal(
-                                0.0, self.config.weight_noise_sigma, layer.weights.shape
-                            )
-                    pred = model.forward(xb, train=True)
-                    grad = self.loss.gradient(pred, yb, wb)
-                    sanitize_guards.check_finite("trainer", "loss_gradient", grad)
-                    model.backward(grad)
-                    if clean_params is not None:
-                        # Apply the perturbed-point gradients to the clean
-                        # weights (standard noise-injection training).
-                        np.copyto(params, clean_params)
-                    if self.config.l2 > 0:
-                        for layer in model.layers:
-                            layer.grad_weights += self.config.l2 * layer.weights
-                    optimizer.update(params, grads)
+        for epoch in range(self.config.epochs):
+            epoch_start = time.perf_counter()
+            if (
+                self.config.lr_decay_every
+                and epoch
+                and epoch % self.config.lr_decay_every == 0
+            ):
+                optimizer.learning_rate *= self.config.lr_decay
+            for xb, yb, wb in minibatches(x, y, self.config.batch_size, rng, sample_weights):
+                if clean_params is not None:
+                    np.copyto(clean_params, params)
+                    for layer in model.layers:
+                        layer.weights *= rng.lognormal(
+                            0.0, self.config.weight_noise_sigma, layer.weights.shape
+                        )
+                pred = model.forward(xb, train=True)
+                grad = self.loss.gradient(pred, yb, wb)
+                sanitize_guards.check_finite("trainer", "loss_gradient", grad)
+                model.backward(grad)
+                if clean_params is not None:
+                    # Apply the perturbed-point gradients to the clean
+                    # weights (standard noise-injection training).
+                    np.copyto(params, clean_params)
+                if self.config.l2 > 0:
+                    for layer in model.layers:
+                        layer.grad_weights += self.config.l2 * layer.weights
+                optimizer.update(params, grads)
 
-                if self.config.track_train_loss and (
-                    (epoch + 1) % self.config.log_every == 0
-                    or epoch + 1 == self.config.epochs
-                ):
-                    result.train_losses.append(
-                        self.loss.value(model.predict(x), y, sample_weights)
-                    )
-                result.epochs_run = epoch + 1
+            if self.config.track_train_loss and (
+                (epoch + 1) % self.config.log_every == 0
+                or epoch + 1 == self.config.epochs
+            ):
+                result.train_losses.append(
+                    self.loss.value(model.predict(x), y, sample_weights)
+                )
+            result.epochs_run = epoch + 1
 
-                stop = False
-                if x_val is not None and y_val is not None:
-                    val = self.loss.value(model.predict(x_val), _astype(y_val))
-                    result.val_losses.append(val)
-                    if self.config.patience:
-                        if val < best_val - self.config.min_delta:
-                            best_val = val
-                            bad_epochs = 0
-                            best_layers = [layer.copy() for layer in model.layers]
-                        else:
-                            bad_epochs += 1
-                            if bad_epochs >= self.config.patience:
-                                result.stopped_early = True
-                                stop = True
-                result.epoch_seconds.append(time.perf_counter() - epoch_start)
-                if debug and (
-                    (epoch + 1) % self.config.log_every == 0
-                    or epoch + 1 == self.config.epochs
-                ):
-                    _log.debug(
-                        "epoch done",
-                        extra={
-                            "fields": {
-                                "epoch": epoch + 1,
-                                "train_loss": result.train_losses[-1]
-                                if result.train_losses
-                                else None,
-                                "val_loss": result.val_losses[-1]
-                                if result.val_losses
-                                else None,
-                                "seconds": round(result.epoch_seconds[-1], 6),
-                            }
-                        },
-                    )
-                if stop:
-                    break
-
-            sp.set(
-                epochs_run=result.epochs_run,
-                stopped_early=result.stopped_early,
-                total_seconds=round(result.total_seconds, 6),
-                epoch_seconds=[round(s, 6) for s in result.epoch_seconds],
-            )
-            if result.train_losses:  # untracked: no loss, and NaN is not JSON
-                sp.set(final_train_loss=float(result.final_train_loss))
+            stop = False
+            if x_val is not None and y_val is not None:
+                val = self.loss.value(model.predict(x_val), _astype(y_val))
+                result.val_losses.append(val)
+                if self.config.patience:
+                    if val < best_val - self.config.min_delta:
+                        best_val = val
+                        bad_epochs = 0
+                        best_layers = [layer.copy() for layer in model.layers]
+                    else:
+                        bad_epochs += 1
+                        if bad_epochs >= self.config.patience:
+                            result.stopped_early = True
+                            stop = True
+            result.epoch_seconds.append(time.perf_counter() - epoch_start)
+            if debug and (
+                (epoch + 1) % self.config.log_every == 0
+                or epoch + 1 == self.config.epochs
+            ):
+                _log.debug(
+                    "epoch done",
+                    extra={
+                        "fields": {
+                            "epoch": epoch + 1,
+                            "train_loss": result.train_losses[-1]
+                            if result.train_losses
+                            else None,
+                            "val_loss": result.val_losses[-1]
+                            if result.val_losses
+                            else None,
+                            "seconds": round(result.epoch_seconds[-1], 6),
+                        }
+                    },
+                )
+            if stop:
+                break
 
         obs_metrics.counter("train_runs").inc()
         obs_metrics.counter("train_epochs").inc(result.epochs_run)

@@ -1,15 +1,13 @@
-"""Observability layer: logging, tracing, metrics, manifests, history.
+"""Observability layer: logging, metrics, manifests, history.
 
 The pillars (see ``docs/observability.md`` and ``docs/benchmarking.md``):
 
 * :mod:`repro.obs.log` — per-module structured loggers on stderr, with
   an optional JSONL sink (``REPRO_LOG`` / ``REPRO_LOG_JSON``);
-* :mod:`repro.obs.trace` — nested wall-clock spans with a
-  thread/process-safe collector (``REPRO_TRACE=1``);
 * :mod:`repro.obs.metrics` — counters / gauges / histograms for the
   pipeline's quantitative telemetry (always on, coarse call sites);
 * :mod:`repro.obs.runinfo` — run manifests binding git SHA, host, env
-  knobs, seed, span tree and metrics into one archived JSON per run;
+  knobs, seed, scale and metrics into one archived JSON per run;
 * :mod:`repro.obs.history` — the append-only ``runs/history.jsonl``
   store of benchmark trajectories, keyed by git SHA + timestamp;
 * :mod:`repro.obs.compare` — the tolerance-aware regression gate
@@ -62,18 +60,10 @@ from repro.obs.runinfo import (
     provenance_header,
     write_manifest,
 )
-from repro.obs.trace import (
-    TRACE_ENV,
-    SpanRecord,
-    render_tree,
-    span,
-    span_tree,
-)
 
 __all__ = [
     "LOG_ENV",
     "LOG_JSON_ENV",
-    "TRACE_ENV",
     "RUN_DIR_ENV",
     "HISTORY_ENV",
     "configure",
@@ -101,10 +91,6 @@ __all__ = [
     "render_markdown",
     "render_html",
     "write_report",
-    "SpanRecord",
-    "span",
-    "span_tree",
-    "render_tree",
     "build_manifest",
     "environment_info",
     "provenance_header",

@@ -1,11 +1,11 @@
 """Run manifests: provenance + telemetry for every experiment run.
 
 A *manifest* answers "which code, on which machine, with which knobs,
-produced this number, and where did the time go": git SHA, hostname,
-Python/NumPy versions, every ``REPRO_*`` environment knob, the seed
-and scale, the collected span tree and a metrics snapshot.  Experiment
-drivers write one per run to ``runs/<timestamp>-<experiment>.json``
-(directory overridable via ``--run-dir`` / ``REPRO_RUN_DIR``).
+produced this number": git SHA, hostname, Python/NumPy versions,
+every ``REPRO_*`` environment knob, the seed and scale, and a metrics
+snapshot.  The CLI writes one per experiment to
+``<run_dir>/<timestamp>-<experiment>.json`` when ``--run-dir`` is
+given; ``faults`` always writes one (``REPRO_RUN_DIR`` or ``runs/``).
 
 The bench row exports embed :func:`provenance_header` in their archived
 JSON payloads so archived rows stay attributable to a commit and host.
@@ -25,7 +25,6 @@ from typing import Dict, Optional, Sequence
 
 from repro.config import knobs
 from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
 
 __all__ = [
     "RUN_DIR_ENV",
@@ -176,16 +175,9 @@ def build_manifest(
     scale: object = None,
     argv: Optional[Sequence[str]] = None,
     extra: Optional[Dict[str, object]] = None,
-    spans: Optional[Sequence[_trace.SpanRecord]] = None,
-    metrics_snapshot: Optional[Dict[str, Dict[str, object]]] = None,
 ) -> Dict[str, object]:
-    """Assemble the manifest dict (spans/metrics default to the
-    process-wide collectors' current contents)."""
-    if spans is None:
-        spans = _trace.get_records()
-    if metrics_snapshot is None:
-        metrics_snapshot = _metrics.snapshot()
-    tree = _trace.span_tree(spans)
+    """Assemble the manifest dict (metrics: the process-wide registry's
+    current contents)."""
     return {
         "experiment": experiment,
         "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -193,9 +185,7 @@ def build_manifest(
         "scale": _scale_dict(scale),
         "argv": list(argv) if argv is not None else None,
         "environment": environment_info(),
-        "metrics": metrics_snapshot,
-        "span_tree": tree,
-        "spans": [record.to_dict() for record in spans],
+        "metrics": _metrics.snapshot(),
         **(extra or {}),
     }
 

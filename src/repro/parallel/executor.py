@@ -57,7 +57,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Type
 
 from repro.config import knobs
 from repro.obs import metrics as obs_metrics
-from repro.obs import trace as obs_trace
 from repro.obs.log import get_logger
 
 __all__ = [
@@ -212,7 +211,6 @@ class _TaskOutcome:
     result: object
     queue_wait: float
     exec_seconds: float
-    spans: Optional[List[obs_trace.SpanRecord]] = None
     metrics: Optional[Dict[str, Dict[str, object]]] = None
 
 
@@ -220,34 +218,23 @@ class _ObsTask:
     """Task wrapper adding per-task telemetry to a pool map.
 
     Measures queue wait (submit -> start) and execute time, and — when
-    the task runs in a *different process* — ships the spans and
-    metric deltas the task produced back to the parent, which absorbs
-    them so parallel sweeps and serial runs report the same tree and
-    totals.  Picklable exactly when the wrapped ``fn`` is.
+    the task runs in a *different process* — ships the metric deltas
+    the task produced back to the parent, which absorbs them so
+    parallel sweeps and serial runs report the same totals.  Picklable
+    exactly when the wrapped ``fn`` is.
     """
 
-    __slots__ = ("fn", "parent_pid", "context", "trace_on", "enqueued")
+    __slots__ = ("fn", "parent_pid", "enqueued")
 
     def __init__(self, fn: Callable[[Any], Any]) -> None:
         self.fn = fn
         self.parent_pid = os.getpid()
-        self.context = obs_trace.current_path()
-        self.trace_on = obs_trace.enabled()
         self.enqueued = time.time()
 
     def __call__(self, item: Any) -> _TaskOutcome:
         started = time.time()
         foreign = os.getpid() != self.parent_pid
-        span_mark = metrics_before = None
-        if self.trace_on:
-            if foreign:
-                # A spawn-started worker loses the parent's runtime
-                # enable flag (fork inherits it); set both either way.
-                obs_trace.enable(True)
-                span_mark = obs_trace.mark()
-            obs_trace.set_context(self.context)
-        if foreign:
-            metrics_before = obs_metrics.snapshot()
+        metrics_before = obs_metrics.snapshot() if foreign else None
         t0 = time.perf_counter()
         result = self.fn(item)
         outcome = _TaskOutcome(
@@ -256,8 +243,6 @@ class _ObsTask:
             exec_seconds=time.perf_counter() - t0,
         )
         if foreign:
-            if span_mark is not None:
-                outcome.spans = obs_trace.records_since(span_mark)
             outcome.metrics = obs_metrics.diff(metrics_before, obs_metrics.snapshot())
         return outcome
 
@@ -266,8 +251,6 @@ def _absorb(outcome: _TaskOutcome) -> object:
     """Unwrap one worker outcome, folding its telemetry into this process."""
     obs_metrics.histogram("executor_queue_wait_seconds").observe(outcome.queue_wait)
     obs_metrics.histogram("executor_task_seconds").observe(outcome.exec_seconds)
-    if outcome.spans:
-        obs_trace.absorb(outcome.spans)
     if outcome.metrics:
         obs_metrics.merge(outcome.metrics)
     obs_metrics.counter("executor_tasks").inc()
@@ -368,31 +351,16 @@ class Executor:
 
             if shm_mod.shm_enabled():
                 kind = "process-shm"
-        attrs = {} if policy is None else {
-            "timeout": policy.timeout, "retries": policy.retries,
-        }
-        size = min(self.workers, len(items)) if pooled else 1
-        with obs_trace.span(
-            "parallel_map", kind=kind, tasks=len(items), workers=size, **attrs
-        ) as sp:
-            if pooled:
-                leftover = self._pooled(fn, items, results, kind, policy, report)
-            if leftover and pooled and policy is not None:
-                report.degraded = True
-                report.serial_fallback_tasks += len(leftover)
-                obs_metrics.counter("resilient_serial_fallback").inc(len(leftover))
-                report.record(
-                    f"degrading {len(leftover)} task(s) to the serial executor"
-                )
-                with obs_trace.span("resilient_serial_fallback", tasks=len(leftover)):
-                    _run_serial(fn, items, results, leftover, policy, report)
-            else:
-                _run_serial(fn, items, results, leftover, policy, report)
-            if policy is not None:
-                sp.set(
-                    retries=report.retries, timeouts=report.timeouts,
-                    crashes=report.crashes, degraded=report.degraded,
-                )
+        if pooled:
+            leftover = self._pooled(fn, items, results, kind, policy, report)
+        if leftover and pooled and policy is not None:
+            report.degraded = True
+            report.serial_fallback_tasks += len(leftover)
+            obs_metrics.counter("resilient_serial_fallback").inc(len(leftover))
+            report.record(
+                f"degrading {len(leftover)} task(s) to the serial executor"
+            )
+        _run_serial(fn, items, results, leftover, policy, report)
         if report.degraded:
             obs_metrics.counter("resilient_degraded_maps").inc()
         return results

@@ -39,7 +39,6 @@ from repro.core.runner import (
 )
 from repro.obs import metrics as obs_metrics
 from repro.obs.log import get_logger
-from repro.obs.trace import span
 from repro.parallel.executor import ResilienceReport, RetryPolicy, get_executor
 from repro.robustness.mitigation import fault_aware_saab, predicted_error
 from repro.workloads.registry import BENCHMARK_NAMES, PAPER_TABLE1, make_benchmark
@@ -234,36 +233,31 @@ def _campaign_cell(task: "_CampaignTask") -> List[CampaignRow]:
     mei_config = MEIConfig(topology.inputs, topology.outputs, hidden, topology.bits)
     metric = bench.error_normalized
     model = config.fault_model(task.saf_rate, task.defect_seed)
-    with span(
-        "campaign_cell", benchmark=task.benchmark, saf_rate=task.saf_rate,
-        defect_seed=task.defect_seed,
-    ) as sp:
-        mei = MEI(mei_config, seed=task.train_seed).train(
-            data.x_train, data.y_train, cfg
-        )
-        clean = predicted_error(mei, data.x_test, data.y_test, metric)
+    mei = MEI(mei_config, seed=task.train_seed).train(
+        data.x_train, data.y_train, cfg
+    )
+    clean = predicted_error(mei, data.x_test, data.y_test, metric)
 
-        snapshot = mei.analog.conductance_snapshot()
-        injection = inject_faults_analog_report(mei.analog, model)
-        error_none = predicted_error(mei, data.x_test, data.y_test, metric)
+    snapshot = mei.analog.conductance_snapshot()
+    injection = inject_faults_analog_report(mei.analog, model)
+    error_none = predicted_error(mei, data.x_test, data.y_test, metric)
 
-        repairs = mei.analog.repair_with_spares(
-            injection.defect_maps, snapshot, config.spare_columns
-        )
-        error_remap = predicted_error(mei, data.x_test, data.y_test, metric)
-        spares_used = sum(r.spares_used for r in repairs)
+    repairs = mei.analog.repair_with_spares(
+        injection.defect_maps, snapshot, config.spare_columns
+    )
+    error_remap = predicted_error(mei, data.x_test, data.y_test, metric)
+    spares_used = sum(r.spares_used for r in repairs)
 
-        saab = fault_aware_saab(
-            mei_config, model, config.ensemble_k,
-            seed=task.train_seed, compare_bits=config.compare_bits,
-        ).train(data.x_train, data.y_train, cfg)
-        error_retrain = predicted_error(saab, data.x_test, data.y_test, metric)
-        retrain_seeds: List[Optional[int]] = []
-        for learner in saab.learners:
-            chip_injection = getattr(learner, "last_injection", None)
-            if chip_injection is not None:
-                retrain_seeds.append(chip_injection.model.seed)
-        sp.set(clean=clean, none=error_none, remap=error_remap, retrain=error_retrain)
+    saab = fault_aware_saab(
+        mei_config, model, config.ensemble_k,
+        seed=task.train_seed, compare_bits=config.compare_bits,
+    ).train(data.x_train, data.y_train, cfg)
+    error_retrain = predicted_error(saab, data.x_test, data.y_test, metric)
+    retrain_seeds: List[Optional[int]] = []
+    for learner in saab.learners:
+        chip_injection = getattr(learner, "last_injection", None)
+        if chip_injection is not None:
+            retrain_seeds.append(chip_injection.model.seed)
     obs_metrics.counter("campaign_cells").inc()
 
     def row(mitigation: str, error: float, spares: int,
@@ -285,8 +279,7 @@ def _campaign_cell(task: "_CampaignTask") -> List[CampaignRow]:
     return [
         row("none", error_none, 0, list(injection.array_seeds)),
         row("remap", error_remap, spares_used, list(injection.array_seeds)),
-        row("retrain", error_retrain, 0, retrain_seeds,
-            sum(1 for alpha in saab.alphas if alpha > 0)),
+        row("retrain", error_retrain, 0, retrain_seeds, saab.boosted_rounds),
     ]
 
 
@@ -480,13 +473,12 @@ def run_campaign(
     # Progress gauges; the run manifest's metrics snapshot records them.
     obs_metrics.gauge("campaign_cells_total").set(len(tasks))
     obs_metrics.gauge("campaign_started_unixtime").set(time.time())
-    with span("fault_campaign", cells=len(tasks), scale=scale.name, chaos=chaos):
-        report = ResilienceReport()
-        cells = get_executor(workers, kind).map(
-            _campaign_cell, tasks,
-            policy=policy if policy is not None else RetryPolicy.from_env(),
-            report=report,
-        )
+    report = ResilienceReport()
+    cells = get_executor(workers, kind).map(
+        _campaign_cell, tasks,
+        policy=policy if policy is not None else RetryPolicy.from_env(),
+        report=report,
+    )
     result = CampaignResult(config=config, scale=scale, resilience=report)
     for cell_rows in cells:
         result.rows.extend(cell_rows)  # type: ignore[arg-type]

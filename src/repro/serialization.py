@@ -20,7 +20,10 @@ conductances on top of these primitives.)
 Every archive written here carries a content digest (BLAKE2b over the
 canonical metadata JSON plus every array's name/dtype/shape/bytes).
 Reads recompute it and refuse a mismatch with :class:`IntegrityError`;
-digest-less archives from older versions still load.
+digest-less archives from older versions still load.  Damaged bytes
+(truncation, a flipped byte, an empty file) also raise
+:class:`IntegrityError`, and a readable archive without a JSON-object
+``__meta__`` record raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
+import zipfile
 from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
@@ -57,7 +61,15 @@ _FORMAT_VERSION = 1
 
 
 class IntegrityError(ValueError):
-    """An archive's content digest does not match its payload."""
+    """An archive's bytes are damaged or its digest does not match its payload."""
+
+
+_UNREADABLE = (
+    zipfile.BadZipFile, EOFError, KeyError, NotImplementedError, OSError,
+    RuntimeError, TypeError, ValueError,
+)
+"""What NumPy and :mod:`zipfile` raise on damaged archive bytes
+(``TypeError``: a bare ``.npy`` array, which is no ``NpzFile``)."""
 
 
 def content_digest(meta: Mapping[str, object], arrays: Mapping[str, np.ndarray]) -> str:
@@ -120,18 +132,31 @@ def _write(path, kind: str, meta: dict, arrays: dict) -> None:
              **arrays)
 
 
-def _read(path, expected_kind: str):
-    data = np.load(path)
-    meta = json.loads(bytes(data["__meta__"]).decode())
-    if meta.get("kind") != expected_kind:
+def read_archive(path, kind: str) -> Tuple[dict, Dict[str, np.ndarray]]:
+    """Read + digest-verify an archive of ``kind``; returns (meta, arrays)."""
+    with open(path, "rb") as handle:
+        try:
+            with np.load(handle) as data:
+                arrays = {name: data[name] for name in data.files}
+        except _UNREADABLE as exc:
+            raise IntegrityError(
+                f"{path}: unreadable archive ({type(exc).__name__}: {exc})"
+            ) from exc
+    raw = arrays.pop("__meta__", None)
+    try:
+        meta = None if raw is None else json.loads(bytes(raw).decode())
+    except ValueError:  # UnicodeDecodeError and JSONDecodeError
+        meta = None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: no JSON-object __meta__ record; not a repro archive")
+    if meta.get("kind") != kind:
         raise ValueError(
-            f"{path} holds a {meta.get('kind')!r} archive, expected {expected_kind!r}"
+            f"{path} holds a {meta.get('kind')!r} archive, expected {kind!r}"
         )
     if meta.get("format_version") != _FORMAT_VERSION:
         raise ValueError(f"unsupported format version {meta.get('format_version')}")
     declared = meta.get("digest")
     if declared is not None:
-        arrays = {name: data[name] for name in data.files if name != "__meta__"}
         actual = content_digest(meta, arrays)
         if actual != declared:
             raise IntegrityError(
@@ -139,19 +164,12 @@ def _read(path, expected_kind: str):
                 f"recomputed {actual}) — the archive is corrupt or was "
                 "modified after writing; refusing to load it"
             )
-    return meta, data
+    return meta, arrays
 
 
 def write_archive(path, kind: str, meta: dict, arrays: Dict[str, np.ndarray]) -> None:
     """Write a digest-protected archive of ``kind`` (serving-layer API)."""
     _write(path, kind, meta, arrays)
-
-
-def read_archive(path, kind: str) -> Tuple[dict, Dict[str, np.ndarray]]:
-    """Read + digest-verify an archive of ``kind``; returns (meta, arrays)."""
-    meta, data = _read(path, kind)
-    arrays = {name: np.array(data[name]) for name in data.files if name != "__meta__"}
-    return meta, arrays
 
 
 def save_mlp(net: MLP, path) -> None:
@@ -161,7 +179,7 @@ def save_mlp(net: MLP, path) -> None:
 
 def load_mlp(path) -> MLP:
     """Restore a bare network."""
-    meta, data = _read(path, "mlp")
+    meta, data = read_archive(path, "mlp")
     return _restore_network(meta, data)
 
 
@@ -186,7 +204,7 @@ def save_mei(mei: MEI, path) -> None:
 
 def load_mei(path) -> MEI:
     """Restore an MEI and re-deploy it onto ideal crossbars."""
-    meta, data = _read(path, "mei")
+    meta, data = read_archive(path, "mei")
     mei = MEI(MEIConfig(**meta["config"]), seed=0)
     mei.network = _restore_network(meta["network"], data)
     mei.in_bits = int(meta["in_bits"])
@@ -212,7 +230,7 @@ def save_rcs(rcs: TraditionalRCS, path) -> None:
 
 def load_rcs(path) -> TraditionalRCS:
     """Restore a traditional RCS and re-deploy it."""
-    meta, data = _read(path, "rcs")
+    meta, data = read_archive(path, "rcs")
     rcs = TraditionalRCS(Topology(**meta["topology"]), seed=0)
     rcs.network = _restore_network(meta["network"], data)
     rcs.deploy()
@@ -253,7 +271,7 @@ def save_saab(saab: SAAB, path) -> List[pathlib.Path]:
 def load_saab(path) -> SAAB:
     """Restore an ensemble saved by :func:`save_saab`."""
     path = pathlib.Path(path)
-    meta, _ = _read(path, "saab")
+    meta, _ = read_archive(path, "saab")
     saab = SAAB(
         lambda k: (_ for _ in ()).throw(RuntimeError("loaded ensembles cannot extend")),
         SAABConfig(**meta["config"]),

@@ -36,7 +36,6 @@ class TestRegistry:
         assert names == {
             "REPRO_LOG",
             "REPRO_LOG_JSON",
-            "REPRO_TRACE",
             "REPRO_RUN_DIR",
             "REPRO_HISTORY",
             "REPRO_WORKERS",
@@ -77,11 +76,11 @@ class TestDefaults:
 class TestCoercion:
     def test_bool_accepts_all_truthy_spellings(self, monkeypatch):
         for raw in ("1", "true", "YES", " On "):
-            monkeypatch.setenv("REPRO_TRACE", raw)
-            assert knobs.get_bool("REPRO_TRACE") is True
+            monkeypatch.setenv("REPRO_SHM", raw)
+            assert knobs.get_bool("REPRO_SHM") is True
         for raw in ("0", "off", "no", "false", ""):
-            monkeypatch.setenv("REPRO_TRACE", raw)
-            assert knobs.get_bool("REPRO_TRACE") is False
+            monkeypatch.setenv("REPRO_SHM", raw)
+            assert knobs.get_bool("REPRO_SHM") is False
 
     def test_int_coercion_and_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", " 4 ")
@@ -101,10 +100,10 @@ class TestCoercion:
 
 class TestSnapshot:
     def test_snapshot_captures_all_repro_vars(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "1")
+        monkeypatch.setenv("REPRO_SHM", "1")
         monkeypatch.setenv("REPRO_SURPRISE", "x")  # unregistered but captured
         snap = knobs.snapshot()
-        assert snap["REPRO_TRACE"] == "1"
+        assert snap["REPRO_SHM"] == "1"
         assert snap["REPRO_SURPRISE"] == "x"
         assert all(name.startswith("REPRO_") for name in snap)
 
@@ -146,11 +145,13 @@ class TestDocs:
 class TestIntegration:
     """The migrated call sites still honour their knobs."""
 
-    def test_trace_env_resolves_through_registry(self, monkeypatch):
-        from repro.obs import trace
+    def test_shm_env_resolves_through_registry(self, monkeypatch):
+        from repro.parallel.shm import shm_enabled
 
-        monkeypatch.setenv("REPRO_TRACE", "yes")
-        assert knobs.get_bool(trace.TRACE_ENV) is True
+        monkeypatch.setenv("REPRO_SHM", "yes")
+        assert shm_enabled() is True
+        monkeypatch.setenv("REPRO_SHM", "off")
+        assert shm_enabled() is False
 
     def test_workers_env_resolves_through_registry(self, monkeypatch):
         from repro.parallel.executor import resolve_workers
@@ -180,5 +181,5 @@ class TestIntegration:
     def test_manifest_env_block_uses_snapshot(self, monkeypatch):
         from repro.obs.runinfo import repro_env
 
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        assert repro_env()["REPRO_TRACE"] == "1"
+        monkeypatch.setenv("REPRO_SHM", "1")
+        assert repro_env()["REPRO_SHM"] == "1"

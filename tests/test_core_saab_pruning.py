@@ -54,6 +54,7 @@ class TestSAAB:
         assert len(records) == warnings
         boosted = [r.error < 0.5 for r in saab.rounds]
         assert boosted == [not warnings] * 2
+        assert saab.boosted_rounds == sum(boosted)
         if warnings:
             assert records[0].levelno == logging.WARNING
             assert records[0].fields == {"K": 2,

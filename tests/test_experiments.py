@@ -129,6 +129,17 @@ class TestFig4:
             assert 0 <= acc <= 1
         assert "SAAB" in result.render()
 
+    def test_row_says_whether_saab_boosted(self):
+        result = run_fig4(names=("sobel",), scale=TINY, seed=0, max_k=2)
+        (row,) = result.rows
+        assert len(row.round_errors) == row.k_used
+        assert row.boosted_rounds == sum(error < 0.5 for error in row.round_errors)
+        assert result.metrics()["fig4.sobel.boosted_rounds"] == row.boosted_rounds
+        assert row.as_dict()["round_errors"] == list(row.round_errors)
+        header, rule, line = result.render().splitlines()[1:4]
+        assert header.split()[-1] == "boosted"
+        assert line.split()[-1] == f"{row.boosted_rounds}/{row.k_used}"
+
 
 class TestFig5:
     def test_curve_structure(self):

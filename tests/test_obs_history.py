@@ -19,7 +19,6 @@ from repro.obs import history as obs_history
 from repro.obs import metrics as obs_metrics
 from repro.obs import report as obs_report
 from repro.obs import runinfo
-from repro.obs import trace as obs_trace
 
 TINY = ExperimentScale(name="tiny", n_train=300, n_test=80, epochs=15, noise_trials=2)
 
@@ -343,12 +342,11 @@ class TestBenchDriver:
         assert all(k.startswith("table1.") for k in metrics)
         assert entry["version"] == repro.__version__
         assert entry["scale"] == "tiny"
-        # The store round-trips, and bench leaves tracing as it was (off).
+        # The store round-trips.
         (loaded,) = obs_history.load_history(store)
         assert loaded["metrics"]["table1.fft.error_mei"] == pytest.approx(
             metrics["table1.fft.error_mei"]
         )
-        assert not obs_trace.enabled()
         rendered = render_bench_entry(entry)
         assert "fft" in rendered and "err MEI" in rendered
 

@@ -12,19 +12,14 @@ import pytest
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import openmetrics as obs_openmetrics
-from repro.obs import trace as obs_trace
 from repro.parallel import get_executor
 
 
 @pytest.fixture(autouse=True)
 def _clean_obs_state():
-    """Isolate the process-wide trace/metrics state per test."""
-    was_enabled = obs_trace.enabled()
-    obs_trace.clear()
+    """Isolate the process-wide metrics state per test."""
     obs_metrics.clear()
     yield
-    obs_trace.enable(was_enabled)
-    obs_trace.clear()
     obs_metrics.clear()
 
 

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 import repro.sanitize as sanitize
-from repro.obs import trace as obs_trace
 from repro.parallel import (
     TASK_RETRIES_ENV,
     TASK_TIMEOUT_ENV,
@@ -24,6 +23,7 @@ from repro.parallel import (
     TaskError,
     get_executor,
 )
+from repro.obs import metrics as obs_metrics
 from repro.parallel.executor import MAX_BACKOFF
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -240,26 +240,21 @@ class TestChaosProcessPool:
 
 
 class TestSerialDegradation:
-    def test_exhausted_tasks_degrade_to_serial_with_span(self):
+    def test_exhausted_tasks_degrade_to_serial(self):
         # Fails in every worker, succeeds in the parent: the pool burns
         # the retry budget, then the serial fallback completes the map.
         items = [(v, os.getpid()) for v in range(3)]
-        obs_trace.enable(True)
-        obs_trace.clear()
-        try:
-            results, report = resilient_run(
-                _fail_in_workers, items, workers=2, kind="process",
-                policy=RetryPolicy(retries=1, backoff=0.01),
-            )
-            names = {record.name for record in obs_trace.get_records()}
-        finally:
-            obs_trace.enable(False)
-            obs_trace.clear()
+        before = obs_metrics.snapshot()
+        results, report = resilient_run(
+            _fail_in_workers, items, workers=2, kind="process",
+            policy=RetryPolicy(retries=1, backoff=0.01),
+        )
+        delta = obs_metrics.diff(before, obs_metrics.snapshot())
         assert results == [0, 1, 4]
         assert report.degraded
         assert report.serial_fallback_tasks == 3
-        assert "resilient_serial_fallback" in names
-        assert "parallel_map" in names
+        assert delta["counters"]["resilient_serial_fallback"] == 3.0
+        assert delta["counters"]["resilient_degraded_maps"] == 1.0
         assert any("degrading" in event for event in report.events)
 
     def test_unpicklable_work_degrades_upfront(self):

@@ -1,7 +1,11 @@
 """Tests for save/load of trained systems."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.mei import MEI, MEIConfig
 from repro.core.rcs import TraditionalRCS
@@ -10,15 +14,18 @@ from repro.cost.area import Topology
 from repro.nn.network import MLP
 from repro.nn.trainer import TrainConfig
 from repro.serialization import (
+    IntegrityError,
     load_mei,
     load_mlp,
     load_rcs,
     load_saab,
+    read_archive,
     save_mei,
     save_mlp,
     save_rcs,
     save_saab,
 )
+from repro.serve import ARTIFACT_KIND, load_artifact, save_artifact
 
 FAST = TrainConfig(epochs=20, batch_size=64, learning_rate=0.02, shuffle_seed=0)
 
@@ -108,3 +115,115 @@ class TestSAABRoundtrip:
         saab = SAAB(lambda k: MEI(MEIConfig(1, 1, 4), seed=k), SAABConfig(n_learners=1))
         with pytest.raises(ValueError):
             save_saab(saab, tmp_path / "x.npz")
+
+
+_CORRUPT = settings(
+    max_examples=60, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@pytest.fixture(scope="module")
+def artifact_bytes(tmp_path_factory):
+    """A small MEI serving artifact, as the bytes written to disk."""
+    rng = np.random.default_rng(0)
+    x, y = rng.uniform(0, 1, (32, 2)), rng.uniform(0, 1, (32, 1))
+    fit = TrainConfig(epochs=2, batch_size=16, learning_rate=0.02, shuffle_seed=0)
+    mei = MEI(MEIConfig(2, 1, 4, bits=4), seed=0).train(x, y, fit)
+    path = save_artifact(mei, tmp_path_factory.mktemp("artifact") / "mei.npz")
+    return path.read_bytes()
+
+
+def _corruptions(blob_size):
+    """Truncate at any offset, or XOR one byte anywhere with a nonzero mask."""
+    truncate = st.tuples(st.just("truncate"), st.integers(0, blob_size - 1), st.just(0))
+    flip = st.tuples(
+        st.just("flip"), st.integers(0, blob_size - 1), st.integers(1, 255)
+    )
+    return st.one_of(truncate, flip)
+
+
+def _damage(blob, corruption):
+    how, offset, mask = corruption
+    if how == "truncate":
+        return blob[:offset]
+    damaged = bytearray(blob)
+    damaged[offset] ^= mask
+    return bytes(damaged)
+
+
+class TestCorruptArchives:
+    """Damaged bytes raise IntegrityError; a wrong schema raises ValueError.
+
+    A flip the zip layer never reads (e.g. a timestamp) may still load,
+    and then the digest guarantees the content is the original's.
+    """
+
+    @_CORRUPT
+    @given(data=st.data())
+    def test_read_archive(self, artifact_bytes, tmp_path, data):
+        original = tmp_path / "original.npz"
+        original.write_bytes(artifact_bytes)
+        meta, arrays = read_archive(original, ARTIFACT_KIND)
+        corruption = data.draw(_corruptions(len(artifact_bytes)))
+        path = tmp_path / "damaged.npz"
+        path.write_bytes(_damage(artifact_bytes, corruption))
+        try:
+            got_meta, got_arrays = read_archive(path, ARTIFACT_KIND)
+        except IntegrityError:
+            return
+        assert corruption[0] == "flip"
+        assert got_meta == meta
+        assert got_arrays.keys() == arrays.keys()
+        for name, array in arrays.items():
+            assert np.array_equal(got_arrays[name], array)
+
+    @_CORRUPT
+    @given(data=st.data())
+    def test_load_artifact(self, artifact_bytes, tmp_path, data):
+        corruption = data.draw(_corruptions(len(artifact_bytes)))
+        path = tmp_path / "damaged.npz"
+        path.write_bytes(_damage(artifact_bytes, corruption))
+        try:
+            loaded = load_artifact(path)
+        except IntegrityError:
+            return
+        assert corruption[0] == "flip"
+        assert loaded.kind == "mei"
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.npz"
+        path.write_bytes(b"")
+        with pytest.raises(IntegrityError):
+            read_archive(path, ARTIFACT_KIND)
+        with pytest.raises(IntegrityError):
+            load_artifact(path)
+
+    def test_missing_file_stays_file_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            read_archive(tmp_path / "absent.npz", ARTIFACT_KIND)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(meta=st.one_of(
+        st.none(),
+        st.binary(max_size=32),
+        st.lists(st.integers()).map(lambda v: json.dumps(v).encode()),
+        st.integers().map(lambda v: json.dumps(v).encode()),
+        st.text(max_size=16).map(lambda v: json.dumps(v).encode()),
+        st.sampled_from(["mlp", "mei", None]).map(
+            lambda kind: json.dumps({"kind": kind, "format_version": 1}).encode()
+        ),
+    ))
+    def test_wrong_schema_meta(self, tmp_path, meta):
+        """``None`` writes no ``__meta__`` record at all."""
+        path = tmp_path / "schema.npz"
+        records = {"w": np.zeros(3)}
+        if meta is not None:
+            records["__meta__"] = np.frombuffer(meta, dtype=np.uint8)
+        np.savez(path, **records)
+        for load in (lambda: read_archive(path, ARTIFACT_KIND),
+                     lambda: load_artifact(path)):
+            with pytest.raises(ValueError) as raised:
+                load()
+            assert not isinstance(raised.value, IntegrityError)
