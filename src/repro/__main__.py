@@ -1,24 +1,19 @@
 """Command-line entry point: regenerate the paper's tables and figures.
 
-Usage::
+``python -m repro --help`` lists the commands, and ``python -m repro
+COMMAND --help`` lists the flags that command reads; any other flag is
+an argparse error (exit 2).  ``fig2``, ``fig3``, ``table1`` (``--bench
+fft`` for one row), ``fig4``, ``fig5`` and ``bitlength`` print one of
+the paper's tables or figures, and ``all`` prints them all in paper
+order.  ``faults`` runs the stuck-at fault campaign, ``summary``
+collates archived bench tables and ``lint`` runs the repro-lint
+invariant checker.
 
-    python -m repro fig2                  # Fig. 2 cost breakdown
-    python -m repro fig3                  # Fig. 3 hidden-size sweep
-    python -m repro table1 [--bench fft]  # Table 1 (all or one row)
-    python -m repro fig4                  # Fig. 4 method comparison
-    python -m repro fig5                  # Fig. 5 robustness sweeps
-    python -m repro bitlength             # MEI word-length extension
-    python -m repro faults --scale fast   # stuck-at fault campaign
-    python -m repro all                   # everything, in paper order
-
-    python -m repro bench                 # bench suite -> runs/history.jsonl
-    python -m repro errorbudget [--bench fft] [--json]    # stage attribution
-    python -m repro compare [--baseline SHA] [--strict]   # regression gate
-    python -m repro report                # trajectory report (md + HTML)
-    python -m repro summary               # collate archived bench tables
-    python -m repro lint [--json]         # repro-lint invariant checker
-    python -m repro serve [--bench fft]   # inference service (HTTP)
-    python -m repro --version
+Budgets: every command that trains or samples takes ``--scale
+quick|full``.  ``full`` is the paper's setup (10k train samples, 400
+epochs, 100 noise trials); ``quick`` finishes in minutes.  The default
+is ``full`` when ``REPRO_FULL`` is truthy and ``quick`` otherwise.
+``faults`` takes ``--scale fast|quick|full`` and defaults to ``fast``.
 
 Serving: ``serve`` trains (or loads, via ``--artifact``) a system,
 wraps it in the micro-batched request path and answers value-domain
@@ -28,10 +23,6 @@ load-once model artifact; ``--smoke`` starts an ephemeral server,
 drives a quick loadgen through it, differential-checks one response
 against the in-process prediction and exits non-zero on any failure
 (the CI serve-smoke step).  See ``docs/serving.md``.
-
-Add ``--full`` for the paper-scale budgets (10k train samples, 400
-epochs, 100 noise trials); the default quick budgets finish in
-minutes.
 
 Observability: tables go to **stdout**, diagnostics to **stderr**, so
 ``python -m repro table1 > results.txt`` captures clean tables.  Use
@@ -60,19 +51,14 @@ errorbudget``.  See the "Error budget" section of
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import logging
 import os
 import sys
 
 from repro import __version__
-from repro.core.runner import FULL_SCALE, QUICK_SCALE
-from repro.experiments.bitlength import run_bitlength
-from repro.experiments.fig2 import run_fig2
-from repro.experiments.fig3 import run_fig3
-from repro.experiments.fig4 import run_fig4
-from repro.experiments.fig5 import run_fig5
-from repro.experiments.table1 import run_benchmark_row, run_table1
+from repro.core.runner import FULL_SCALE, QUICK_SCALE, default_scale
 from repro.obs import log as obs_log
 from repro.obs import metrics as obs_metrics
 from repro.obs import runinfo
@@ -80,10 +66,56 @@ from repro.workloads.registry import BENCHMARK_NAMES
 
 _log = obs_log.get_logger("cli")
 
+_SCALES = {scale.name: scale for scale in (QUICK_SCALE, FULL_SCALE)}
+"""The ``--scale`` budgets of every command but ``faults``."""
 
-def _table1(args, scale) -> str:
-    if args.bench:
-        row = run_benchmark_row(args.bench, scale, seed=args.seed)
+_FIGURES = ("fig2", "fig3", "table1", "fig4", "fig5", "bitlength")
+"""The paper's tables and figures, in paper order (``all`` runs each)."""
+
+
+def _render(name, scale, seed) -> str:
+    """Run ``repro.experiments.<name>.run_<name>``, imported here so ``serve`` never loads it."""
+    run = getattr(importlib.import_module(f"repro.experiments.{name}"), f"run_{name}")
+    return (run() if name == "fig2" else run(scale=scale, seed=seed)).render()
+
+
+def _manifest(args, name, **fields) -> None:
+    """Write ``name``'s run manifest (``--run-dir``, else ``REPRO_RUN_DIR`` or ``runs/``)."""
+    path = runinfo.write_manifest(name, run_dir=args.run_dir, argv=args.argv, **fields)
+    _log.info("wrote run manifest",
+              extra={"fields": {"experiment": name, "path": os.fspath(path)}})
+
+
+def _print_tables(args, names, scale=None, seed=None, render=None) -> int:
+    """Print each table; with ``--run-dir``, write one manifest per table."""
+    for name in names:
+        _log.info(
+            "running experiment",
+            extra={"fields": {"experiment": name,
+                              "scale": scale.name if scale else None, "seed": seed}},
+        )
+        obs_metrics.clear()
+        print((render or _render)(name, scale, seed))
+        print()
+        if args.run_dir is not None:
+            _manifest(args, name, seed=seed, scale=scale)
+    return 0
+
+
+def _run_fig2(args) -> int:
+    return _print_tables(args, ["fig2"])
+
+
+def _run_figure(args) -> int:
+    names = _FIGURES if args.command == "all" else [args.command]
+    return _print_tables(args, names, _SCALES[args.scale], args.seed)
+
+
+def _run_table1(args) -> int:
+    def one_row(name, scale, seed) -> str:
+        from repro.experiments.table1 import run_benchmark_row
+
+        row = run_benchmark_row(args.bench, scale, seed=seed)
         return (
             f"Table 1 row — {row.name}\n"
             f"pruned MEI topology: {row.pruned_topology}\n"
@@ -92,47 +124,51 @@ def _table1(args, scale) -> str:
             f"area saved (measured): {row.area_saved_measured:.4f}\n"
             f"power saved (measured): {row.power_saved_measured:.4f}"
         )
-    return run_table1(scale=scale, seed=args.seed).render()
+
+    return _print_tables(args, ["table1"], _SCALES[args.scale], args.seed,
+                         render=one_row if args.bench else None)
 
 
-def _summary() -> str:
+def _run_summary(args) -> int:
     from repro.experiments.summary import collect_reports
 
-    return collect_reports()
+    print(collect_reports())
+    return 0
 
 
-def _run_bench(args, scale) -> int:
+def _record(args, entry, history_file, write_baseline) -> int:
+    """Log the history append; ``--write-baseline`` then calls ``write_baseline()``.
+
+    A dirty or unknown checkout refuses the write (exit 2) unless
+    ``--allow-dirty`` is given.
+    """
+    from repro.experiments.errorbudget import baseline_guard
+
+    if history_file is not None:
+        _log.info("history updated", extra={"fields": {"path": os.fspath(history_file)}})
+    if not args.write_baseline:
+        return 0
+    refusal = baseline_guard(entry, allow_dirty=args.allow_dirty)
+    if refusal is not None:
+        print(refusal, file=sys.stderr)
+        return 2
+    path = write_baseline()
+    _log.info("baseline snapshot written", extra={"fields": {"path": os.fspath(path)}})
+    return 0
+
+
+def _run_bench(args) -> int:
     from repro.experiments.bench import render_bench_entry, run_bench, write_baseline
 
     names = [args.bench] if args.bench else list(BENCHMARK_NAMES)
     entry, history_file = run_bench(
-        names=names, scale=scale, seed=args.seed, history_path=args.history
+        names=names, scale=_SCALES[args.scale], seed=args.seed, history_path=args.history
     )
     print(render_bench_entry(entry))
-    if history_file is not None:
-        _log.info(
-            "history updated",
-            extra={"fields": {"path": os.fspath(history_file)}},
-        )
-    if args.write_baseline:
-        state = runinfo.checkout_state(entry)
-        if state is not None and not args.allow_dirty:
-            print(
-                f"refusing --write-baseline: git checkout is {state}, so the "
-                f"baseline would not be attributable to a commit; commit your "
-                f"changes or pass --allow-dirty",
-                file=sys.stderr,
-            )
-            return 2
-        baseline = write_baseline(entry)
-        _log.info(
-            "baseline snapshot written",
-            extra={"fields": {"path": os.fspath(baseline)}},
-        )
-    return 0
+    return _record(args, entry, history_file, lambda: write_baseline(entry))
 
 
-def _run_errorbudget(args, scale) -> int:
+def _run_errorbudget(args) -> int:
     """Stage-attribution harness: counterfactual error budget per bench.
 
     Trials resolution: ``--trials`` > ``REPRO_ERRORBUDGET_TRIALS`` >
@@ -143,12 +179,9 @@ def _run_errorbudget(args, scale) -> int:
     from repro.analysis.errorbudget import ErrorBudgetConfig
     from repro.config import knobs
     from repro.experiments.bench import write_baseline
-    from repro.experiments.errorbudget import (
-        ERRORBUDGET_BASELINE_FILE,
-        baseline_guard,
-        run_errorbudget,
-    )
+    from repro.experiments.errorbudget import ERRORBUDGET_BASELINE_FILE, run_errorbudget
 
+    scale = _SCALES[args.scale]
     trials = args.trials
     if trials is None:
         trials = knobs.get_int("REPRO_ERRORBUDGET_TRIALS")
@@ -176,21 +209,10 @@ def _run_errorbudget(args, scale) -> int:
         print(json.dumps(suite.payload(), indent=2, default=str))
     else:
         print(suite.render())
-    if history_file is not None:
-        _log.info(
-            "history updated",
-            extra={"fields": {"path": os.fspath(history_file)}},
-        )
-    if args.write_baseline:
-        refusal = baseline_guard(entry, allow_dirty=args.allow_dirty)
-        if refusal is not None:
-            print(refusal, file=sys.stderr)
-            return 2
-        baseline = write_baseline(entry, ERRORBUDGET_BASELINE_FILE)
-        _log.info(
-            "errorbudget baseline written",
-            extra={"fields": {"path": os.fspath(baseline)}},
-        )
+    code = _record(args, entry, history_file,
+                   lambda: write_baseline(entry, ERRORBUDGET_BASELINE_FILE))
+    if code:
+        return code
     if args.check:
         from repro.obs import openmetrics
 
@@ -230,11 +252,8 @@ def _run_compare(args) -> int:
         kind=args.kind,
     )
     if result is None:
-        message = (
-            "nothing to compare: need at least one history entry "
-            "(run `python -m repro bench`) and a resolvable baseline"
-        )
-        print(message)
+        print("nothing to compare: need at least one history entry "
+              "(run `python -m repro bench`) and a resolvable baseline")
         return 2 if args.strict else 0
     if args.json:
         print(json.dumps(result.to_dict(strict=args.strict), indent=2))
@@ -248,8 +267,7 @@ def _run_report(args) -> int:
     from repro.obs.report import render_markdown, write_report
 
     history = load_history(args.history)
-    out_dir = args.out or "runs"
-    md_path, html_path = write_report(history, out_dir=out_dir)
+    md_path, html_path = write_report(history, out_dir=args.out)
     print(render_markdown(history))
     _log.info(
         "trajectory report written",
@@ -271,34 +289,21 @@ def _run_faults(args) -> int:
     from repro.parallel.executor import RetryPolicy
 
     scale = campaign_scale(args.scale)
-    chaos = not args.no_chaos
-    workers = args.workers if args.workers is not None else 2
-    benchmarks = (args.bench,) if args.bench else None
     result = run_fig_faults(
         scale=scale,
         seed=args.seed,
-        benchmarks=benchmarks,
-        workers=workers,
+        benchmarks=(args.bench,) if args.bench else None,
+        workers=args.workers,
         policy=RetryPolicy.from_env(),
-        chaos=chaos,
+        chaos=not args.no_chaos,
     )
     print(result.render())
-    path = runinfo.write_manifest(
-        "faults",
-        run_dir=args.run_dir,
-        seed=args.seed,
-        scale=scale,
-        argv=sys.argv[1:],
-        extra={"campaign": result.to_dict()},
-    )
-    _log.info(
-        "wrote run manifest",
-        extra={"fields": {"experiment": "faults", "path": os.fspath(path)}},
-    )
+    _manifest(args, "faults", seed=args.seed, scale=scale,
+              extra={"campaign": result.to_dict()})
     return 0
 
 
-def _run_serve(args, scale) -> int:
+def _run_serve(args) -> int:
     """The inference service: artifact -> micro-batched HTTP request path.
 
     Always materializes through the on-disk artifact (train -> save ->
@@ -316,8 +321,9 @@ def _run_serve(args, scale) -> int:
 
     artifact = args.artifact
     if artifact is None or not pathlib.Path(artifact).exists():
-        name = args.bench or "fft"
-        ensemble = args.ensemble if args.ensemble and args.ensemble > 1 else 0
+        name = args.bench
+        scale = _SCALES[args.scale]
+        ensemble = args.ensemble if args.ensemble > 1 else 0
         _log.info(
             "training serve system",
             extra={"fields": {"benchmark": name, "scale": scale.name,
@@ -396,14 +402,13 @@ def _run_serve(args, scale) -> int:
 
     from repro.serve.service import run_service
 
-    port = args.port
     print(
         f"serving {model.kind} model ({model.meta.get('benchmark')}) — "
         f"POST /v1/predict, GET /metrics (Ctrl-C to stop)",
         file=sys.stderr,
     )
     try:
-        run_service(model, port=port)
+        run_service(model, port=args.port)
     except KeyboardInterrupt:
         pass
     return 0
@@ -419,17 +424,10 @@ def _run_lint(args) -> int:
         return 0
     targets = args.paths if args.paths else [engine.default_target()]
     if args.graph:
-        import ast as _ast
-
         from repro.lintrules.graph import REPRO_CONTRACT, build_graph
 
-        parsed = []
-        for path in engine.iter_python_files(targets):
-            try:
-                parsed.append((path, _ast.parse(path.read_text(encoding="utf-8"))))
-            except SyntaxError:
-                continue
-        graph = build_graph(parsed)
+        files = engine.iter_python_files(targets)
+        graph = build_graph([(path, tree) for path, _, tree in engine.parse_files(files)])
         if args.graph == "dot":
             print(graph.to_dot(REPRO_CONTRACT))
         else:
@@ -444,184 +442,177 @@ def _run_lint(args) -> int:
     return 1 if findings else 0
 
 
-def main(argv=None) -> int:
+def _flags(*specs) -> argparse.ArgumentParser:
+    """A parent parser holding ``(flag, add_argument kwargs)`` pairs."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for flag, kwargs in specs:
+        parent.add_argument(flag, **kwargs)
+    return parent
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI: one subparser per command, each with only the flags it reads."""
+    common = _flags(("--log-level", dict(
+        default=None, choices=["debug", "info", "warning", "error"],
+        help="diagnostic verbosity on stderr (default: REPRO_LOG or info)")))
+    seed = _flags(("--seed", dict(type=int, default=0, help="experiment seed")))
+    budget = _flags(("--scale", dict(
+        choices=list(_SCALES), default=default_scale().name,
+        help="budget: 'quick' finishes in minutes, 'full' is the paper's "
+             "(10k train samples, 400 epochs, 100 noise trials); default "
+             "'full' when REPRO_FULL is set, else 'quick'")))
+    run_dir = _flags(("--run-dir", dict(
+        default=None, metavar="DIR",
+        help="directory for run manifests (default: REPRO_RUN_DIR or 'runs/')")))
+    bench = _flags(("--bench", dict(choices=BENCHMARK_NAMES, default=None,
+                                    help="restrict the run to one benchmark")))
+    history = _flags(("--history", dict(
+        default=None, metavar="PATH",
+        help="run-history store (default: REPRO_HISTORY or 'runs/history.jsonl')")))
+    ensemble = _flags(("--ensemble", dict(
+        type=int, default=1, metavar="K", help="SAAB ensemble size; 1 = single MEI")))
+    as_json = _flags(("--json", dict(action="store_true",
+                                     help="print the machine-readable report as JSON")))
+    baseline = _flags(
+        ("--write-baseline", dict(
+            action="store_true",
+            help="also write the entry to the kind's committed baseline snapshot "
+                 "(refused on a dirty/unknown git checkout)")),
+        ("--allow-dirty", dict(
+            action="store_true",
+            help="let --write-baseline proceed despite a dirty/unknown git checkout")),
+    )
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate the tables/figures of 'Merging the Interface' (DAC 2015).",
     )
-    parser.add_argument(
-        "experiment",
-        choices=["fig2", "fig3", "table1", "fig4", "fig5", "bitlength",
-                 "faults", "bench", "errorbudget", "compare", "report",
-                 "summary", "lint", "serve", "all"],
-        help="artifact to regenerate, or a trajectory command: 'faults' runs the "
-             "stuck-at fault-injection campaign (manifest always written), 'bench' "
-             "runs the benchmark suite and appends to the run history, "
-             "'errorbudget' attributes the real-vs-ideal accuracy gap to pipeline "
-             "stages via counterfactual idealization, 'compare' "
-             "gates the latest entry against a baseline, 'report' renders the "
-             "trajectory (markdown + HTML), 'summary' collates archived bench "
-             "tables, 'lint' runs the repro-lint invariant checker over the package, "
-             "'serve' runs the micro-batched inference service over a model "
-             "artifact",
-    )
     parser.add_argument("--version", action="version", version=f"repro {__version__}")
-    parser.add_argument("--full", action="store_true",
-                        help="paper-scale budgets instead of quick ones")
-    parser.add_argument("--seed", type=int, default=0, help="experiment seed")
-    parser.add_argument("--bench", choices=BENCHMARK_NAMES, default=None,
-                        help="restrict table1/bench/errorbudget to one benchmark")
-    parser.add_argument("--log-level", default=None,
-                        choices=["debug", "info", "warning", "error"],
-                        help="diagnostic verbosity on stderr (default: REPRO_LOG or info)")
-    parser.add_argument("--run-dir", default=None, metavar="DIR",
-                        help="directory for run manifests (default: REPRO_RUN_DIR or "
-                             "'runs/'); implies writing a manifest")
-    parser.add_argument("--history", default=None, metavar="PATH",
-                        help="run-history store (default: REPRO_HISTORY or "
-                             "'runs/history.jsonl')")
-    parser.add_argument("--baseline", default=None, metavar="SHA",
-                        help="compare: baseline commit (prefix ok); resolved through "
-                             "history, falling back to benchmarks/baseline.json")
-    parser.add_argument("--baseline-file", default="benchmarks/baseline.json",
-                        metavar="PATH",
-                        help="compare: committed baseline snapshot fallback")
-    parser.add_argument("--strict", action="store_true",
-                        help="compare: also fail when a baseline metric is "
-                             "missing from the current run")
-    parser.add_argument("--kind", default=None, metavar="KIND",
-                        help="compare: restrict both sides to history entries of "
-                             "one kind (e.g. 'errorbudget', which also swaps in "
-                             "benchmarks/errorbudget_baseline.json as the snapshot "
-                             "fallback)")
-    parser.add_argument("--json", action="store_true",
-                        help="compare/lint/errorbudget: print the machine-readable "
-                             "report as JSON")
-    parser.add_argument("--paths", nargs="*", default=None, metavar="PATH",
-                        help="lint: files/directories to check (default: the "
-                             "installed repro package source)")
-    parser.add_argument("--list-rules", action="store_true",
-                        help="lint: print the RPR rule catalogue and exit")
-    parser.add_argument("--graph", choices=["dot", "svg"], default=None,
-                        help="lint: print the package import graph (layer "
-                             "level, lazy edges dashed) instead of linting")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="bench/errorbudget: also write the entry to the kind's "
-                             "committed baseline snapshot (refused on a "
-                             "dirty/unknown git checkout)")
-    parser.add_argument("--allow-dirty", action="store_true",
-                        help="bench/errorbudget: let --write-baseline proceed "
-                             "despite a dirty/unknown git checkout")
-    parser.add_argument("--trials", type=int, default=None, metavar="N",
-                        help="errorbudget: Monte-Carlo trials per variant "
-                             "(default: REPRO_ERRORBUDGET_TRIALS or the scale's "
-                             "noise-trial budget)")
-    parser.add_argument("--ensemble", type=int, default=1, metavar="K",
-                        help="errorbudget: SAAB ensemble size; 1 = single MEI "
-                             "(default 1)")
-    parser.add_argument("--sigma-pv", type=float, default=0.1, metavar="S",
-                        help="errorbudget: lognormal process-variation sigma of "
-                             "the 'real' system (default 0.1)")
-    parser.add_argument("--sigma-sf", type=float, default=0.05, metavar="S",
-                        help="errorbudget: signal-fluctuation sigma of the 'real' "
-                             "system (default 0.05)")
-    parser.add_argument("--comparator-offset", type=float, default=0.05,
-                        metavar="S",
-                        help="errorbudget: comparator offset sigma of the 'real' "
-                             "system (default 0.05)")
-    parser.add_argument("--wire-resistance", type=float, default=2.0,
-                        metavar="OHMS",
-                        help="errorbudget: per-segment wire resistance of the "
-                             "'real' system (default 2.0, the 90nm node)")
-    parser.add_argument("--scale", default="fast", choices=["fast", "quick", "full"],
-                        help="faults: campaign budget (default fast; --full is "
-                             "ignored by 'faults' in favour of this)")
-    parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="faults/errorbudget: executor worker count (faults "
-                             "defaults to 2 so the chaos drill has a process pool "
-                             "to crash; errorbudget defaults to REPRO_WORKERS)")
-    parser.add_argument("--no-chaos", action="store_true",
-                        help="faults: skip the forced worker-crash drill")
-    parser.add_argument("--out", default=None, metavar="DIR",
-                        help="report: output directory for report.md/report.html "
-                             "(default 'runs/')")
-    parser.add_argument("--check", action="store_true",
-                        help="errorbudget: exit non-zero unless the OpenMetrics "
-                             "exposition carries the error_budget_* families "
-                             "(CI smoke test)")
-    parser.add_argument("--port", type=int, default=None, metavar="N",
-                        help="serve: listen port (default: REPRO_SERVE_PORT or "
-                             "9600; 0 = ephemeral)")
-    parser.add_argument("--artifact", default=None, metavar="PATH",
-                        help="serve: model artifact to load; when the file does "
-                             "not exist, a system is trained (--bench/--seed/"
-                             "--ensemble) and the artifact written there first")
-    parser.add_argument("--save-only", action="store_true",
-                        help="serve: build/write the model artifact and exit "
-                             "without starting the server")
-    parser.add_argument("--smoke", action="store_true",
-                        help="serve: self-test — serve on an ephemeral port, run "
-                             "a quick loadgen, validate /metrics and the "
-                             "differential check, then exit (non-zero on failure)")
-    args = parser.parse_args(argv)
-    scale = FULL_SCALE if args.full else QUICK_SCALE
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
+    def command(name, run, text, *parents) -> argparse.ArgumentParser:
+        sub = commands.add_parser(name, help=text, description=text,
+                                  parents=[common, *parents])
+        sub.set_defaults(run=run)
+        return sub
+
+    command("fig2", _run_fig2, "Fig. 2 interface cost breakdown", run_dir)
+    command("fig3", _run_figure, "Fig. 3 hidden-size sweep", seed, budget, run_dir)
+    command("table1", _run_table1, "Table 1 (every row, or one with --bench)",
+            seed, budget, run_dir, bench)
+    command("fig4", _run_figure, "Fig. 4 method comparison", seed, budget, run_dir)
+    command("fig5", _run_figure, "Fig. 5 robustness sweeps", seed, budget, run_dir)
+    command("bitlength", _run_figure, "MEI word-length extension", seed, budget, run_dir)
+    command("all", _run_figure, "every table and figure, in paper order",
+            seed, budget, run_dir)
+
+    sub = command("faults", _run_faults,
+                  "stuck-at fault-injection campaign (manifest always written)",
+                  seed, run_dir, bench)
+    sub.add_argument("--scale", default="fast", choices=["fast", "quick", "full"],
+                     help="campaign budget (default fast)")
+    sub.add_argument("--workers", type=int, default=2, metavar="N",
+                     help="executor worker count (default 2, so the chaos drill "
+                          "has a process pool to crash)")
+    sub.add_argument("--no-chaos", action="store_true",
+                     help="skip the forced worker-crash drill")
+
+    command("bench", _run_bench,
+            "run the benchmark suite and append to the run history",
+            seed, budget, bench, history, baseline)
+
+    sub = command("errorbudget", _run_errorbudget,
+                  "attribute the real-vs-ideal accuracy gap to pipeline stages "
+                  "via counterfactual idealization",
+                  seed, budget, bench, history, as_json, baseline, ensemble)
+    sub.add_argument("--trials", type=int, default=None, metavar="N",
+                     help="Monte-Carlo trials per variant (default: "
+                          "REPRO_ERRORBUDGET_TRIALS or the scale's noise-trial budget)")
+    sub.add_argument("--sigma-pv", type=float, default=0.1, metavar="S",
+                     help="lognormal process-variation sigma of the 'real' "
+                          "system (default 0.1)")
+    sub.add_argument("--sigma-sf", type=float, default=0.05, metavar="S",
+                     help="signal-fluctuation sigma of the 'real' system "
+                          "(default 0.05)")
+    sub.add_argument("--comparator-offset", type=float, default=0.05, metavar="S",
+                     help="comparator offset sigma of the 'real' system "
+                          "(default 0.05)")
+    sub.add_argument("--wire-resistance", type=float, default=2.0, metavar="OHMS",
+                     help="per-segment wire resistance of the 'real' system "
+                          "(default 2.0, the 90nm node)")
+    sub.add_argument("--workers", type=int, default=None, metavar="N",
+                     help="executor worker count (default: REPRO_WORKERS)")
+    sub.add_argument("--check", action="store_true",
+                     help="exit non-zero unless the OpenMetrics exposition "
+                          "carries the error_budget_* families (CI smoke test)")
+
+    sub = command("compare", _run_compare,
+                  "gate the latest history entry against a baseline", history, as_json)
+    sub.add_argument("--baseline", default=None, metavar="SHA",
+                     help="baseline commit (prefix ok); resolved through history, "
+                          "falling back to the baseline snapshot")
+    sub.add_argument("--baseline-file", default="benchmarks/baseline.json",
+                     metavar="PATH", help="committed baseline snapshot fallback")
+    sub.add_argument("--strict", action="store_true",
+                     help="also fail when a baseline metric is missing from the "
+                          "current run")
+    sub.add_argument("--kind", default=None, metavar="KIND",
+                     help="restrict both sides to history entries of one kind "
+                          "(e.g. 'errorbudget', which also swaps in "
+                          "benchmarks/errorbudget_baseline.json as the snapshot "
+                          "fallback)")
+
+    sub = command("report", _run_report,
+                  "render the trajectory report (markdown + HTML)", history)
+    sub.add_argument("--out", default="runs", metavar="DIR",
+                     help="output directory for report.md/report.html "
+                          "(default 'runs/')")
+
+    command("summary", _run_summary, "collate archived bench tables")
+
+    sub = command("lint", _run_lint, "run the repro-lint invariant checker", as_json)
+    sub.add_argument("--paths", nargs="*", default=None, metavar="PATH",
+                     help="files/directories to check (default: the installed "
+                          "repro package source)")
+    sub.add_argument("--list-rules", action="store_true",
+                     help="print the RPR rule catalogue and exit")
+    sub.add_argument("--graph", choices=["dot", "svg"], default=None,
+                     help="print the package import graph (layer level, lazy "
+                          "edges dashed) instead of linting")
+
+    sub = command("serve", _run_serve,
+                  "run the micro-batched inference service over a model artifact",
+                  seed, budget, run_dir, ensemble)
+    sub.add_argument("--bench", choices=BENCHMARK_NAMES, default="fft",
+                     help="benchmark to train when there is no artifact (default fft)")
+    sub.add_argument("--port", type=int, default=None, metavar="N",
+                     help="listen port (default: REPRO_SERVE_PORT or 9600; "
+                          "0 = ephemeral)")
+    sub.add_argument("--artifact", default=None, metavar="PATH",
+                     help="model artifact to load; when the file does not exist, "
+                          "a system is trained (--bench/--seed/--scale/--ensemble) "
+                          "and the artifact written there first")
+    sub.add_argument("--save-only", action="store_true",
+                     help="build/write the model artifact and exit without "
+                          "starting the server")
+    sub.add_argument("--smoke", action="store_true",
+                     help="self-test: serve on an ephemeral port, run a quick "
+                          "loadgen, validate /metrics and the differential "
+                          "check, then exit (non-zero on failure)")
+    return parser
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    args.argv = argv  # what the run manifests record
     # CLI runs default to info-level progress on stderr; --log-level
     # and REPRO_LOG override.
     obs_log.configure(
         level=args.log_level if args.log_level else obs_log.level_from_env(logging.INFO),
         force=True,
     )
-
-    if args.experiment == "bench":
-        return _run_bench(args, scale)
-    if args.experiment == "errorbudget":
-        return _run_errorbudget(args, scale)
-    if args.experiment == "compare":
-        return _run_compare(args)
-    if args.experiment == "report":
-        return _run_report(args)
-    if args.experiment == "summary":
-        print(_summary())
-        return 0
-    if args.experiment == "lint":
-        return _run_lint(args)
-    if args.experiment == "faults":
-        return _run_faults(args)
-    if args.experiment == "serve":
-        return _run_serve(args, scale)
-
-    runners = {
-        "fig2": lambda: run_fig2().render(),
-        "fig3": lambda: run_fig3(scale=scale, seed=args.seed).render(),
-        "table1": lambda: _table1(args, scale),
-        "fig4": lambda: run_fig4(scale=scale, seed=args.seed).render(),
-        "fig5": lambda: run_fig5(scale=scale, seed=args.seed).render(),
-        "bitlength": lambda: run_bitlength(scale=scale, seed=args.seed).render(),
-    }
-    names = list(runners) if args.experiment == "all" else [args.experiment]
-    for name in names:
-        _log.info(
-            "running experiment",
-            extra={"fields": {"experiment": name, "scale": scale.name,
-                              "seed": args.seed}},
-        )
-        obs_metrics.clear()
-        print(runners[name]())
-        print()
-        if args.run_dir is not None:
-            path = runinfo.write_manifest(
-                name,
-                run_dir=args.run_dir,
-                seed=args.seed,
-                scale=scale,
-                argv=list(argv) if argv is not None else sys.argv[1:],
-            )
-            _log.info(
-                "wrote run manifest",
-                extra={"fields": {"experiment": name, "path": os.fspath(path)}},
-            )
-    return 0
+    return args.run(args)
 
 
 if __name__ == "__main__":

@@ -4,8 +4,8 @@ The numeric substrate (``repro.nn``, ``repro.xbar``, ``repro.quant``)
 runs in float64 by default — every equivalence test in the repository
 asserts bit-identical float64 results across serial/vectorized paths.
 ``REPRO_DTYPE=float32`` opts the deterministic data path into single
-precision, halving memory traffic for large sweeps at a documented
-accuracy cost (~1e-6 relative; see ``docs/performance.md``).
+precision, halving memory traffic for large sweeps; its accuracy cost
+is not yet measured per benchmark (see ``docs/performance.md``).
 
 Monte-Carlo noise draws stay float64 (the RNG streams are part of the
 reproducibility contract), so noisy inference upcasts; the training,

@@ -272,15 +272,16 @@ register(
     "REPRO_FULL",
     "bool",
     "0",
-    "Run experiments at the paper-scale budgets instead of the quick ones.",
+    "Run experiments at the paper-scale budgets instead of the quick ones "
+    "(the default of the CLI's `--scale`).",
 )
 register(
     "REPRO_DTYPE",
     "enum",
     "float64",
     "Floating dtype of the deterministic data path (nn / xbar / quant). "
-    "`float32` halves memory traffic at ~1e-6 relative accuracy cost; "
-    "float64 keeps every equivalence test bit-exact.",
+    "`float32` halves memory traffic (its accuracy cost is not yet measured "
+    "per benchmark); float64 keeps every equivalence test bit-exact.",
     choices=("float64", "float32"),
 )
 register(

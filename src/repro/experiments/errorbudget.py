@@ -292,13 +292,15 @@ def baseline_guard(entry: Dict[str, object], allow_dirty: bool = False) -> Optio
 
     A baseline written from a dirty or unknown checkout carries a
     ``git_sha`` that does not describe the code that produced the
-    numbers; the CLI refuses to promote such an entry unless the user
-    explicitly overrides.
+    numbers; the CLI refuses to promote such an entry (``bench`` and
+    ``errorbudget --write-baseline``) unless the user explicitly
+    overrides.
     """
     state = None if allow_dirty else runinfo.checkout_state(entry)
     if state is None:
         return None
     return (
-        f"refusing to write the errorbudget baseline from a {state} "
-        f"checkout; commit first or pass --allow-dirty"
+        f"refusing --write-baseline: git checkout is {state}, so the "
+        f"baseline would not be attributable to a commit; commit your "
+        f"changes or pass --allow-dirty"
     )

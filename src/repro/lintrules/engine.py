@@ -15,7 +15,7 @@ import pathlib
 import re
 import tokenize
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.lintrules.program import ALL_PROGRAM_RULES, ProgramRule, build_context
 from repro.lintrules.rules import ALL_RULES, ImportMap, Rule
@@ -26,6 +26,7 @@ __all__ = [
     "check_source",
     "default_target",
     "iter_python_files",
+    "parse_files",
     "render_human",
     "render_json",
     "run_paths",
@@ -142,6 +143,20 @@ def default_target() -> pathlib.Path:
     return pathlib.Path(repro.__file__).parent
 
 
+def parse_files(
+    files: Iterable[pathlib.Path],
+) -> List[Tuple[pathlib.Path, str, ast.Module]]:
+    """``(path, source, tree)`` for each file; a file that does not parse is skipped."""
+    parsed = []
+    for path in files:
+        source = path.read_text(encoding="utf-8")
+        try:
+            parsed.append((path, source, ast.parse(source, filename=str(path))))
+        except SyntaxError:
+            continue
+    return parsed
+
+
 def run_program(
     files: Sequence[pathlib.Path],
     program_rules: Sequence[ProgramRule] = ALL_PROGRAM_RULES,
@@ -151,16 +166,8 @@ def run_program(
     Suppressions work exactly as for per-file rules: a ``# repro-lint:
     disable=RPRnnn`` comment on the anchored line silences the finding.
     """
-    parsed = []
-    suppressions: Dict[pathlib.Path, Dict[int, Set[str]]] = {}
-    for path in files:
-        source = path.read_text(encoding="utf-8")
-        try:
-            tree = ast.parse(source, filename=str(path))
-        except SyntaxError:
-            continue
-        parsed.append((path, source, tree))
-        suppressions[path] = suppressed_lines(source)
+    parsed = parse_files(files)
+    suppressions = {path: suppressed_lines(source) for path, source, _ in parsed}
     context = build_context(parsed)
     findings: List[Finding] = []
     for rule in program_rules:

@@ -22,8 +22,9 @@ canonical metadata JSON plus every array's name/dtype/shape/bytes).
 Reads recompute it and refuse a mismatch with :class:`IntegrityError`;
 digest-less archives from older versions still load.  Damaged bytes
 (truncation, a flipped byte, an empty file) also raise
-:class:`IntegrityError`, and a readable archive without a JSON-object
-``__meta__`` record raises ``ValueError``.
+:class:`IntegrityError`.  A readable archive without a JSON-object
+``__meta__`` record, or one that lacks a metadata field or an array its
+loader needs, raises ``ValueError`` naming what is missing.
 """
 
 from __future__ import annotations
@@ -40,12 +41,15 @@ from repro.core.mei import MEI, MEIConfig
 from repro.core.rcs import TraditionalRCS
 from repro.core.saab import SAAB, SAABConfig
 from repro.cost.area import Topology
+from repro.nn.activations import get_activation
 from repro.nn.network import MLP
 
 __all__ = [
     "IntegrityError",
     "content_digest",
     "read_archive",
+    "require_fields",
+    "restore_network",
     "write_archive",
     "save_mlp",
     "load_mlp",
@@ -107,9 +111,26 @@ def _network_meta(net: MLP) -> dict:
     }
 
 
-def _restore_network(meta: dict, data) -> MLP:
+def require_fields(path, record: Mapping, names, where: str) -> None:
+    """Raise ``ValueError`` naming each of ``names`` that ``record`` lacks.
+
+    Loaders check an archive's metadata and arrays with this right
+    after :func:`read_archive`, so an archive of the right kind and
+    version that lacks a field is refused by name, not by a bare
+    ``KeyError`` halfway through the restore.
+    """
+    missing = [name for name in names if name not in record]
+    if missing:
+        raise ValueError(f"{path}: {where} lacks {', '.join(map(repr, missing))}")
+
+
+def restore_network(path, meta: Mapping, arrays: Mapping, prefix: str = "") -> MLP:
+    """Rebuild the MLP that ``meta`` describes from ``<prefix>weights_<i>``/``bias_<i>``."""
+    require_fields(path, meta, ("layer_sizes", "activations"), "network metadata")
     sizes = meta["layer_sizes"]
     activations = meta["activations"]
+    require_fields(path, arrays, [f"{prefix}{part}_{i}" for i in range(len(sizes) - 1)
+                                  for part in ("weights", "bias")], "the archive")
     net = MLP(
         sizes,
         hidden_activation=activations[0] if len(activations) > 1 else activations[-1],
@@ -117,11 +138,9 @@ def _restore_network(meta: dict, data) -> MLP:
         rng=0,
     )
     for i, layer in enumerate(net.layers):
-        layer.weights = np.array(data[f"weights_{i}"])
-        layer.bias = np.array(data[f"bias_{i}"])
-        layer.activation = __import__(
-            "repro.nn.activations", fromlist=["get_activation"]
-        ).get_activation(activations[i])
+        layer.weights = np.array(arrays[f"{prefix}weights_{i}"])
+        layer.bias = np.array(arrays[f"{prefix}bias_{i}"])
+        layer.activation = get_activation(activations[i])
     return net
 
 
@@ -180,7 +199,7 @@ def save_mlp(net: MLP, path) -> None:
 def load_mlp(path) -> MLP:
     """Restore a bare network."""
     meta, data = read_archive(path, "mlp")
-    return _restore_network(meta, data)
+    return restore_network(path, meta, data)
 
 
 def save_mei(mei: MEI, path) -> None:
@@ -205,8 +224,9 @@ def save_mei(mei: MEI, path) -> None:
 def load_mei(path) -> MEI:
     """Restore an MEI and re-deploy it onto ideal crossbars."""
     meta, data = read_archive(path, "mei")
+    require_fields(path, meta, ("config", "in_bits", "out_bits", "network"), "metadata")
     mei = MEI(MEIConfig(**meta["config"]), seed=0)
-    mei.network = _restore_network(meta["network"], data)
+    mei.network = restore_network(path, meta["network"], data)
     mei.in_bits = int(meta["in_bits"])
     mei.out_bits = int(meta["out_bits"])
     mei.deploy()
@@ -231,8 +251,9 @@ def save_rcs(rcs: TraditionalRCS, path) -> None:
 def load_rcs(path) -> TraditionalRCS:
     """Restore a traditional RCS and re-deploy it."""
     meta, data = read_archive(path, "rcs")
+    require_fields(path, meta, ("topology", "network"), "metadata")
     rcs = TraditionalRCS(Topology(**meta["topology"]), seed=0)
-    rcs.network = _restore_network(meta["network"], data)
+    rcs.network = restore_network(path, meta["network"], data)
     rcs.deploy()
     return rcs
 
@@ -272,6 +293,7 @@ def load_saab(path) -> SAAB:
     """Restore an ensemble saved by :func:`save_saab`."""
     path = pathlib.Path(path)
     meta, _ = read_archive(path, "saab")
+    require_fields(path, meta, ("config", "members", "alphas", "round_errors"), "metadata")
     saab = SAAB(
         lambda k: (_ for _ in ()).throw(RuntimeError("loaded ensembles cannot extend")),
         SAABConfig(**meta["config"]),

@@ -47,8 +47,6 @@ from repro.core.runner import (
     train_samples_for,
 )
 from repro.core.saab import SAAB, SAABConfig
-from repro.nn.activations import get_activation
-from repro.nn.network import MLP
 from repro.obs.log import get_logger
 from repro.obs.runinfo import provenance_header
 from repro.workloads.registry import PAPER_TABLE1, make_benchmark
@@ -138,21 +136,18 @@ def _member_arrays(mei: MEI, prefix: str) -> Dict[str, np.ndarray]:
     return arrays
 
 
-def _restore_member(member: Dict[str, object], arrays: Dict[str, np.ndarray],
-                    prefix: str) -> MEI:
-    net_meta: Dict[str, object] = member["network"]  # type: ignore[assignment]
-    sizes: List[int] = list(net_meta["layer_sizes"])  # type: ignore[arg-type]
-    activations: List[str] = list(net_meta["activations"])  # type: ignore[arg-type]
-    net = MLP(
-        sizes,
-        hidden_activation=activations[0] if len(activations) > 1 else activations[-1],
-        output_activation=activations[-1],
-        rng=0,
+_MEMBER_FIELDS = ("config", "in_bits", "out_bits", "mapping", "network", "n_conductances")
+
+
+def _restore_member(path: pathlib.Path, member: Dict[str, object],
+                    arrays: Dict[str, np.ndarray], prefix: str) -> MEI:
+    serialization.require_fields(path, member, _MEMBER_FIELDS, f"member {prefix!r}")
+    n = int(member["n_conductances"])  # type: ignore[arg-type]
+    serialization.require_fields(path, arrays, [f"{prefix}g_{j}" for j in range(n)],
+                                 "the archive")
+    net = serialization.restore_network(
+        path, member["network"], arrays, prefix  # type: ignore[arg-type]
     )
-    for i, layer in enumerate(net.layers):
-        layer.weights = np.array(arrays[f"{prefix}weights_{i}"])
-        layer.bias = np.array(arrays[f"{prefix}bias_{i}"])
-        layer.activation = get_activation(activations[i])
     mei = MEI(
         MEIConfig(**member["config"]),  # type: ignore[call-overload]
         mapping_config=_mapping_from(member["mapping"]),  # type: ignore[arg-type]
@@ -163,7 +158,6 @@ def _restore_member(member: Dict[str, object], arrays: Dict[str, np.ndarray],
     mei.out_bits = int(member["out_bits"])  # type: ignore[arg-type]
     mei.deploy()
     assert mei.analog is not None
-    n = int(member["n_conductances"])  # type: ignore[arg-type]
     mei.analog.restore_conductances([arrays[f"{prefix}g_{j}"] for j in range(n)])
     return mei
 
@@ -249,15 +243,21 @@ def load_artifact(path: Union[str, pathlib.Path]) -> LoadedModel:
             f"{path}: unsupported serving-artifact schema version {version!r} "
             f"(this build reads version {ARTIFACT_SCHEMA_VERSION})"
         )
+    serialization.require_fields(path, meta, ("system", "interface", "members", "saab"),
+                                 "metadata")
     member_metas: List[Dict[str, object]] = meta["members"]
+    if not member_metas:
+        raise ValueError(f"{path}: metadata 'members' lists no member")
     members = [
-        _restore_member(member, arrays, f"m{k}_")
+        _restore_member(path, member, arrays, f"m{k}_")
         for k, member in enumerate(member_metas)
     ]
     if meta["system"] == "mei":
         system: Union[MEI, SAAB] = members[0]
     else:
         saab_meta: Dict[str, object] = meta["saab"]
+        serialization.require_fields(path, saab_meta, ("config", "alphas", "round_errors"),
+                                     "saab metadata")
         from repro.core.saab import _BoostRound
 
         saab = SAAB(

@@ -1,6 +1,8 @@
 """Tests for save/load of trained systems."""
 
+import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from repro.serialization import (
     save_mlp,
     save_rcs,
     save_saab,
+    write_archive,
 )
 from repro.serve import ARTIFACT_KIND, load_artifact, save_artifact
 
@@ -134,6 +137,45 @@ def artifact_bytes(tmp_path_factory):
     return path.read_bytes()
 
 
+def _tiny_mei():
+    return MEI(MEIConfig(2, 1, 4, bits=4), seed=0)
+
+
+def _save_tiny_saab(path):
+    rng = np.random.default_rng(0)
+    x, y = rng.uniform(0, 1, (32, 2)), rng.uniform(0, 1, (32, 1))
+    fit = TrainConfig(epochs=2, batch_size=16, learning_rate=0.02, shuffle_seed=0)
+    saab = SAAB(lambda k: MEI(MEIConfig(2, 1, 4, bits=4), seed=k),
+                SAABConfig(n_learners=2, seed=0)).train(x, y, fit)
+    save_saab(saab, path)
+
+
+_SAVED = {
+    "mlp": (lambda path: save_mlp(MLP((2, 3, 1), rng=0), path), load_mlp),
+    "mei": (lambda path: save_mei(_tiny_mei(), path), load_mei),
+    "rcs": (lambda path: save_rcs(TraditionalRCS(Topology(2, 4, 1, bits=4), seed=0), path),
+            load_rcs),
+    "saab": (_save_tiny_saab, load_saab),
+    ARTIFACT_KIND: (lambda path: save_artifact(_tiny_mei(), path), load_artifact),
+}
+"""Per archive kind: write a small system to a path, and the loader."""
+
+_NETWORK = ("layer_sizes", "activations")
+_REQUIRED = {
+    "mlp": {(): _NETWORK},
+    "mei": {(): ("config", "in_bits", "out_bits", "network"), ("network",): _NETWORK},
+    "rcs": {(): ("topology", "network"), ("network",): _NETWORK},
+    "saab": {(): ("config", "members", "alphas", "round_errors")},
+    ARTIFACT_KIND: {
+        (): ("system", "interface", "members", "saab"),
+        ("members", 0): ("config", "in_bits", "out_bits", "mapping", "network",
+                         "n_conductances"),
+        ("members", 0, "network"): _NETWORK,
+    },
+}
+"""Per kind: the metadata fields each loader needs, by where they sit in ``meta``."""
+
+
 def _corruptions(blob_size):
     """Truncate at any offset, or XOR one byte anywhere with a nonzero mask."""
     truncate = st.tuples(st.just("truncate"), st.integers(0, blob_size - 1), st.just(0))
@@ -198,6 +240,53 @@ class TestCorruptArchives:
             read_archive(path, ARTIFACT_KIND)
         with pytest.raises(IntegrityError):
             load_artifact(path)
+
+    @pytest.mark.parametrize("kind, first", [
+        ("mlp", "layer_sizes"), ("mei", "config"), ("rcs", "topology"),
+        ("saab", "config"), (ARTIFACT_KIND, "members"),
+    ])
+    def test_metadata_only_archive_names_the_missing_field(self, tmp_path, kind, first):
+        meta = {"kind": kind, "format_version": 1}
+        if kind == ARTIFACT_KIND:
+            meta["schema_version"] = 1
+        path = tmp_path / "bare.npz"
+        np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
+        with pytest.raises(ValueError, match=repr(first)) as raised:
+            _SAVED[kind][1](path)
+        assert not isinstance(raised.value, IntegrityError)
+
+    def test_artifact_without_members(self, tmp_path):
+        path = tmp_path / "no-members.npz"
+        save_artifact(_tiny_mei(), path)
+        meta, arrays = read_archive(path, ARTIFACT_KIND)
+        write_archive(path, ARTIFACT_KIND, dict(meta, members=[]), arrays)
+        with pytest.raises(ValueError, match="'members' lists no member"):
+            load_artifact(path)
+
+    @pytest.mark.parametrize("kind", sorted(_REQUIRED))
+    def test_dropped_field_is_named(self, tmp_path, kind):
+        """Each required field or array, dropped from a digest-valid archive."""
+        save, load = _SAVED[kind]
+        path = tmp_path / "system.npz"
+        save(path)
+        meta, arrays = read_archive(path, kind)
+        drops = [(where, name) for where, names in _REQUIRED[kind].items()
+                 for name in names]
+        drops += [(None, name) for name in arrays]
+        dropped = tmp_path / "dropped.npz"
+        for where, name in drops:
+            record, kept = copy.deepcopy(meta), dict(arrays)
+            if where is None:
+                del kept[name]
+            else:
+                node = record
+                for step in where:
+                    node = node[step]
+                del node[name]
+            write_archive(dropped, kind, record, kept)
+            with pytest.raises(ValueError, match=re.escape(repr(name))) as raised:
+                load(dropped)
+            assert not isinstance(raised.value, IntegrityError)
 
     def test_missing_file_stays_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):

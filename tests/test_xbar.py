@@ -126,6 +126,58 @@ class TestMapping:
             MappingConfig(coefficient_ceiling=0.0)
 
 
+class TestKirchhoffOracle:
+    """A 2x2 array solved by hand from Kirchhoff's current law.
+
+    Bitline j collects ``sum_i g_ij (V_i - V_j)`` from its cells and
+    sinks ``g_s V_j`` into the load, so
+    ``V_j = sum_i g_ij V_i / (g_s + sum_i g_ij)`` (Eq. 1-2, column sum).
+    With g = [[2, 5], [4, 3]] x 1e-5 S, g_s = 1e-4 S and V = (0.3, 0.8):
+
+    * column 0: (0.6 + 3.2) / (10 + 6) = 3.8 / 16 = 19/80;
+    * column 1: (1.5 + 2.4) / (10 + 8) = 3.9 / 18 = 13/60.
+
+    The row sums are equal (7e-5 each), so a row-sum reading of Eq. 2
+    would give different numbers.
+    """
+
+    G = np.array([[2e-5, 5e-5], [4e-5, 3e-5]])
+    G_S = 1e-4
+    V = np.array([0.3, 0.8])
+    COEFFICIENTS = np.array([[2 / 16, 5 / 18], [4 / 16, 3 / 18]])
+    OUTPUTS = np.array([19 / 80, 13 / 60])
+
+    def test_coefficients(self):
+        c = coefficients_from_conductance(self.G, self.G_S)
+        np.testing.assert_allclose(c, self.COEFFICIENTS, rtol=1e-15, atol=0)
+
+    def test_crossbar_apply(self):
+        out = Crossbar(self.G, self.G_S).apply(self.V)
+        np.testing.assert_allclose(out[0], self.OUTPUTS, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("solver", ["lu", "banded"])
+    def test_mna_at_vanishing_wire_resistance(self, solver):
+        """1e-9 ohm wires: the hand solution to the conditioning of the solve.
+
+        A wire conductance of 1e9 S beside 1e-5 S cells puts ~14 decades
+        into one float64 system, so the solve keeps only ~3 significant
+        digits (measured: 2.1e-3 relative for LU, 1.5e-3 for banded).
+        """
+        out = MNACrossbar(self.G, self.G_S, wire_resistance=1e-9, solver=solver).solve(self.V)
+        np.testing.assert_allclose(out[0], self.OUTPUTS, rtol=1e-2, atol=0)
+
+    @pytest.mark.parametrize("solver", ["lu", "banded"])
+    def test_mna_at_small_wire_resistance(self, solver):
+        """1e-3 ohm wires: IR drop, first order in r * g, bounds the gap.
+
+        Each path crosses a few wire segments, so the outputs move by
+        about r * (g_s + column sum) = 1.8e-7 relative; the bound allows
+        ten times that (measured: 7e-8).
+        """
+        out = MNACrossbar(self.G, self.G_S, wire_resistance=1e-3, solver=solver).solve(self.V)
+        np.testing.assert_allclose(out[0], self.OUTPUTS, rtol=1.8e-6, atol=0)
+
+
 class TestMNA:
     def test_converges_to_ideal_model(self, rng):
         """The Eq. 2 column-sum reading must be the g_w -> inf limit."""
