@@ -493,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, run, text, *parents) -> argparse.ArgumentParser:
         sub = commands.add_parser(name, help=text, description=text,
                                   parents=[common, *parents])
-        sub.set_defaults(run=run)
+        sub.set_defaults(run=run, parser=sub)
         return sub
 
     command("fig2", _run_fig2, "Fig. 2 interface cost breakdown", run_dir)
@@ -604,7 +604,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(argv)
+    # A flag the command does not take is reported by the command's own
+    # parser, so the error shows the usage line of the flags it does take.
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     args.argv = argv  # what the run manifests record
     # CLI runs default to info-level progress on stderr; --log-level
     # and REPRO_LOG override.

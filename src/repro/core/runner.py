@@ -1,4 +1,4 @@
-"""Shared experiment infrastructure: scales, configs, table rendering.
+"""Shared experiment infrastructure: scales, the paper recipe, tables.
 
 Lives in :mod:`repro.core` (not ``repro.experiments``) because
 lower-level consumers — :mod:`repro.robustness`, the benchmark
@@ -14,6 +14,13 @@ and supports two scales:
   samples, 1,000-style noise statistics scaled to 100 trials).
   Enable with environment variable ``REPRO_FULL=1`` or by passing
   ``FULL_SCALE`` explicitly.
+
+The paper recipe, :func:`paper_setup`, is the one place a Table 1
+system is set up: the benchmark, its dataset at the scale's training
+size, the standard :func:`train_config`, and the paper's MEI at its
+published pruned hidden width (Table 1's ``(D*B)xHx(D*B)`` column).
+Table 1, Fig. 4, Fig. 5, the bit-length extension, the error budget,
+the fault campaign and serving all train from it.
 """
 
 from __future__ import annotations
@@ -22,14 +29,19 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.config import knobs
+from repro.core.mei import MEIConfig
 from repro.nn.trainer import TrainConfig
 from repro.parallel import get_executor
+from repro.workloads.base import Benchmark, Dataset
+from repro.workloads.registry import PAPER_TABLE1, make_benchmark
 
 __all__ = [
     "ExperimentScale",
     "QUICK_SCALE",
     "FULL_SCALE",
     "default_scale",
+    "PaperSetup",
+    "paper_setup",
     "train_config",
     "train_samples_for",
     "repeat_with_seeds",
@@ -90,6 +102,40 @@ def train_config(scale: ExperimentScale, seed: int = 0) -> TrainConfig:
         shuffle_seed=seed,
         lr_decay=0.5,
         lr_decay_every=max(1, scale.epochs // 2),
+    )
+
+
+@dataclass(frozen=True)
+class PaperSetup:
+    """One Table 1 system before training: what :func:`paper_setup` returns."""
+
+    bench: Benchmark
+    data: Dataset
+    train: TrainConfig
+    mei: MEIConfig
+
+
+def paper_setup(name: str, scale: ExperimentScale, seed: int = 0) -> PaperSetup:
+    """The paper recipe for one benchmark at ``scale`` and ``seed``.
+
+    The dataset has :func:`train_samples_for` training rows and
+    ``scale.n_test`` test rows; the MEI has the benchmark's I/O groups
+    and word length and Table 1's pruned hidden width.
+    """
+    bench = make_benchmark(name)
+    topology = bench.spec.topology
+    return PaperSetup(
+        bench=bench,
+        data=bench.dataset(
+            n_train=train_samples_for(name, scale), n_test=scale.n_test, seed=seed
+        ),
+        train=train_config(scale, seed),
+        mei=MEIConfig(
+            in_groups=topology.inputs,
+            out_groups=topology.outputs,
+            hidden=PAPER_TABLE1[name].pruned_mei.hidden,
+            bits=topology.bits,
+        ),
     )
 
 

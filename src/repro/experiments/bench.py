@@ -17,19 +17,14 @@ from __future__ import annotations
 
 import json
 import pathlib
-import warnings
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.runner import ExperimentScale, default_scale, format_table
 from repro.experiments.table1 import Table1Result, calibrated_params, run_benchmark_row
 from repro.obs import history as obs_history
-from repro.obs import runinfo
-from repro.obs.log import get_logger
 from repro.workloads.registry import BENCHMARK_NAMES
 
 __all__ = ["run_bench", "write_baseline", "render_bench_entry"]
-
-_log = get_logger("experiments.bench")
 
 
 def run_bench(
@@ -64,34 +59,7 @@ def run_bench(
         scale=scale.name,
         benchmarks=names,
     )
-    # Provenance staleness guard: an entry recorded from a dirty or
-    # unknown checkout carries a git_sha that does not describe the
-    # code that produced the numbers.  The entry is still appended
-    # (local iteration needs it) but the condition is loud, and the
-    # CLI refuses to promote such an entry to the committed baseline.
-    state = runinfo.checkout_state(entry)
-    if state is not None:
-        warnings.warn(
-            f"bench provenance is stale: git checkout is {state}; the recorded "
-            f"git_sha does not identify the measured code (commit first, or "
-            f"treat this entry as throwaway)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    target: Optional[pathlib.Path] = None
-    if append:
-        target = obs_history.append_entry(entry, history_path)
-        _log.info(
-            "bench entry appended",
-            extra={
-                "fields": {
-                    "history": str(target),
-                    "metrics": len(metrics),
-                    "git_sha": entry.get("git_sha"),
-                }
-            },
-        )
-    return entry, target
+    return entry, obs_history.record_entry(entry, history_path, append)
 
 
 def write_baseline(

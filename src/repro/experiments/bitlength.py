@@ -14,14 +14,13 @@ accuracy/cost trade.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
-from repro.core.mei import MEI, MEIConfig
-from repro.core.runner import ExperimentScale, default_scale, format_table, train_config
+from repro.core.mei import MEI
+from repro.core.runner import ExperimentScale, default_scale, format_table, paper_setup
 from repro.cost.power import savings
 from repro.obs.log import get_logger
-from repro.workloads.registry import PAPER_TABLE1, make_benchmark
 
 __all__ = ["BitLengthPoint", "BitLengthResult", "run_bitlength"]
 
@@ -70,17 +69,14 @@ def run_bitlength(
 
     scale = scale if scale is not None else default_scale()
     params = calibrated_params()
-    bench = make_benchmark(name)
-    data = bench.dataset(n_train=scale.n_train, n_test=scale.n_test, seed=seed)
-    cfg = train_config(scale, seed)
+    setup = paper_setup(name, scale, seed)
+    bench, data = setup.bench, setup.data
     topology = bench.spec.topology
-    hidden = PAPER_TABLE1[name].pruned_mei.hidden
     result = BitLengthResult(benchmark=name)
     for bits in bit_lengths:
-        mei = MEI(
-            MEIConfig(topology.inputs, topology.outputs, hidden, bits=bits),
-            seed=seed,
-        ).train(data.x_train, data.y_train, cfg)
+        mei = MEI(replace(setup.mei, bits=bits), seed=seed).train(
+            data.x_train, data.y_train, setup.train
+        )
         mei_topology = mei.topology()
         point = BitLengthPoint(
             bits=bits,

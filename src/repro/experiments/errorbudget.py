@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import dataclasses
 import pathlib
-import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.errorbudget import (
@@ -34,14 +34,8 @@ from repro.analysis.errorbudget import (
     attribute_error,
     publish_metrics,
 )
-from repro.core.mei import MEI, MEIConfig
-from repro.core.runner import (
-    ExperimentScale,
-    default_scale,
-    format_table,
-    train_config,
-    train_samples_for,
-)
+from repro.core.mei import MEI
+from repro.core.runner import ExperimentScale, default_scale, format_table, paper_setup
 from repro.core.saab import SAAB, SAABConfig
 from repro.device.variation import NonIdealFactors
 from repro.obs import history as obs_history
@@ -49,7 +43,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import runinfo
 from repro.obs.log import get_logger
 from repro.parallel.executor import RetryPolicy, get_executor
-from repro.workloads.registry import BENCHMARK_NAMES, PAPER_TABLE1, make_benchmark
+from repro.workloads.registry import BENCHMARK_NAMES, PAPER_TABLE1
 
 __all__ = [
     "ErrorBudgetSuite",
@@ -153,21 +147,11 @@ def run_benchmark_errorbudget(
     config = config if config is not None else ErrorBudgetConfig()
     if ensemble < 1:
         raise ValueError(f"ensemble must be >= 1, got {ensemble}")
-    bench = make_benchmark(name)
-    paper = PAPER_TABLE1[name]
-    topology = bench.spec.topology
-    in_bits = paper.pruned_mei.in_ports // topology.inputs
-    out_bits = paper.pruned_mei.out_ports // topology.outputs
-    data = bench.dataset(
-        n_train=train_samples_for(name, scale), n_test=scale.n_test, seed=seed
-    )
-    cfg = train_config(scale, seed)
-    mei_config = MEIConfig(
-        in_groups=topology.inputs,
-        out_groups=topology.outputs,
-        hidden=paper.pruned_mei.hidden,
-        bits=topology.bits,
-    )
+    setup = paper_setup(name, scale, seed)
+    bench, data, cfg, mei_config = setup.bench, setup.data, setup.train, setup.mei
+    pruned_mei = PAPER_TABLE1[name].pruned_mei
+    in_bits = pruned_mei.in_ports // mei_config.in_groups
+    out_bits = pruned_mei.out_ports // mei_config.out_groups
     if ensemble > 1:
         saab = SAAB(
             lambda k: MEI(mei_config, seed=seed + k),
@@ -209,11 +193,6 @@ def run_benchmark_errorbudget(
     return result
 
 
-def _bench_task(args) -> ErrorBudgetResult:
-    """One benchmark (module-level so process pools can pickle it)."""
-    return run_benchmark_errorbudget(*args)
-
-
 def run_errorbudget(
     names: Sequence[str] = BENCHMARK_NAMES,
     scale: Optional[ExperimentScale] = None,
@@ -235,11 +214,10 @@ def run_errorbudget(
     config = config if config is not None else ErrorBudgetConfig()
     names = list(names)
     obs_metrics.reset()
-    mapped = get_executor(workers).map(
-        _bench_task,
-        [(name, scale, seed, config, ensemble) for name in names],
-        policy=RetryPolicy.from_env(),
+    task = partial(
+        run_benchmark_errorbudget, scale=scale, seed=seed, config=config, ensemble=ensemble
     )
+    mapped = get_executor(workers).map(task, names, policy=RetryPolicy.from_env())
     results = [r for r in mapped if r is not None]
     suite = ErrorBudgetSuite(
         results=results,
@@ -248,43 +226,17 @@ def run_errorbudget(
         seed=seed,
         ensemble=ensemble,
     )
-    metrics = suite.metrics()
     for result in results:
         publish_metrics(result)
     entry = obs_history.build_entry(
-        metrics,
+        suite.metrics(),
         kind="errorbudget",
         seed=seed,
         scale=scale.name,
         benchmarks=names,
         ensemble=ensemble,
     )
-    # Same provenance staleness guard as the bench driver: append the
-    # entry (local iteration needs it) but say loudly that its git_sha
-    # does not describe the measured code.
-    state = runinfo.checkout_state(entry)
-    if state is not None:
-        warnings.warn(
-            f"errorbudget provenance is stale: git checkout is {state}; the "
-            f"recorded git_sha does not identify the measured code (commit "
-            f"first, or treat this entry as throwaway)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    target: Optional[pathlib.Path] = None
-    if append:
-        target = obs_history.append_entry(entry, history_path)
-        _log.info(
-            "errorbudget entry appended",
-            extra={
-                "fields": {
-                    "history": str(target),
-                    "metrics": len(metrics),
-                    "git_sha": entry.get("git_sha"),
-                }
-            },
-        )
-    return suite, entry, target
+    return suite, entry, obs_history.record_entry(entry, history_path, append)
 
 
 def baseline_guard(entry: Dict[str, object], allow_dirty: bool = False) -> Optional[str]:

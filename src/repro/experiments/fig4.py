@@ -19,24 +19,20 @@ trade-off bench).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.mei import MEI, MEIConfig
+from repro.core.mei import MEI
 from repro.core.rcs import TraditionalRCS
-from repro.core.runner import (
-    ExperimentScale,
-    default_scale,
-    format_table,
-    train_samples_for,
-)
+from repro.core.runner import ExperimentScale, default_scale, format_table, paper_setup
 from repro.core.saab import SAAB, SAABConfig
 from repro.cost.params import CostParams
 from repro.cost.power import max_saab_learners
 from repro.experiments.table1 import calibrated_params
 from repro.nn.network import MLP
-from repro.nn.trainer import Trainer
+from repro.nn.trainer import TrainConfig, Trainer
 from repro.obs.log import get_logger
-from repro.workloads.registry import BENCHMARK_NAMES, PAPER_TABLE1, make_benchmark
+from repro.workloads.registry import BENCHMARK_NAMES, PAPER_TABLE1
 
 __all__ = ["Fig4Row", "Fig4Result", "run_fig4"]
 
@@ -119,18 +115,19 @@ class Fig4Result:
         return body and header + body + "\n" + average
 
 
-def _fig4_row(args) -> Fig4Row:
+def _fig4_row(
+    name: str,
+    scale: ExperimentScale,
+    seed: int,
+    max_k: int,
+    params: Dict[str, CostParams],
+) -> Fig4Row:
     """One benchmark's four-system comparison (picklable sweep task)."""
-    name, scale, seed, max_k, params = args
-    bench = make_benchmark(name)
+    setup = paper_setup(name, scale, seed)
+    bench, data = setup.bench, setup.data
     paper = PAPER_TABLE1[name]
-    data = bench.dataset(
-        n_train=train_samples_for(name, scale), n_test=scale.n_test, seed=seed
-    )
     # Paper-strength budget (see module docstring), same for all
     # four systems.
-    from repro.nn.trainer import TrainConfig
-
     cfg = TrainConfig(
         epochs=max(30, scale.epochs // 5),
         batch_size=64,
@@ -146,19 +143,13 @@ def _fig4_row(args) -> Fig4Row:
     rcs = TraditionalRCS(topology, seed=seed).train(data.x_train, data.y_train, cfg)
     err_adda = bench.error_normalized(rcs.predict(data.x_test), data.y_test)
 
-    mei_config = MEIConfig(
-        in_groups=topology.inputs,
-        out_groups=topology.outputs,
-        hidden=paper.pruned_mei.hidden,
-        bits=topology.bits,
-    )
     k_max = max_saab_learners(topology, paper.pruned_mei, params["area"], params["power"])
     k = max(2, min(k_max, max_k))
     # Default (weighted) SAAB trains its first learner on the full
     # set with uniform weights — that learner IS the standalone
     # Table 1 MEI, so it provides the MEI bar directly.
     saab = SAAB(
-        lambda i: MEI(mei_config, seed=seed + i),
+        lambda i: MEI(setup.mei, seed=seed + i),
         SAABConfig(n_learners=k, compare_bits=4, seed=seed),
     ).train(data.x_train, data.y_train, cfg)
     err_mei = bench.error_normalized(saab.learners[0].predict(data.x_test), data.y_test)
@@ -197,8 +188,8 @@ def run_fig4(
 
     scale = scale if scale is not None else default_scale()
     params = params if params is not None else calibrated_params()
-    executor = get_executor(workers)
-    rows = executor.map(_fig4_row, [(name, scale, seed, max_k, params) for name in names])
+    row = partial(_fig4_row, scale=scale, seed=seed, max_k=max_k, params=params)
+    rows = get_executor(workers).map(row, list(names))
     result = Fig4Result(rows=rows)
     _log.info(
         "fig4 done",

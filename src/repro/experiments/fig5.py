@@ -19,22 +19,17 @@ architecture because its inputs are discrete 0/1 levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.mei import MEI, MEIConfig
+from repro.core.mei import MEI
 from repro.core.rcs import TraditionalRCS
-from repro.core.runner import (
-    ExperimentScale,
-    default_scale,
-    train_config,
-    train_samples_for,
-)
+from repro.core.runner import ExperimentScale, default_scale, paper_setup
 from repro.core.saab import SAAB, SAABConfig
 from repro.device.variation import NonIdealFactors
 from repro.metrics.robustness import evaluate_under_noise
 from repro.obs.log import get_logger
-from repro.workloads.registry import PAPER_TABLE1, make_benchmark
 
 __all__ = ["Fig5Curve", "Fig5Result", "run_fig5"]
 
@@ -105,7 +100,9 @@ def _noise(noise_type: str, sigma: float, seed: int) -> NonIdealFactors:
     raise ValueError(f"unknown noise type {noise_type!r}")
 
 
-def _fig5_benchmark(args) -> List[Fig5Curve]:
+def _fig5_benchmark(
+    name: str, sigmas: Sequence[float], scale: ExperimentScale, seed: int, k: int
+) -> List[Fig5Curve]:
     """All of one benchmark's curves (picklable sweep task).
 
     Each system's noise sweep goes through the batched
@@ -113,23 +110,12 @@ def _fig5_benchmark(args) -> List[Fig5Curve]:
     sigma) point run as one stacked crossbar pass, bit-identical to
     the serial per-trial loop.
     """
-    name, sigmas, scale, seed, k = args
-    bench = make_benchmark(name)
-    paper = PAPER_TABLE1[name]
-    data = bench.dataset(
-        n_train=train_samples_for(name, scale), n_test=scale.n_test, seed=seed
-    )
-    cfg = train_config(scale, seed)
-    topology = bench.spec.topology
-    hidden = paper.pruned_mei.hidden
-
-    mei_config = MEIConfig(topology.inputs, topology.outputs, hidden, topology.bits)
-    wide_config = MEIConfig(
-        topology.inputs, topology.outputs, hidden * k, topology.bits
-    )
+    setup = paper_setup(name, scale, seed)
+    bench, data, cfg, mei_config = setup.bench, setup.data, setup.train, setup.mei
+    wide_config = replace(mei_config, hidden=mei_config.hidden * k)
 
     systems = {
-        "adda": TraditionalRCS(topology, seed=seed).train(
+        "adda": TraditionalRCS(bench.spec.topology, seed=seed).train(
             data.x_train, data.y_train, cfg
         ),
         "mei": MEI(mei_config, seed=seed).train(data.x_train, data.y_train, cfg),
@@ -192,11 +178,9 @@ def run_fig5(
     from repro.parallel import get_executor
 
     scale = scale if scale is not None else default_scale()
-    executor = get_executor(workers)
     sigmas = tuple(float(s) for s in sigmas)
-    per_benchmark = executor.map(
-        _fig5_benchmark, [(name, sigmas, scale, seed, k) for name in names]
-    )
+    task = partial(_fig5_benchmark, sigmas=sigmas, scale=scale, seed=seed, k=k)
+    per_benchmark = get_executor(workers).map(task, list(names))
     result = Fig5Result()
     for curves in per_benchmark:
         result.curves.extend(curves)

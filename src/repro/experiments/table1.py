@@ -26,18 +26,13 @@ trainer; the tradeoff bench quantifies the wider-hidden alternative.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.mei import MEI, MEIConfig
+from repro.core.mei import MEI
 from repro.core.pruning import prune_lsbs
 from repro.core.rcs import TraditionalRCS
-from repro.core.runner import (
-    ExperimentScale,
-    default_scale,
-    format_table,
-    train_config,
-    train_samples_for,
-)
+from repro.core.runner import ExperimentScale, default_scale, format_table, paper_setup
 from repro.cost.area import MEITopology, Topology
 from repro.cost.calibration import fit_cost_params
 from repro.cost.params import CostParams
@@ -226,12 +221,9 @@ def run_benchmark_row(
     """
     scale = scale if scale is not None else default_scale()
     params = params if params is not None else calibrated_params()
-    bench = make_benchmark(name)
+    setup = paper_setup(name, scale, seed)
+    bench, data, cfg = setup.bench, setup.data, setup.train
     paper = PAPER_TABLE1[name]
-    data = bench.dataset(
-        n_train=train_samples_for(name, scale), n_test=scale.n_test, seed=seed
-    )
-    cfg = train_config(scale, seed)
     topology = bench.spec.topology
     codec = FixedPointCodec(topology.bits)
     y_test_q = codec.quantize(data.y_test)
@@ -246,15 +238,7 @@ def run_benchmark_row(
     adda_pred = rcs.predict(data.x_test)
 
     # MEI, trained then LSB-pruned (Algorithm 2 Line 22).
-    mei = MEI(
-        MEIConfig(
-            in_groups=topology.inputs,
-            out_groups=topology.outputs,
-            hidden=paper.pruned_mei.hidden,
-            bits=topology.bits,
-        ),
-        seed=seed,
-    ).train(data.x_train, data.y_train, cfg)
+    mei = MEI(setup.mei, seed=seed).train(data.x_train, data.y_train, cfg)
     mei_error_fn = lambda candidate: bench.error_normalized(
         candidate.predict(data.x_test), data.y_test
     )
@@ -316,11 +300,6 @@ def run_benchmark_row(
     return row
 
 
-def _row_task(args) -> Table1Row:
-    """One benchmark row (module-level so process pools can pickle it)."""
-    return run_benchmark_row(*args)
-
-
 def run_table1(
     names: Sequence[str] = BENCHMARK_NAMES,
     scale: Optional[ExperimentScale] = None,
@@ -335,7 +314,6 @@ def run_table1(
     """
     from repro.parallel import get_executor
 
-    params = calibrated_params()
-    executor = get_executor(workers)
-    rows = executor.map(_row_task, [(name, scale, seed, params) for name in names])
+    row = partial(run_benchmark_row, scale=scale, seed=seed, params=calibrated_params())
+    rows = get_executor(workers).map(row, list(names))
     return Table1Result(rows=rows)

@@ -64,9 +64,10 @@ LAYER_RANKS: Dict[str, int] = {
     "xbar": 40,
     "analog": 40,
     "nn": 40,
+    # the AxBench applications and the paper's Table 1 reference rows
+    "workloads": 45,
     # orchestration of the data path into full pipelines
     "core": 50,
-    "workloads": 50,
     # consumers of the pipelines
     "serialization": 60,
     "analysis": 60,

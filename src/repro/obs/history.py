@@ -29,10 +29,12 @@ from __future__ import annotations
 
 import json
 import pathlib
+import warnings
 from typing import Dict, List, Optional, Sequence
 
 from repro.config import knobs
-from repro.obs.runinfo import provenance_header
+from repro.obs.log import get_logger
+from repro.obs.runinfo import checkout_state, provenance_header
 
 __all__ = [
     "HISTORY_ENV",
@@ -40,6 +42,7 @@ __all__ = [
     "KNOWN_KINDS",
     "history_path",
     "append_entry",
+    "record_entry",
     "load_history",
     "entries_for_sha",
     "entries_of_kind",
@@ -55,6 +58,8 @@ HISTORY_ENV = "REPRO_HISTORY"
 """Environment variable overriding the default history store path."""
 
 DEFAULT_HISTORY_PATH = "runs/history.jsonl"
+
+_log = get_logger("obs.history")
 
 
 def history_path(path: "Optional[str | pathlib.Path]" = None) -> pathlib.Path:
@@ -72,6 +77,46 @@ def append_entry(
     target.parent.mkdir(parents=True, exist_ok=True)
     with target.open("a", encoding="utf-8") as fh:
         fh.write(json.dumps(entry, sort_keys=True, default=str) + "\n")
+    return target
+
+
+def record_entry(
+    entry: Dict[str, object],
+    path: "Optional[str | pathlib.Path]" = None,
+    append: bool = True,
+) -> Optional[pathlib.Path]:
+    """Check ``entry``'s provenance, then append it unless ``append=False``.
+
+    An entry built from a dirty or unknown checkout carries a
+    ``git_sha`` that does not describe the code that produced the
+    numbers.  It is still appended (local iteration needs it), but a
+    ``RuntimeWarning`` says so, appended or not, and the CLI refuses
+    to promote such an entry to a committed baseline.  Returns the
+    history file, or ``None`` when nothing was appended.
+    """
+    kind = entry_kind(entry)
+    state = checkout_state(entry)
+    if state is not None:
+        warnings.warn(
+            f"{kind} provenance is stale: git checkout is {state}; the recorded "
+            f"git_sha does not identify the measured code (commit first, or "
+            f"treat this entry as throwaway)",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    if not append:
+        return None
+    target = append_entry(entry, path)
+    _log.info(
+        f"{kind} entry appended",
+        extra={
+            "fields": {
+                "history": str(target),
+                "metrics": len(entry.get("metrics") or {}),
+                "git_sha": entry.get("git_sha"),
+            }
+        },
+    )
     return target
 
 

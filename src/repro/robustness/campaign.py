@@ -29,19 +29,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.mei import MEI, MEIConfig
+from repro.core.mei import MEI
 from repro.device.faults import FaultModel, inject_faults_analog_report
-from repro.core.runner import (
-    ExperimentScale,
-    format_table,
-    train_config,
-    train_samples_for,
-)
+from repro.core.runner import ExperimentScale, format_table, paper_setup
 from repro.obs import metrics as obs_metrics
 from repro.obs.log import get_logger
 from repro.parallel.executor import ResilienceReport, RetryPolicy, get_executor
 from repro.robustness.mitigation import fault_aware_saab, predicted_error
-from repro.workloads.registry import BENCHMARK_NAMES, PAPER_TABLE1, make_benchmark
+from repro.workloads.registry import BENCHMARK_NAMES
 
 __all__ = [
     "FAST_CAMPAIGN_SCALE",
@@ -221,17 +216,9 @@ def _campaign_cell(task: "_CampaignTask") -> List[CampaignRow]:
     """Train, injure, mitigate and measure one grid cell."""
     _maybe_chaos_crash(task)
     config = task.config
-    bench = make_benchmark(task.benchmark)
-    data = bench.dataset(
-        n_train=train_samples_for(task.benchmark, task.scale),
-        n_test=task.scale.n_test,
-        seed=task.train_seed,
-    )
-    cfg = train_config(task.scale, task.train_seed)
-    topology = bench.spec.topology
-    hidden = PAPER_TABLE1[task.benchmark].pruned_mei.hidden
-    mei_config = MEIConfig(topology.inputs, topology.outputs, hidden, topology.bits)
-    metric = bench.error_normalized
+    setup = paper_setup(task.benchmark, task.scale, task.train_seed)
+    data, cfg, mei_config = setup.data, setup.train, setup.mei
+    metric = setup.bench.error_normalized
     model = config.fault_model(task.saf_rate, task.defect_seed)
     mei = MEI(mei_config, seed=task.train_seed).train(
         data.x_train, data.y_train, cfg

@@ -40,16 +40,10 @@ import numpy as np
 
 from repro import serialization
 from repro.core.mei import MEI, MEIConfig
-from repro.core.runner import (
-    ExperimentScale,
-    default_scale,
-    train_config,
-    train_samples_for,
-)
+from repro.core.runner import ExperimentScale, default_scale, paper_setup
 from repro.core.saab import SAAB, SAABConfig
 from repro.obs.log import get_logger
 from repro.obs.runinfo import provenance_header
-from repro.workloads.registry import PAPER_TABLE1, make_benchmark
 from repro.xbar.mapping import MappingConfig
 
 __all__ = [
@@ -295,19 +289,8 @@ def train_serve_system(
     ``(system, dataset)`` so callers can run differential checks
     against the held-out split.
     """
-    scale = scale if scale is not None else default_scale()
-    bench = make_benchmark(name)
-    data = bench.dataset(
-        n_train=train_samples_for(name, scale), n_test=scale.n_test, seed=seed
-    )
-    cfg = train_config(scale, seed)
-    topology = bench.spec.topology
-    mei_config = MEIConfig(
-        in_groups=topology.inputs,
-        out_groups=topology.outputs,
-        hidden=PAPER_TABLE1[name].pruned_mei.hidden,
-        bits=topology.bits,
-    )
+    setup = paper_setup(name, scale if scale is not None else default_scale(), seed)
+    data, cfg, mei_config = setup.data, setup.train, setup.mei
     if ensemble > 1:
         saab = SAAB(
             lambda k: MEI(mei_config, seed=seed + k),

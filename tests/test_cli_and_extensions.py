@@ -115,7 +115,9 @@ class TestSubcommands:
         with pytest.raises(SystemExit) as exited:
             main(argv)
         assert exited.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: python -m repro {argv[0]} [-h]")
+        assert f"python -m repro {argv[0]}: error: unrecognized arguments:" in err
 
 
 class TestScale:

@@ -8,13 +8,18 @@ from repro.core.runner import (
     ExperimentScale,
     default_scale,
     format_table,
+    paper_setup,
     train_config,
+    train_samples_for,
 )
+from repro.experiments.bitlength import run_bitlength
 from repro.experiments.fig2 import run_fig2
 from repro.experiments.fig3 import run_fig3
 from repro.experiments.fig4 import run_fig4
 from repro.experiments.fig5 import run_fig5
 from repro.experiments.table1 import calibrated_params, run_benchmark_row
+from repro.workloads.base import Benchmark
+from repro.workloads.registry import BENCHMARK_NAMES, PAPER_TABLE1
 
 TINY = ExperimentScale(name="tiny", n_train=400, n_test=100, epochs=25, noise_trials=2)
 
@@ -35,6 +40,32 @@ class TestRunner:
         cfg = train_config(TINY, seed=3)
         assert cfg.epochs == TINY.epochs
         assert cfg.shuffle_seed == 3
+
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_paper_setup_is_the_table1_recipe(self, name):
+        scale = ExperimentScale(name="nano", n_train=30, n_test=10, epochs=1, noise_trials=1)
+        setup = paper_setup(name, scale, seed=2)
+        assert setup.bench.spec.name == name
+        assert setup.data.x_train.shape[0] == train_samples_for(name, scale)
+        assert setup.data.x_test.shape[0] == scale.n_test
+        assert setup.train == train_config(scale, 2)
+        topology = setup.bench.spec.topology
+        assert setup.mei.hidden == PAPER_TABLE1[name].pruned_mei.hidden
+        assert (setup.mei.in_groups, setup.mei.out_groups, setup.mei.bits) == (
+            topology.inputs, topology.outputs, topology.bits)
+
+    def test_bitlength_trains_on_the_paper_setup_data(self, monkeypatch):
+        scale = ExperimentScale(name="nano", n_train=30, n_test=10, epochs=1, noise_trials=1)
+        sizes = []
+        dataset = Benchmark.dataset
+
+        def recording_dataset(self, n_train=10_000, n_test=1_000, seed=0):
+            sizes.append(n_train)
+            return dataset(self, n_train=n_train, n_test=n_test, seed=seed)
+
+        monkeypatch.setattr(Benchmark, "dataset", recording_dataset)
+        run_bitlength("jmeint", bit_lengths=(4,), scale=scale, seed=0)
+        assert sizes == [train_samples_for("jmeint", scale)] == [4 * scale.n_train]
 
     def test_format_table(self):
         out = format_table(["a", "bb"], [[1, 2.5], ["x", 0.125]])

@@ -32,10 +32,10 @@ class TestMNAAnalytical:
     def test_two_cell_column_superposes(self):
         """With huge wire conductance, two rows share one divider node."""
         g1, g2, g_s = 2e-5, 7e-5, 1e-3
-        mna = MNACrossbar(np.array([[g1], [g2]]), g_s=g_s, wire_resistance=1e-9)
+        mna = MNACrossbar(np.array([[g1], [g2]]), g_s=g_s, wire_resistance=1e-6)
         v = np.array([0.5, 0.9])
         expected = (g1 * v[0] + g2 * v[1]) / (g_s + g1 + g2)
-        assert mna.solve(v)[0, 0] == pytest.approx(expected, rel=1e-4)
+        assert mna.solve(v)[0, 0] == pytest.approx(expected, rel=1e-7)
 
 
 class TestDSETopologyOf:

@@ -51,8 +51,8 @@ class TestEnvironmentInfo:
 
 class TestStalenessWarning:
     def _run(self, tmp_path, monkeypatch, sha, dirty):
-        monkeypatch.setattr(bench.runinfo, "git_sha", lambda cwd=None: sha)
-        monkeypatch.setattr(bench.runinfo, "git_dirty", lambda cwd=None: dirty)
+        monkeypatch.setattr(runinfo, "git_sha", lambda cwd=None: sha)
+        monkeypatch.setattr(runinfo, "git_dirty", lambda cwd=None: dirty)
         return bench.run_bench(
             names=["fft"], scale=TINY, seed=0,
             history_path=tmp_path / "h.jsonl", out_dir=tmp_path / "out",
