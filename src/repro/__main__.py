@@ -171,22 +171,16 @@ def _run_bench(args) -> int:
 def _run_errorbudget(args) -> int:
     """Stage-attribution harness: counterfactual error budget per bench.
 
-    Trials resolution: ``--trials`` > ``REPRO_ERRORBUDGET_TRIALS`` >
-    the scale's noise-trial budget.  ``--check`` validates the
-    in-process OpenMetrics exposition carries the published
-    ``error_budget_*`` families (CI smoke).
+    Trials: ``--trials``, else the scale's noise-trial budget.
+    ``--check`` validates the in-process OpenMetrics exposition carries
+    the published ``error_budget_*`` families (CI smoke).
     """
     from repro.analysis.errorbudget import ErrorBudgetConfig
-    from repro.config import knobs
     from repro.experiments.bench import write_baseline
     from repro.experiments.errorbudget import ERRORBUDGET_BASELINE_FILE, run_errorbudget
 
     scale = _SCALES[args.scale]
-    trials = args.trials
-    if trials is None:
-        trials = knobs.get_int("REPRO_ERRORBUDGET_TRIALS")
-    if trials is None:
-        trials = scale.noise_trials
+    trials = args.trials if args.trials is not None else scale.noise_trials
     config = ErrorBudgetConfig(
         sigma_pv=args.sigma_pv,
         sigma_sf=args.sigma_sf,
@@ -526,8 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
                   "via counterfactual idealization",
                   seed, budget, bench, history, as_json, baseline, ensemble)
     sub.add_argument("--trials", type=int, default=None, metavar="N",
-                     help="Monte-Carlo trials per variant (default: "
-                          "REPRO_ERRORBUDGET_TRIALS or the scale's noise-trial budget)")
+                     help="Monte-Carlo trials per variant (default: the scale's "
+                          "noise-trial budget)")
     sub.add_argument("--sigma-pv", type=float, default=0.1, metavar="S",
                      help="lognormal process-variation sigma of the 'real' "
                           "system (default 0.1)")

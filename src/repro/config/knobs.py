@@ -285,27 +285,12 @@ register(
     choices=("float64", "float32"),
 )
 register(
-    "REPRO_SHM",
-    "bool",
-    "0",
-    "Ship large arrays to process-pool workers via POSIX shared memory "
-    "(zero-copy views) instead of pickling them into every task.",
-)
-register(
     "REPRO_TASK_TIMEOUT",
     "float",
     None,
     "Resilient-map stall timeout in seconds: if no task completes within this "
     "window the pool is declared hung, rebuilt, and the unfinished tasks "
     "resubmitted. Unset = wait forever.",
-)
-register(
-    "REPRO_ERRORBUDGET_TRIALS",
-    "int",
-    None,
-    "Monte-Carlo trials per error-budget variant (`python -m repro "
-    "errorbudget`). Unset = the scale's noise-trial budget; the CLI "
-    "`--trials` flag overrides both.",
 )
 register(
     "REPRO_TASK_RETRIES",
@@ -351,7 +336,6 @@ register(
     "0",
     "Arm the runtime sanitizer (`repro.sanitize`): NaN/Inf guards on the "
     "trainer and the DAC->crossbar->ADC path, physical-range checks on "
-    "programmed conductances, read-only enforcement on SHM-fanned arrays "
-    "and a shared-Generator race detector. Findings surface on the "
-    "`sanitize_findings` counter and the structured log.",
+    "programmed conductances and a shared-Generator race detector. Findings "
+    "surface on the `sanitize_findings` counter and the structured log.",
 )

@@ -27,7 +27,7 @@ RPR008    knob lifecycle: every registered ``REPRO_*`` knob is read
           (lazily, never at import time) and documented
 RPR009    metric objects come from the registry factories and family
           names never collide
-RPR010    executors and SHM arenas are context-managed
+RPR010    executors and shared-memory segments are context-managed
 ========  ==========================================================
 
 Run with ``python -m repro lint [--json | --graph dot|svg]``; suppress

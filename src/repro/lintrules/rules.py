@@ -341,11 +341,10 @@ def _not_metrics_module(path: pathlib.Path) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# RPR010 — executors / SHM arenas used without context management
+# RPR010 — executors / shared-memory segments used without context management
 # ---------------------------------------------------------------------------
 
 _MANAGED_RESOURCES = {
-    "repro.parallel.shm.ShmSession": "ShmSession",
     "concurrent.futures.ThreadPoolExecutor": "ThreadPoolExecutor",
     "concurrent.futures.ProcessPoolExecutor": "ProcessPoolExecutor",
     "multiprocessing.shared_memory.SharedMemory": "SharedMemory",
@@ -463,11 +462,11 @@ ALL_RULES: Tuple[Rule, ...] = (
     ),
     Rule(
         code="RPR010",
-        summary="executors and SHM arenas are context-managed",
+        summary="executors and shared-memory segments are context-managed",
         rationale=(
-            "A ShmSession or pool torn down by hand leaks POSIX segments and "
-            "worker processes when the sweep raises; `with` makes teardown "
-            "exception-safe."
+            "A pool or SharedMemory segment torn down by hand leaks worker "
+            "processes and POSIX segments when the sweep raises; `with` makes "
+            "teardown exception-safe."
         ),
         check=_check_rpr010,
     ),

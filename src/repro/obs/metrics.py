@@ -89,7 +89,7 @@ class Gauge:
 
     def add(self, delta: float) -> None:
         """Shift the gauge by ``delta`` (live up/down tracking, e.g.
-        active shared-memory bytes or executor queue depth)."""
+        executor queue depth)."""
         with self._lock:
             self.value += float(delta)
 

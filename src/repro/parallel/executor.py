@@ -10,8 +10,7 @@ returns an :class:`Executor` whose ``map`` runs them:
 * kind ``thread`` — a thread pool, for work that releases the GIL
   (large NumPy matmuls, the MNA sparse solves);
 * kind ``process`` — a process pool, for Python-bound work (training
-  loops).  ``REPRO_SHM=1`` ships large arrays as shared-memory
-  segments instead of per-task pickles (:mod:`repro.parallel.shm`).
+  loops); each task and its item travel to the worker as one pickle.
 
 Both pool kinds run through one loop (``submit`` plus
 ``wait(FIRST_COMPLETED)``).  Without a policy each task runs once and
@@ -45,7 +44,6 @@ caller once it degrades to the parent — by then it has already killed
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import os
 import pickle
@@ -345,14 +343,8 @@ class Executor:
         report.tasks = len(items)
         results: List[Any] = [None] * len(items)
         leftover = {index: 0 for index in range(len(items))}
-        kind = self.kind if pooled else "serial"
-        if kind == "process":
-            from repro.parallel import shm as shm_mod
-
-            if shm_mod.shm_enabled():
-                kind = "process-shm"
         if pooled:
-            leftover = self._pooled(fn, items, results, kind, policy, report)
+            leftover = self._pooled(fn, items, results, policy, report)
         if leftover and pooled and policy is not None:
             report.degraded = True
             report.serial_fallback_tasks += len(leftover)
@@ -370,7 +362,6 @@ class Executor:
         fn: Callable[[Any], Any],
         items: Sequence[Any],
         results: List[Any],
-        kind: str,
         policy: Optional[RetryPolicy],
         report: ResilienceReport,
     ) -> Dict[int, int]:
@@ -384,132 +375,123 @@ class Executor:
         # No policy: no timeout, and a task error propagates (below).
         retry = policy if policy is not None else RetryPolicy(retries=0)
         depth = obs_metrics.gauge("executor_queue_depth")
-        with contextlib.ExitStack() as stack:
-            call: Callable[[Any], Any] = _ObsTask(fn)
-            payloads: Sequence[Any] = items
-            if kind == "thread":
-                from repro.sanitize import rng as sanitize_rng
+        call = _ObsTask(fn)
+        if self.kind == "thread":
+            from repro.sanitize import rng as sanitize_rng
 
-                # One generator shipped in two payloads means two worker
-                # threads interleaving draws on one stream — flag it
-                # before the pool scrambles the evidence.
-                sanitize_rng.scan_items("thread-executor", items)
-            else:
-                try:
-                    if kind == "process-shm":
-                        from repro.parallel import shm as shm_mod
-
-                        session = stack.enter_context(shm_mod.ShmSession())
-                        payloads = [shm_mod.dumps(item, session) for item in items]
-                        call = shm_mod.ShmCall(shm_mod.dumps(call, session))
-                    else:
-                        pickle.dumps((call, items))
-                except Exception:
-                    warnings.warn(
-                        "task function or arguments are not picklable; "
-                        "falling back to serial execution",
-                        RuntimeWarning,
-                        stacklevel=3,
-                    )
-                    report.record("work not picklable; serial from the start")
-                    return pending
-            incidents = failure_rounds = 0
-            busy = 0.0
-            t0 = time.perf_counter()
-            while pending:
-                if incidents > MAX_POOL_REBUILDS:
-                    report.record(
-                        f"pool broke/stalled {incidents} times "
-                        f"(max {MAX_POOL_REBUILDS}); abandoning pooling"
-                    )
-                    break
-                size = min(self.workers, len(pending))
-                # Managed by hand, not by `with`: a stalled or broken pool
-                # must be abandoned (see _shutdown), never joined.
-                pool = (
-                    cf.ThreadPoolExecutor(max_workers=size)  # repro-lint: disable=RPR010
-                    if kind == "thread"
-                    else cf.ProcessPoolExecutor(max_workers=size)  # repro-lint: disable=RPR010
+            # One generator shipped in two payloads means two worker
+            # threads interleaving draws on one stream — flag it
+            # before the pool scrambles the evidence.
+            sanitize_rng.scan_items("thread-executor", items)
+        else:
+            try:
+                pickle.dumps((call, items))
+            except Exception:
+                warnings.warn(
+                    "task function or arguments are not picklable; "
+                    "falling back to serial execution",
+                    RuntimeWarning,
+                    stacklevel=3,
                 )
-                incident = None  # "crash" | "stall"
-                retried = False
-                waiting: set = set()
-                try:
-                    index_of = {
-                        pool.submit(call, payloads[index]): index
-                        for index in sorted(pending)
-                    }
-                    waiting = set(index_of)
-                    depth.add(len(waiting))
-                    while waiting and incident is None:
-                        done, waiting = cf.wait(
-                            waiting, timeout=retry.timeout,
-                            return_when=cf.FIRST_COMPLETED,
+                report.record("work not picklable; serial from the start")
+                return pending
+        incidents = failure_rounds = 0
+        busy = 0.0
+        t0 = time.perf_counter()
+        while pending:
+            if incidents > MAX_POOL_REBUILDS:
+                report.record(
+                    f"pool broke/stalled {incidents} times "
+                    f"(max {MAX_POOL_REBUILDS}); abandoning pooling"
+                )
+                break
+            size = min(self.workers, len(pending))
+            # Managed by hand, not by `with`: a stalled or broken pool
+            # must be abandoned (see _shutdown), never joined.
+            pool = (
+                cf.ThreadPoolExecutor(max_workers=size)  # repro-lint: disable=RPR010
+                if self.kind == "thread"
+                else cf.ProcessPoolExecutor(max_workers=size)  # repro-lint: disable=RPR010
+            )
+            incident = None  # "crash" | "stall"
+            retried = False
+            waiting: set = set()
+            try:
+                index_of = {
+                    pool.submit(call, items[index]): index
+                    for index in sorted(pending)
+                }
+                waiting = set(index_of)
+                depth.add(len(waiting))
+                while waiting and incident is None:
+                    done, waiting = cf.wait(
+                        waiting, timeout=retry.timeout,
+                        return_when=cf.FIRST_COMPLETED,
+                    )
+                    depth.add(-len(done))
+                    if not done:
+                        incident = "stall"
+                        report.timeouts += 1
+                        obs_metrics.counter("resilient_timeouts").inc()
+                        report.record(
+                            f"no task completed within {retry.timeout}s; "
+                            f"{len(waiting)} unfinished — rebuilding pool"
                         )
-                        depth.add(-len(done))
-                        if not done:
-                            incident = "stall"
-                            report.timeouts += 1
-                            obs_metrics.counter("resilient_timeouts").inc()
-                            report.record(
-                                f"no task completed within {retry.timeout}s; "
-                                f"{len(waiting)} unfinished — rebuilding pool"
-                            )
-                        for future in done:
-                            index = index_of[future]
-                            try:
-                                outcome = future.result()
-                            except cf.BrokenExecutor:
-                                incident = "crash"
-                            except Exception as exc:
-                                if policy is None:
-                                    raise
-                                name = type(exc).__name__
-                                if _charge(index, pending, leftover, retry.retries):
-                                    retried = True
-                                    report.retries += 1
-                                    obs_metrics.counter("resilient_retries").inc()
-                                    report.record(f"task {index} raised {name}; "
-                                                  f"retry {pending[index]}/{retry.retries}")
-                                else:
-                                    report.record(f"task {index} exhausted "
-                                                  f"{retry.retries} retries ({name})")
+                    for future in done:
+                        index = index_of[future]
+                        try:
+                            outcome = future.result()
+                        except cf.BrokenExecutor:
+                            incident = "crash"
+                        except Exception as exc:
+                            if policy is None:
+                                raise
+                            name = type(exc).__name__
+                            if _charge(index, pending, leftover, retry.retries):
+                                retried = True
+                                report.retries += 1
+                                obs_metrics.counter("resilient_retries").inc()
+                                report.record(f"task {index} raised {name}; "
+                                              f"retry {pending[index]}/{retry.retries}")
                             else:
-                                busy += outcome.exec_seconds
-                                results[index] = _absorb(outcome)
-                                del pending[index]
-                except cf.BrokenExecutor:
-                    incident = "crash"
-                finally:
-                    depth.add(-len(waiting))  # futures abandoned with the pool
-                    _shutdown(pool, abandon=incident is not None)
-                if incident == "crash" and policy is None:
-                    warnings.warn(
-                        "process pool broke mid-sweep; re-running serially",
-                        RuntimeWarning,
-                        stacklevel=3,
-                    )
-                    break
-                if incident == "crash":
-                    report.crashes += 1
-                    obs_metrics.counter("resilient_crashes").inc()
-                    report.record(
-                        f"worker crashed (pool broken); resubmitting "
-                        f"{len(pending)} unfinished task(s)"
-                    )
-                if incident is not None:
-                    incidents += 1
-                    report.pool_rebuilds += 1
-                    # The culprit cannot be identified from the parent:
-                    # charge one attempt to every task still in flight.
-                    for index in list(pending):
-                        _charge(index, pending, leftover, retry.retries)
-                    if pending:
-                        obs_metrics.counter("resilient_resubmissions").inc(len(pending))
-                if pending and (incident is not None or retried):
-                    time.sleep(retry.sleep_for(failure_rounds))
-                    failure_rounds += 1
-            leftover.update(pending)
+                                report.record(f"task {index} exhausted "
+                                              f"{retry.retries} retries ({name})")
+                        else:
+                            busy += outcome.exec_seconds
+                            results[index] = _absorb(outcome)
+                            del pending[index]
+            except cf.BrokenExecutor:
+                incident = "crash"
+            finally:
+                depth.add(-len(waiting))  # futures abandoned with the pool
+                _shutdown(pool, abandon=incident is not None)
+            if incident == "crash" and policy is None:
+                warnings.warn(
+                    "process pool broke mid-sweep; re-running serially",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+                break
+            if incident == "crash":
+                report.crashes += 1
+                obs_metrics.counter("resilient_crashes").inc()
+                report.record(
+                    f"worker crashed (pool broken); resubmitting "
+                    f"{len(pending)} unfinished task(s)"
+                )
+            if incident is not None:
+                incidents += 1
+                report.pool_rebuilds += 1
+                # The culprit cannot be identified from the parent:
+                # charge one attempt to every task still in flight.
+                for index in list(pending):
+                    _charge(index, pending, leftover, retry.retries)
+                if pending:
+                    obs_metrics.counter("resilient_resubmissions").inc(len(pending))
+            if pending and (incident is not None or retried):
+                time.sleep(retry.sleep_for(failure_rounds))
+                failure_rounds += 1
+        leftover.update(pending)
         wall = time.perf_counter() - t0
         obs_metrics.gauge("executor_utilization").set(
             busy / (min(self.workers, len(items)) * wall) if wall > 0 else 0.0

@@ -4,9 +4,8 @@ The static rules (``repro.lintrules``) prove structural invariants;
 this package checks the *numeric* ones the paper's Eq. 5 error model
 silently assumes — values stay finite through DAC → crossbar →
 comparator/ADC, programmed conductances stay inside the device window,
-SHM-fanned arrays are never mutated mid-sweep, and one
-``np.random.Generator`` is never driven from several threads (which
-the logged-seed replay contract cannot survive).
+and one ``np.random.Generator`` is never driven from several threads
+(which the logged-seed replay contract cannot survive).
 
 Everything is gated behind the ``REPRO_SANITIZE`` knob and costs one
 cached boolean check when off.  When a guard trips it **records a
@@ -65,10 +64,9 @@ class SanitizeFinding:
     """One tripped guard."""
 
     stage: str
-    """Pipeline stage that tripped (``trainer``, ``crossbar``, ``shm``...)."""
+    """Pipeline stage that tripped (``trainer``, ``crossbar``...)."""
     kind: str
-    """Guard family: ``non-finite`` / ``range`` / ``shm-mutated`` /
-    ``rng-shared``."""
+    """Guard family: ``non-finite`` / ``range`` / ``rng-shared``."""
     detail: str
     """Human-readable description with the offending values."""
     fields: Dict[str, object] = field(default_factory=dict)
@@ -114,22 +112,16 @@ def findings() -> List[SanitizeFinding]:
 
 def reset() -> None:
     """Clear findings and per-run guard state (tests, new runs)."""
-    from repro.sanitize import guards, rng
+    from repro.sanitize import rng
 
     global _enabled
     with _lock:
         _findings.clear()
     _enabled = None
     rng._reset()
-    guards._reset()
 
 
-from repro.sanitize.guards import (  # noqa: E402  (public re-exports)
-    check_finite,
-    check_range,
-    verify_buffer,
-    watch_buffer,
-)
+from repro.sanitize.guards import check_finite, check_range  # noqa: E402  (public re-exports)
 from repro.sanitize.rng import note_rng, scan_items  # noqa: E402
 
 __all__ += [
@@ -137,6 +129,4 @@ __all__ += [
     "check_range",
     "note_rng",
     "scan_items",
-    "verify_buffer",
-    "watch_buffer",
 ]

@@ -1,4 +1,4 @@
-"""Numeric and buffer guards for the runtime sanitizer.
+"""Numeric guards for the runtime sanitizer.
 
 Each guard early-returns when :func:`repro.sanitize.enabled` is false,
 so a disabled sanitizer costs one cached boolean test per call site.
@@ -8,20 +8,11 @@ raising — see the package docstring for why.
 
 from __future__ import annotations
 
-import hashlib
-import threading
 import types
-from collections import OrderedDict
-from typing import Tuple
 
 import numpy as np
 
-__all__ = ["check_finite", "check_range", "verify_buffer", "watch_buffer"]
-
-_MAX_WATCHED = 4096
-
-_watch_lock = threading.Lock()
-_watched: "OrderedDict[str, Tuple[str, Tuple[int, ...]]]" = OrderedDict()
+__all__ = ["check_finite", "check_range"]
 
 
 def _sanitize() -> types.ModuleType:
@@ -29,11 +20,6 @@ def _sanitize() -> types.ModuleType:
     import repro.sanitize as sanitize
 
     return sanitize
-
-
-def _digest(array: np.ndarray) -> str:
-    data = np.ascontiguousarray(array)
-    return hashlib.blake2b(data.tobytes(), digest_size=16).hexdigest()
 
 
 def check_finite(stage: str, name: str, array: np.ndarray) -> bool:
@@ -105,46 +91,3 @@ def check_range(
         worst=worst,
     )
     return False
-
-
-def watch_buffer(stage: str, name: str, array: np.ndarray) -> None:
-    """Checksum a buffer that must stay immutable (e.g. an SHM segment).
-
-    Call once after publishing the buffer; :func:`verify_buffer` with
-    the same ``name`` later detects any write that happened in between.
-    """
-    sanitize = _sanitize()
-    if not sanitize.enabled():
-        return
-    values = np.asarray(array)
-    with _watch_lock:
-        while len(_watched) >= _MAX_WATCHED:
-            _watched.popitem(last=False)
-        _watched[name] = (_digest(values), tuple(values.shape))
-
-
-def verify_buffer(stage: str, name: str, array: np.ndarray) -> bool:
-    """Record a finding if a watched buffer changed since :func:`watch_buffer`."""
-    sanitize = _sanitize()
-    if not sanitize.enabled():
-        return True
-    with _watch_lock:
-        expected = _watched.get(name)
-    if expected is None:
-        return True
-    values = np.asarray(array)
-    if _digest(values) == expected[0] and tuple(values.shape) == expected[1]:
-        return True
-    sanitize.record(
-        stage,
-        "shm-mutated",
-        f"{name}: buffer contents changed while shared "
-        f"(shape {tuple(values.shape)}, expected shape {expected[1]})",
-        name=name,
-    )
-    return False
-
-
-def _reset() -> None:
-    with _watch_lock:
-        _watched.clear()

@@ -44,13 +44,11 @@ class TestRegistry:
             "REPRO_TASK_TIMEOUT",
             "REPRO_TASK_RETRIES",
             "REPRO_DTYPE",
-            "REPRO_ERRORBUDGET_TRIALS",
             "REPRO_SANITIZE",
             "REPRO_SERVE_DEADLINE_MS",
             "REPRO_SERVE_MAX_BATCH",
             "REPRO_SERVE_PORT",
             "REPRO_SERVE_QUEUE_LIMIT",
-            "REPRO_SHM",
         }
 
 
@@ -76,11 +74,11 @@ class TestDefaults:
 class TestCoercion:
     def test_bool_accepts_all_truthy_spellings(self, monkeypatch):
         for raw in ("1", "true", "YES", " On "):
-            monkeypatch.setenv("REPRO_SHM", raw)
-            assert knobs.get_bool("REPRO_SHM") is True
+            monkeypatch.setenv("REPRO_SANITIZE", raw)
+            assert knobs.get_bool("REPRO_SANITIZE") is True
         for raw in ("0", "off", "no", "false", ""):
-            monkeypatch.setenv("REPRO_SHM", raw)
-            assert knobs.get_bool("REPRO_SHM") is False
+            monkeypatch.setenv("REPRO_SANITIZE", raw)
+            assert knobs.get_bool("REPRO_SANITIZE") is False
 
     def test_int_coercion_and_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", " 4 ")
@@ -100,10 +98,10 @@ class TestCoercion:
 
 class TestSnapshot:
     def test_snapshot_captures_all_repro_vars(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "1")
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
         monkeypatch.setenv("REPRO_SURPRISE", "x")  # unregistered but captured
         snap = knobs.snapshot()
-        assert snap["REPRO_SHM"] == "1"
+        assert snap["REPRO_SANITIZE"] == "1"
         assert snap["REPRO_SURPRISE"] == "x"
         assert all(name.startswith("REPRO_") for name in snap)
 
@@ -145,14 +143,6 @@ class TestDocs:
 class TestIntegration:
     """The migrated call sites still honour their knobs."""
 
-    def test_shm_env_resolves_through_registry(self, monkeypatch):
-        from repro.parallel.shm import shm_enabled
-
-        monkeypatch.setenv("REPRO_SHM", "yes")
-        assert shm_enabled() is True
-        monkeypatch.setenv("REPRO_SHM", "off")
-        assert shm_enabled() is False
-
     def test_workers_env_resolves_through_registry(self, monkeypatch):
         from repro.parallel.executor import resolve_workers
 
@@ -181,5 +171,5 @@ class TestIntegration:
     def test_manifest_env_block_uses_snapshot(self, monkeypatch):
         from repro.obs.runinfo import repro_env
 
-        monkeypatch.setenv("REPRO_SHM", "1")
-        assert repro_env()["REPRO_SHM"] == "1"
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        assert repro_env()["REPRO_SANITIZE"] == "1"

@@ -99,7 +99,7 @@ class TestRPR003:
         assert codes(src) == ["RPR003"]
 
     def test_fires_on_getenv_and_subscript(self):
-        src = "import os\na = os.getenv('REPRO_SHM')\nb = os.environ['REPRO_FULL']\n"
+        src = "import os\na = os.getenv('REPRO_SANITIZE')\nb = os.environ['REPRO_FULL']\n"
         assert codes(src) == ["RPR003", "RPR003"]
 
     def test_fires_on_environ_iteration(self):
@@ -437,7 +437,7 @@ class TestRPR009:
 
 
 # ---------------------------------------------------------------------------
-# RPR010 — executors / SHM arenas without context management
+# RPR010 — executors / shared-memory segments without context management
 # ---------------------------------------------------------------------------
 
 
@@ -450,7 +450,10 @@ class TestRPR010:
         assert codes(src) == ["RPR010"]
 
     def test_fires_on_bare_shm_session(self):
-        src = "from repro.parallel.shm import ShmSession\ns = ShmSession()\n"
+        src = (
+            "from multiprocessing.shared_memory import SharedMemory\n"
+            "s = SharedMemory(create=True, size=64)\n"
+        )
         assert codes(src) == ["RPR010"]
 
     def test_silent_on_with_block(self):
@@ -463,10 +466,10 @@ class TestRPR010:
 
     def test_silent_on_exit_stack(self):
         src = (
+            "from concurrent.futures import ProcessPoolExecutor\n"
             "from contextlib import ExitStack\n"
-            "from repro.parallel.shm import ShmSession\n"
             "with ExitStack() as stack:\n"
-            "    s = stack.enter_context(ShmSession())\n"
+            "    pool = stack.enter_context(ProcessPoolExecutor(2))\n"
         )
         assert codes(src) == []
 

@@ -19,6 +19,7 @@ from repro.device.variation import NonIdealFactors, trial_indices
 from repro.metrics.robustness import noise_sweep
 from repro.nn.trainer import TrainConfig
 from repro.parallel import (
+    RetryPolicy,
     derive_seed,
     derive_seeds,
     get_executor,
@@ -51,6 +52,11 @@ def _kill_worker_once(args):
             handle.write(str(os.getpid()))
         os.kill(os.getpid(), signal.SIGKILL)
     return value * value
+
+
+def _weighted_sum(item):
+    base, weight = item
+    return float(base.sum() * weight)
 
 
 def _seeded_value(seed):
@@ -134,6 +140,18 @@ class TestExecutorEquivalence:
     def test_process_matches_serial(self):
         serial = get_executor(1).map(_square, self.ITEMS)
         assert get_executor(2, kind="process").map(_square, self.ITEMS) == serial
+
+    @pytest.mark.parametrize(
+        "policy", [None, RetryPolicy(retries=1, backoff=0)], ids=["no-policy", "retry"]
+    )
+    def test_process_map_of_shared_array_matches_serial(self, policy):
+        # Every item carries the same 512 KiB float64 array; each task
+        # pickles its own copy, and the results equal the serial map.
+        base = np.random.default_rng(0).standard_normal((256, 256))
+        items = [(base, weight) for weight in (0.5, 1.0, 2.0, 4.0)]
+        serial = get_executor(1).map(_weighted_sum, items)
+        pooled = get_executor(2, kind="process").map(_weighted_sum, items, policy=policy)
+        assert pooled == serial
 
     def test_process_lambda_falls_back_to_serial(self):
         offset = 10
