@@ -96,13 +96,23 @@ def fits_in_place(buf: np.ndarray, *operands: ArrayLike) -> bool:
     when ``buf`` is writable, already has the promoted dtype (not, e.g.,
     a float32 stack scaled by a ``np.float64`` gain) and each operand's
     shape is a trailing part of ``buf``'s.  Cheap enough for the
-    one-sample serving path: no broadcast object is built.
+    one-sample serving path: no broadcast object is built, and the
+    shapes are checked before the (slower) dtype promotion.
     """
-    return (
-        buf.flags.writeable
-        and np.result_type(buf, *operands) == buf.dtype
-        and all(
-            len(shape) <= buf.ndim and buf.shape[buf.ndim - len(shape):] == shape
-            for shape in map(np.shape, operands)
-        )
-    )
+    if not buf.flags.writeable:
+        return False
+    ndim = buf.ndim
+    for operand in operands:
+        shape = _shape(operand)
+        if len(shape) > ndim or buf.shape[ndim - len(shape):] != shape:
+            return False
+    return np.result_type(buf, *operands) == buf.dtype
+
+
+def _shape(operand: ArrayLike) -> tuple:
+    """``np.shape(operand)``, without its call for arrays, numpy and Python scalars."""
+    if isinstance(operand, (np.ndarray, np.generic)):
+        return operand.shape
+    if isinstance(operand, (bool, int, float, complex)):
+        return ()
+    return np.shape(operand)

@@ -18,6 +18,7 @@ re-mapping the remaining coefficients, while the cost model
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -73,6 +74,16 @@ class MEIConfig:
             raise ValueError(f"bits must be in [1, 32], got {self.bits}")
         if self.weight_decay_ratio <= 0:
             raise ValueError("weight_decay_ratio must be positive")
+
+
+@functools.lru_cache(maxsize=None)
+def _group_mask(groups: int, bits: int, kept: int) -> np.ndarray:
+    """Read-only boolean mask over ``groups * bits`` ports keeping each group's MSBs."""
+    mask = np.zeros(groups * bits, dtype=bool)
+    for g in range(groups):
+        mask[g * bits : g * bits + kept] = True
+    mask.flags.writeable = False
+    return mask
 
 
 class MEI:
@@ -133,20 +144,13 @@ class MEI:
         """Kept output ports after pruning."""
         return self.config.out_groups * self.out_bits
 
-    def _group_mask(self, groups: int, kept: int) -> np.ndarray:
-        """Boolean mask over ``groups * bits`` ports keeping MSBs."""
-        mask = np.zeros(groups * self.bits, dtype=bool)
-        for g in range(groups):
-            mask[g * self.bits : g * self.bits + kept] = True
-        return mask
-
     @property
     def in_mask(self) -> np.ndarray:
-        return self._group_mask(self.config.in_groups, self.in_bits)
+        return _group_mask(self.config.in_groups, self.bits, self.in_bits)
 
     @property
     def out_mask(self) -> np.ndarray:
-        return self._group_mask(self.config.out_groups, self.out_bits)
+        return _group_mask(self.config.out_groups, self.bits, self.out_bits)
 
     def topology(self) -> MEITopology:
         """Cost-model topology of the (possibly pruned) architecture."""
@@ -304,7 +308,7 @@ class MEI:
         trial: int = 0,
     ) -> np.ndarray:
         """End-to-end unit-value prediction (bits decoded)."""
-        return self.decode_outputs(self.predict_bits(x, noise, trial))
+        return self._decode_kept(self.predict_bits(x, noise, trial))
 
     def predict_trials(
         self,
@@ -313,7 +317,11 @@ class MEI:
         trials: TrialSpec = 1,
     ) -> np.ndarray:
         """Batched end-to-end prediction: ``(trials, samples, values)``."""
-        return self.decode_outputs(self.predict_bits_trials(x, noise, trials))
+        return self._decode_kept(self.predict_bits_trials(x, noise, trials))
+
+    def _decode_kept(self, bits: np.ndarray) -> np.ndarray:
+        """:meth:`decode_outputs` of predicted bits, whose pruned ports are already 0."""
+        return self.codec.decode(np.asarray(bits, dtype=float))
 
     def predict_digital(self, x: np.ndarray) -> np.ndarray:
         """Software-network prediction (pre-deployment check)."""

@@ -5,7 +5,6 @@ from repro.metrics.image import psnr, ssim
 from repro.metrics.robustness import (
     NoisyEvaluation,
     evaluate_under_noise,
-    noise_sweep,
     robustness_index,
 )
 from repro.metrics.signal import bit_error_rate, snr_db, weighted_bit_error
@@ -19,7 +18,6 @@ __all__ = [
     "ssim",
     "NoisyEvaluation",
     "evaluate_under_noise",
-    "noise_sweep",
     "robustness_index",
     "snr_db",
     "bit_error_rate",

@@ -15,21 +15,20 @@ compares candidates under the *same* metric.
 Performance: :func:`evaluate_under_noise` calls the system's
 ``predict_trials``, which pushes a ``(trials, samples, ports)`` stack
 through the crossbars in one pass (see ``docs/performance.md``).
-:func:`noise_sweep` optionally fans the noise levels out over a
-:mod:`repro.parallel` executor.
+A noise sweep (the Fig. 5 axis) loops it over the levels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable
 
 import numpy as np
 
 from repro.device.variation import NonIdealFactors
 from repro.obs import metrics as obs_metrics
 
-__all__ = ["NoisyEvaluation", "evaluate_under_noise", "robustness_index", "noise_sweep"]
+__all__ = ["NoisyEvaluation", "evaluate_under_noise", "robustness_index"]
 
 Metric = Callable[[np.ndarray, np.ndarray], float]
 
@@ -98,32 +97,3 @@ def robustness_index(clean_error: float, noisy_error: float) -> float:
     if noisy_error <= 1e-15:
         return 1.0
     return min(1.0, clean_error / noisy_error)
-
-
-def _sweep_task(args) -> NoisyEvaluation:
-    """One noise level of a sweep (module-level for pickling)."""
-    return evaluate_under_noise(*args)
-
-
-def noise_sweep(
-    system,
-    x: np.ndarray,
-    y_true: np.ndarray,
-    metric: Metric,
-    noises: Sequence[NonIdealFactors],
-    trials: int = 30,
-    workers: Optional[int] = None,
-    executor=None,
-) -> List[NoisyEvaluation]:
-    """Evaluate a system across a list of noise levels (Fig. 5 axis).
-
-    The noise levels are embarrassingly parallel; pass ``workers`` (or
-    set ``REPRO_WORKERS``) or an explicit :mod:`repro.parallel`
-    executor to fan them out.  Results keep the input order and are
-    identical to the serial sweep (each level owns its seeds).
-    """
-    from repro.parallel import get_executor
-
-    executor = executor if executor is not None else get_executor(workers)
-    tasks = [(system, x, y_true, metric, n, trials) for n in noises]
-    return executor.map(_sweep_task, tasks)

@@ -21,6 +21,7 @@ group.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,14 +31,17 @@ from repro.config.dtype import astype as _astype
 __all__ = ["FixedPointCodec", "quantize_unit", "bit_place_values"]
 
 
+@functools.lru_cache(maxsize=None)
 def bit_place_values(bits: int) -> np.ndarray:
-    """Place values ``2**-1 ... 2**-bits`` of a ``bits``-bit fraction.
+    """Place values ``2**-1 ... 2**-bits`` of a ``bits``-bit fraction, read-only.
 
     The first entry corresponds to the MSB.
     """
     if bits < 1:
         raise ValueError(f"bits must be >= 1, got {bits}")
-    return np.ldexp(1.0, -np.arange(1, bits + 1))
+    values = np.ldexp(1.0, -np.arange(1, bits + 1))
+    values.flags.writeable = False
+    return values
 
 
 def quantize_unit(values: np.ndarray, bits: int) -> np.ndarray:

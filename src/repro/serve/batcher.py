@@ -10,11 +10,13 @@ batch equals the request served alone.  The property suite in
 ``tests/test_serve_batcher.py`` proves this over arbitrary
 interleavings.
 
-Resilience reuses the executor's :class:`~repro.parallel.RetryPolicy`: batch
-evaluation runs on an isolated single-thread pool so a stalled worker
-can be abandoned and rebuilt (``RetryPolicy.timeout``), failed batches
-are retried with backoff, and a crashed dispatcher resubmits its
-in-flight requests — every request's future completes exactly once.
+Resilience reuses the executor's :class:`~repro.parallel.RetryPolicy`:
+the dispatcher thread evaluates each batch itself, retrying failed
+batches with backoff; a crashed dispatcher resubmits its in-flight
+requests; and when ``RetryPolicy.timeout`` is set, a watchdog thread
+retires a dispatcher stalled past it (its late result is discarded)
+and starts a fresh one that re-evaluates the batch — every request's
+future completes exactly once.
 
 Knobs (``repro.config.knobs``): ``REPRO_SERVE_MAX_BATCH``,
 ``REPRO_SERVE_QUEUE_LIMIT``, ``REPRO_SERVE_DEADLINE_MS``.
@@ -34,9 +36,8 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, field
+from concurrent.futures import Future
+from dataclasses import dataclass
 from typing import Callable, Deque, List, Optional, Union
 
 import numpy as np
@@ -181,18 +182,38 @@ class _Request:
     enqueued: float
     deadline_at: Optional[float] = None
     attempts: int = 0
-    extra: dict = field(default_factory=dict)
+
+
+class _Dispatcher(threading.Thread):
+    """One dispatcher thread and the batch it is evaluating.
+
+    Only the thread itself writes ``busy_since``, so a retired
+    dispatcher that wakes up late cannot reset its successor's stall
+    clock.
+    """
+
+    def __init__(self, body: Callable[["_Dispatcher"], None]) -> None:
+        super().__init__(name="repro-serve-batcher", daemon=True)
+        self._body = body
+        self.batch: Optional[List[_Request]] = None
+        """The batch last collected (the one being evaluated while busy)."""
+        self.busy_since: Optional[float] = None
+        """Start of the running ``predict_fn`` call (None between calls)."""
+        self.retired = False
+        """Set by the watchdog once the batch is requeued: drop any late result."""
+
+    def run(self) -> None:
+        self._body(self)
 
 
 class MicroBatcher:
     """Fuses concurrent requests into single batched evaluations.
 
-    ``submit`` returns a ``concurrent.futures.Future`` (wrap with
-    ``asyncio.wrap_future`` from async code).  A dispatcher thread
-    takes the queued requests, up to ``policy.max_batch`` samples, as
-    soon as the previous batch is done, and evaluates them in one
-    ``predict_fn`` call on an isolated evaluation pool.  Use as a
-    context manager so shutdown is exception-safe.
+    ``submit`` returns a ``concurrent.futures.Future``.  A dispatcher
+    thread takes the queued requests, up to ``policy.max_batch``
+    samples, as soon as the previous batch is done, and evaluates them
+    itself in one ``predict_fn`` call.  Use as a context manager so
+    shutdown is exception-safe.
     """
 
     def __init__(
@@ -207,9 +228,9 @@ class MicroBatcher:
         self._cond = threading.Condition()
         self._queue: Deque[_Request] = deque()
         self._closed = False
-        self._dispatcher: Optional[threading.Thread] = None
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_lock = threading.Lock()
+        self._dispatcher: Optional[_Dispatcher] = None
+        self._watchdog: Optional[threading.Thread] = None
+        self._stopped = threading.Event()
 
     # -- request side ----------------------------------------------------
 
@@ -244,31 +265,31 @@ class MicroBatcher:
             self._queue.append(request)
             obs_metrics.counter("serve_requests").inc()
             obs_metrics.gauge("serve_queue_depth").set(float(len(self._queue)))
-            self._ensure_dispatcher_locked()
+            if self._dispatcher is None or not self._dispatcher.is_alive():
+                self._start_dispatcher_locked()
             self._cond.notify_all()
         return request.future
 
     # -- lifecycle -------------------------------------------------------
 
     def close(self, timeout: float = 10.0) -> None:
-        """Drain the queue, stop the dispatcher and tear down the pool."""
+        """Drain the queue, then stop the dispatcher and the watchdog."""
         with self._cond:
             if self._closed:
                 return
             self._closed = True
             self._cond.notify_all()
             dispatcher = self._dispatcher
+        self._stopped.set()
         if dispatcher is not None:
             dispatcher.join(timeout=timeout)
+        if self._watchdog is not None:
+            self._watchdog.join(timeout=timeout)
         with self._cond:
-            while self._queue:  # dispatcher never started or died
+            while self._queue:  # dispatcher never started, died or is stalled
                 self._complete(self._queue.popleft(),
                                error=ServeError("micro-batcher closed"))
             obs_metrics.gauge("serve_queue_depth").set(0.0)
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False)
 
     def __enter__(self) -> "MicroBatcher":
         return self
@@ -278,38 +299,45 @@ class MicroBatcher:
 
     # -- dispatcher ------------------------------------------------------
 
-    def _ensure_dispatcher_locked(self) -> None:
-        if self._dispatcher is None or not self._dispatcher.is_alive():
-            self._dispatcher = threading.Thread(
-                target=self._run, name="repro-serve-batcher", daemon=True
+    def _start_dispatcher_locked(self) -> None:
+        self._dispatcher = _Dispatcher(self._run)
+        self._dispatcher.start()
+        if self.retry.timeout is not None and self._watchdog is None:
+            self._watchdog = threading.Thread(
+                target=self._watch, name="repro-serve-watchdog", daemon=True
             )
-            self._dispatcher.start()
+            self._watchdog.start()
 
-    def _run(self) -> None:
+    def _run(self, dispatcher: _Dispatcher) -> None:
         while True:
-            batch = self._collect()
+            batch = self._collect(dispatcher)
             if batch is None:
                 return
             try:
-                self._process(batch)
+                self._process(batch, dispatcher)
             except BaseException as exc:  # noqa: B036 - chaos guard: resubmit, never drop
-                self._resubmit(batch, exc)
+                with self._cond:
+                    if not dispatcher.retired:  # else the watchdog requeued the batch
+                        self._resubmit_locked(batch, exc)
 
-    def _collect(self) -> Optional[List[_Request]]:
+    def _collect(self, dispatcher: _Dispatcher) -> Optional[List[_Request]]:
         """Dequeue one batch: the first request + everything queued behind it.
 
         Work-conserving: it never waits for more requests once it has
         one.  Requests that arrive while a batch computes queue up, so
         fusion grows with load and costs a lone request nothing.
-        Returns ``None`` once closed and drained.  A single request
-        larger than ``max_batch`` still forms its own batch.
+        Returns ``None`` once closed and drained, or once retired.  A
+        single request larger than ``max_batch`` still forms its own
+        batch.
         """
         max_batch = self.policy.max_batch
         with self._cond:
             while not self._queue:
-                if self._closed:
+                if self._closed or dispatcher.retired:
                     return None
                 self._cond.wait(0.1)
+            if dispatcher.retired:
+                return None
             batch = [self._queue.popleft()]
             total = batch[0].samples
             while self._queue and total + self._queue[0].samples <= max_batch:
@@ -317,9 +345,10 @@ class MicroBatcher:
                 batch.append(request)
                 total += request.samples
             obs_metrics.gauge("serve_queue_depth").set(float(len(self._queue)))
+            dispatcher.batch = batch
         return batch
 
-    def _process(self, batch: List[_Request]) -> None:
+    def _process(self, batch: List[_Request], dispatcher: _Dispatcher) -> None:
         now = time.monotonic()
         live: List[_Request] = []
         for request in batch:
@@ -341,8 +370,11 @@ class MicroBatcher:
         obs_metrics.gauge("serve_batch_samples").set(float(values.shape[0]))
         obs_metrics.counter("serve_batches").inc()
         started = time.monotonic()
-        outputs = self._evaluate(values)
+        outputs = self._evaluate(values, dispatcher)
         done = time.monotonic()
+        with self._cond:
+            if dispatcher.retired:  # stalled: the batch went to a fresh dispatcher
+                return
         obs_metrics.histogram("serve_compute_seconds").observe(done - started)
         latency = obs_metrics.histogram("serve_request_latency_seconds")
         offset = 0
@@ -352,71 +384,43 @@ class MicroBatcher:
             latency.observe(done - request.enqueued)
         obs_metrics.counter("serve_responses").inc(float(len(live)))
 
-    def _resubmit(self, batch: List[_Request], cause: BaseException) -> None:
-        """Crashed batch: requeue survivors (bounded by the retry budget)."""
+    def _resubmit_locked(self, batch: List[_Request], cause: BaseException) -> None:
+        """Crashed or stalled batch: requeue survivors (bounded by the retry budget)."""
         obs_metrics.counter("serve_worker_restarts").inc()
         _log.warning(
-            "serve batch worker crashed; resubmitting its requests",
+            "serve batch worker crashed or stalled; resubmitting its requests",
             extra={"fields": {"error": repr(cause), "requests": len(batch)}},
         )
-        with self._cond:
-            for request in reversed(batch):
-                if request.future.done():
-                    continue
-                request.attempts += 1
-                if request.attempts > self.retry.retries:
-                    self._complete(request, error=ServeError(
-                        f"batch worker crashed {request.attempts} times "
-                        f"(last: {cause!r}); retry budget exhausted"
-                    ))
-                else:
-                    self._queue.appendleft(request)
-            obs_metrics.gauge("serve_queue_depth").set(float(len(self._queue)))
-            self._cond.notify_all()
+        for request in reversed(batch):
+            if request.future.done():
+                continue
+            request.attempts += 1
+            if request.attempts > self.retry.retries:
+                self._complete(request, error=ServeError(
+                    f"batch worker failed {request.attempts} times "
+                    f"(last: {cause!r}); retry budget exhausted"
+                ))
+            else:
+                self._queue.appendleft(request)
+        obs_metrics.gauge("serve_queue_depth").set(float(len(self._queue)))
+        self._cond.notify_all()
 
-    # -- evaluation (stall-isolated, retried) ----------------------------
+    # -- evaluation (retried; stalls caught by the watchdog) ---------------
 
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                # Long-lived by design: one evaluation slot for the whole
-                # server lifetime, torn down in close().
-                self._pool = ThreadPoolExecutor(  # repro-lint: disable=RPR010
-                    max_workers=1, thread_name_prefix="repro-serve-eval"
-                )
-            return self._pool
+    def _evaluate(self, values: np.ndarray, dispatcher: _Dispatcher) -> Optional[np.ndarray]:
+        """Evaluate one fused batch on this thread, retrying failures.
 
-    def _abandon_pool(self) -> None:
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False)
-
-    def _evaluate(self, values: np.ndarray) -> np.ndarray:
-        """Evaluate one fused batch, retrying failures and stalls.
-
-        A stall (no result within ``retry.timeout``) abandons the
-        evaluation pool — its late result, if any, is discarded — and
-        resubmits the batch on a fresh pool, mirroring the pool rebuild
-        of ``get_executor(...).map`` under a policy.
+        Returns ``None`` once the watchdog has retired ``dispatcher``:
+        its batch is then a fresh dispatcher's, so it is not re-run here.
         """
         policy = self.retry
         last_error: Optional[BaseException] = None
         for attempt in range(policy.retries + 1):
-            future = self._ensure_pool().submit(self._predict, values)
+            if dispatcher.retired:
+                return None
+            dispatcher.busy_since = time.monotonic()
             try:
-                return future.result(timeout=policy.timeout)
-            except FutureTimeoutError:
-                obs_metrics.counter("serve_worker_restarts").inc()
-                self._abandon_pool()
-                last_error = ServeError(
-                    f"batch evaluation stalled beyond {policy.timeout}s; "
-                    "pool rebuilt"
-                )
-                _log.warning(
-                    "serve batch evaluation stalled; pool rebuilt",
-                    extra={"fields": {"timeout": policy.timeout, "attempt": attempt}},
-                )
+                return self._predict(values)
             except Exception as exc:
                 obs_metrics.counter("serve_retries").inc()
                 last_error = exc
@@ -424,11 +428,37 @@ class MicroBatcher:
                     "serve batch evaluation failed; retrying",
                     extra={"fields": {"error": repr(exc), "attempt": attempt}},
                 )
+            finally:
+                dispatcher.busy_since = None
             if attempt < policy.retries:
                 time.sleep(policy.sleep_for(attempt))
         assert last_error is not None
         raise ServeError(f"batch evaluation failed terminally: {last_error!r}") \
             from last_error
+
+    def _watch(self) -> None:
+        """Retire a dispatcher whose ``predict_fn`` call outlives ``retry.timeout``.
+
+        Checks twice per timeout.  The stalled thread cannot be killed;
+        it is left to finish (or hang) on its own, its late result
+        dropped, while a fresh dispatcher re-evaluates the batch —
+        the executor's abandon-and-rebuild of a stalled pool, one
+        thread wide.
+        """
+        timeout = self.retry.timeout
+        assert timeout is not None
+        while not self._stopped.wait(timeout / 2):
+            with self._cond:
+                dispatcher = self._dispatcher
+                if self._closed or dispatcher is None:
+                    continue
+                since = dispatcher.busy_since
+                if since is None or time.monotonic() - since <= timeout:
+                    continue
+                dispatcher.retired = True
+                self._resubmit_locked(dispatcher.batch or [], ServeError(
+                    f"batch evaluation stalled beyond {timeout}s"))
+                self._start_dispatcher_locked()
 
     # -- exactly-once completion -----------------------------------------
 

@@ -1,15 +1,17 @@
 """The asyncio HTTP front of the serving layer.
 
 A deliberately small stdlib-only server, and the package's only HTTP
-server: it parses one HTTP/1.1 request per connection and answers
+server: an :class:`asyncio.Protocol` parses one HTTP/1.1 request per
+connection from its receive buffer (``Connection: close``) and answers
 
 * ``POST /v1/predict`` — body ``{"inputs": [[...], ...]}`` (or one
   flat sample); encoded, micro-batched through
   :class:`repro.serve.batcher.MicroBatcher` and decoded back to
   ``{"outputs": [...], "samples": n}``.  Overload returns 503,
-  a missed deadline 504, a malformed payload 400, a slow request 408,
-  an over-long header line or header block 431, and any other failure a JSON 500 —
-  no request ends in a dropped connection;
+  a missed deadline 504, a malformed payload or ``Content-Length``
+  400, a body over 8 MiB 413, a slow request 408, an over-long header
+  line or header block 431, and any other failure a JSON 500 — only a
+  client that hangs up mid-request goes unanswered;
 * ``GET /healthz`` — liveness;
 * ``GET /model`` — the loaded artifact's summary (system kind,
   benchmark, bit interface, schema version, digest);
@@ -27,7 +29,7 @@ import asyncio
 import concurrent.futures
 import json
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -40,7 +42,6 @@ from repro.serve.batcher import (
     DeadlineExceeded,
     InferenceEngine,
     MicroBatcher,
-    QueueOverflow,
     RequestError,
     ServeError,
 )
@@ -50,8 +51,11 @@ __all__ = ["BackgroundServer", "InferenceService", "run_service"]
 _log = get_logger("serve.service")
 
 _MAX_BODY_BYTES = 8 * 1024 * 1024
-_MAX_HEADER_LINES = 100  # the reader's limit bounds one line, this the count; then 431
+_MAX_LINE_BYTES = 64 * 1024  # one request or header line; longer is a 431
+_MAX_HEADER_LINES = 100  # header lines per request; more is a 431
 _READ_TIMEOUT_S = 10.0  # to send request line, headers and body; then 408
+
+_Response = Tuple[int, str, str, bytes]
 
 
 class InferenceService:
@@ -73,7 +77,9 @@ class InferenceService:
 
     async def start(self) -> "InferenceService":
         """Bind the listening socket (port 0 picks an ephemeral one)."""
-        self._server = await asyncio.start_server(self._handle, self.host, self.port)
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _Connection(self, loop), self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
         _log.info(
             "inference service listening",
@@ -98,42 +104,9 @@ class InferenceService:
 
     # -- request handling ------------------------------------------------
 
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        try:
-            try:
-                status, reason, content_type, body = await self._respond(reader)
-            except (ConnectionError, asyncio.IncompleteReadError):
-                raise
-            except Exception as exc:  # answered, so no request drops the connection
-                _log.exception("unhandled error answering a request")
-                status, reason, content_type, body = _json_error(
-                    500, "Internal Server Error", f"{type(exc).__name__}: {exc}")
-            head = (
-                f"HTTP/1.1 {status} {reason}\r\n"
-                f"Content-Type: {content_type}\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                "Connection: close\r\n\r\n"
-            )
-            writer.write(head.encode() + body)
-            await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away mid-request
-        finally:
-            writer.close()
-
-    async def _respond(
-        self, reader: asyncio.StreamReader
-    ) -> Tuple[int, str, str, bytes]:
-        try:
-            method, target, body = await asyncio.wait_for(
-                _read_request(reader), _READ_TIMEOUT_S)
-        except _BadRequest as exc:
-            return exc.args[0]
-        except asyncio.TimeoutError:
-            return _json_error(408, "Request Timeout", f"request not read in {_READ_TIMEOUT_S}s")
-        except ValueError as exc:  # StreamReader: a line over its limit
-            return _json_error(431, "Request Header Fields Too Large", str(exc))
+    def _route(self, method: str, target: str,
+               body: bytes) -> "Union[_Response, concurrent.futures.Future[np.ndarray]]":
+        """The response to one request, or the batcher's future for it."""
         if method == "GET" and target == "/healthz":
             return _json_ok({"status": "ok", "system": self.model.kind})
         if method == "GET" and target == "/model":
@@ -142,10 +115,10 @@ class InferenceService:
             payload = openmetrics.render().encode()
             return 200, "OK", openmetrics.CONTENT_TYPE, payload
         if method == "POST" and target == "/v1/predict":
-            return await self._predict(body)
+            return self._submit(body)
         return _json_error(404, "Not Found", f"no route for {method} {target}")
 
-    async def _predict(self, body: bytes) -> Tuple[int, str, str, bytes]:
+    def _submit(self, body: bytes) -> "Union[_Response, concurrent.futures.Future[np.ndarray]]":
         try:
             payload = json.loads(body.decode() or "null")
         except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
@@ -158,21 +131,9 @@ class InferenceService:
         except RequestError as exc:
             return _json_error(400, "Bad Request", str(exc))
         try:
-            future = self.batcher.submit(values)
-        except QueueOverflow as exc:
+            return self.batcher.submit(values)
+        except ServeError as exc:  # QueueOverflow included
             return _json_error(503, "Service Unavailable", str(exc))
-        except ServeError as exc:
-            return _json_error(503, "Service Unavailable", str(exc))
-        try:
-            outputs = await asyncio.wrap_future(future)
-        except DeadlineExceeded as exc:
-            return _json_error(504, "Gateway Timeout", str(exc))
-        except ServeError as exc:
-            return _json_error(500, "Internal Server Error", str(exc))
-        return _json_ok({
-            "outputs": np.asarray(outputs).tolist(),
-            "samples": int(values.shape[0]),
-        })
 
     def _model_summary(self) -> Dict[str, object]:
         meta = self.model.meta
@@ -187,26 +148,169 @@ class InferenceService:
         }
 
 
+def _predicted(future: "concurrent.futures.Future[np.ndarray]") -> _Response:
+    """The response to a completed batcher future."""
+    try:
+        outputs = np.asarray(future.result())
+    except DeadlineExceeded as exc:
+        return _json_error(504, "Gateway Timeout", str(exc))
+    except ServeError as exc:
+        return _json_error(500, "Internal Server Error", str(exc))
+    return _json_ok({"outputs": outputs.tolist(), "samples": int(outputs.shape[0])})
+
+
 class _BadRequest(Exception):
     """A malformed request; ``args[0]`` is the 4xx response it gets."""
 
 
-async def _read_request(reader: asyncio.StreamReader) -> Tuple[str, str, bytes]:
-    """Read one request: its method, target and body."""
-    request_line = (await reader.readline()).decode("latin-1").strip()
-    parts = request_line.split()
-    if len(parts) < 2:
-        raise _BadRequest(_json_error(400, "Bad Request", "malformed request line"))
-    headers: Dict[str, str] = {}
-    for _ in range(_MAX_HEADER_LINES + 1):
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    else:
-        raise _BadRequest(_json_error(431, "Request Header Fields Too Large",
-                                      f"over {_MAX_HEADER_LINES} header lines"))
+class _Connection(asyncio.Protocol):
+    """One connection: read one request, answer it, close.
+
+    Bytes accumulate in one receive buffer and are parsed as they
+    arrive; the read deadline is one ``call_later`` handle, and a
+    predict request is answered from the batcher's future through
+    ``call_soon_threadsafe`` — no task, stream reader or wrapped future
+    per request.
+    """
+
+    def __init__(self, service: InferenceService,
+                 loop: asyncio.AbstractEventLoop) -> None:
+        self._service = service
+        self._loop = loop
+        self._transport: Optional[asyncio.Transport] = None
+        self._timer: Optional[asyncio.TimerHandle] = None
+        self._buffer = bytearray()
+        self._offset = 0  # start of the first unparsed byte
+        self._request_line: Optional[List[str]] = None
+        self._headers: Dict[str, str] = {}
+        self._header_lines = 0
+        self._body_length: Optional[int] = None  # known once the header block ends
+        self._eof = False
+        self._read = False  # the request is read (or refused): ignore further bytes
+
+    # -- asyncio.Protocol ------------------------------------------------
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        assert isinstance(transport, asyncio.Transport)
+        self._transport = transport
+        self._timer = self._loop.call_later(_READ_TIMEOUT_S, self._timed_out)
+
+    def data_received(self, data: bytes) -> None:
+        if not self._read:
+            self._buffer += data
+            self._advance()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        if not self._read:
+            self._advance()
+        return True  # keep the write side open for the response
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._read = True
+        if self._timer is not None:
+            self._timer.cancel()
+
+    # -- request ---------------------------------------------------------
+
+    def _timed_out(self) -> None:
+        if not self._read:
+            self._read = True
+            self._send(_json_error(408, "Request Timeout",
+                                   f"request not read in {_READ_TIMEOUT_S}s"))
+
+    def _advance(self) -> None:
+        """Parse what has arrived; answer once the request is complete."""
+        try:
+            request = self._parse()
+            if request is None:
+                if self._eof:  # the client closed mid-body: nobody to answer
+                    self._close()
+                return
+            self._read = True
+            assert self._timer is not None
+            self._timer.cancel()
+            reply = self._service._route(*request)
+        except _BadRequest as exc:
+            self._read = True
+            reply = exc.args[0]
+        except Exception as exc:  # answered, so no request drops the connection
+            self._read = True
+            reply = _internal_error(exc)
+        if isinstance(reply, concurrent.futures.Future):
+            reply.add_done_callback(
+                lambda done: self._loop.call_soon_threadsafe(self._answer, done))
+        else:
+            self._send(reply)
+
+    def _answer(self, future: "concurrent.futures.Future[np.ndarray]") -> None:
+        try:
+            reply = _predicted(future)
+        except Exception as exc:
+            reply = _internal_error(exc)
+        self._send(reply)
+
+    def _parse(self) -> Optional[Tuple[str, str, bytes]]:
+        """Method, target and body once all have arrived, else ``None``."""
+        while self._body_length is None:
+            line = self._line()
+            if line is None:
+                return None
+            if self._request_line is None:
+                self._request_line = line.decode("latin-1").split()
+                if len(self._request_line) < 2:
+                    raise _BadRequest(_json_error(400, "Bad Request",
+                                                  "malformed request line"))
+            elif line in (b"\r\n", b"\n", b""):
+                self._body_length = _content_length(self._headers)
+            elif self._header_lines == _MAX_HEADER_LINES:
+                raise _BadRequest(_json_error(431, "Request Header Fields Too Large",
+                                              f"over {_MAX_HEADER_LINES} header lines"))
+            else:
+                self._header_lines += 1
+                name, _, value = line.decode("latin-1").partition(":")
+                self._headers[name.strip().lower()] = value.strip()
+        end = self._offset + self._body_length
+        if len(self._buffer) < end:
+            return None
+        method, target = self._request_line[:2]
+        return method, target, bytes(self._buffer[self._offset:end])
+
+    def _line(self) -> Optional[bytes]:
+        """The next line with its ending; at EOF the rest, then ``b""``."""
+        start = self._offset
+        end = self._buffer.find(b"\n", start) + 1  # 0: no line end yet
+        if (end - 1 if end else len(self._buffer)) - start > _MAX_LINE_BYTES:
+            raise _BadRequest(_json_error(431, "Request Header Fields Too Large",
+                                          f"line over {_MAX_LINE_BYTES} bytes"))
+        if not end:
+            if not self._eof:
+                return None
+            end = len(self._buffer)
+        self._offset = end
+        return bytes(self._buffer[start:end])
+
+    # -- response --------------------------------------------------------
+
+    def _send(self, reply: _Response) -> None:
+        status, reason, content_type, body = reply
+        if self._transport is None or self._transport.is_closing():
+            return  # client went away
+        head = (
+            f"HTTP/1.1 {status} {reason}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            "Connection: close\r\n\r\n"
+        )
+        self._transport.write(head.encode() + body)
+        self._close()
+
+    def _close(self) -> None:
+        assert self._transport is not None
+        self._transport.close()
+
+
+def _content_length(headers: Dict[str, str]) -> int:
     raw_length = headers.get("content-length", "0") or "0"
     try:
         length = int(raw_length)
@@ -218,15 +322,19 @@ async def _read_request(reader: asyncio.StreamReader) -> Tuple[str, str, bytes]:
     if length > _MAX_BODY_BYTES:
         raise _BadRequest(_json_error(413, "Payload Too Large",
                                       f"body over {_MAX_BODY_BYTES} bytes"))
-    body = await reader.readexactly(length) if length else b""
-    return parts[0], parts[1], body
+    return length
 
 
-def _json_ok(payload: Dict[str, object]) -> Tuple[int, str, str, bytes]:
+def _internal_error(exc: Exception) -> _Response:
+    _log.exception("unhandled error answering a request")
+    return _json_error(500, "Internal Server Error", f"{type(exc).__name__}: {exc}")
+
+
+def _json_ok(payload: Dict[str, object]) -> _Response:
     return 200, "OK", "application/json", json.dumps(payload).encode()
 
 
-def _json_error(status: int, reason: str, detail: str) -> Tuple[int, str, str, bytes]:
+def _json_error(status: int, reason: str, detail: str) -> _Response:
     return status, reason, "application/json", json.dumps({"error": detail}).encode()
 
 

@@ -27,7 +27,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.config.dtype import astype as _astype, fits_in_place
+from repro.config.dtype import active_dtype, astype as _astype, fits_in_place
 from repro.device.rram import HFOX_DEVICE, RRAMDevice
 # Unused here; perfbench's device.sf_draw probe wraps this name in this module.
 from repro.device.variation import lognormal_factor_stack  # noqa: F401
@@ -128,6 +128,8 @@ class Crossbar:
         whatever conductances (nominal or PV-perturbed) feed Eq. 2.
     """
 
+    _coefficients: Optional[np.ndarray]
+
     def __init__(
         self,
         conductances: np.ndarray,
@@ -152,6 +154,29 @@ class Crossbar:
         self.conductances = device.discretize(conductances)
 
     @property
+    def conductances(self) -> np.ndarray:
+        """The programmed cell conductances, read-only.
+
+        Reprogram a chip by assigning a new array (fault injection,
+        restore, spare repair and write-verify programming all do);
+        the setter makes that array read-only and drops the memoized
+        :meth:`coefficients`, so no write can leave them stale.
+        """
+        return self._conductances
+
+    @conductances.setter
+    def conductances(self, g: np.ndarray) -> None:
+        g = np.asarray(g)
+        g.flags.writeable = False
+        self._conductances = g
+        self._coefficients = None
+
+    def __setstate__(self, state: dict) -> None:
+        # A copy or unpickled chip holds fresh, writable arrays: re-freeze.
+        self.__dict__.update(state)
+        self.conductances = state["_conductances"]
+
+    @property
     def rows(self) -> int:
         return self.conductances.shape[0]
 
@@ -160,9 +185,19 @@ class Crossbar:
         return self.conductances.shape[1]
 
     def coefficients(self) -> np.ndarray:
-        """Effective (noise-free) coefficient matrix of Eq. 2."""
-        g = effective_conductances(self.conductances, self.wire_resistance)
-        return coefficients_from_conductance(g, self.g_s)
+        """Effective (noise-free) coefficient matrix of Eq. 2, read-only.
+
+        A function of the programmed conductances alone (Sec. 2.1:
+        the mapping is fixed at program time), so it is computed once
+        per programming and data-path dtype, not once per inference.
+        """
+        c = self._coefficients
+        if c is None or c.dtype != active_dtype():
+            g = effective_conductances(self.conductances, self.wire_resistance)
+            c = coefficients_from_conductance(g, self.g_s)
+            c.flags.writeable = False
+            self._coefficients = c
+        return c
 
     def _perturbed_coefficients(self, factors: np.ndarray) -> np.ndarray:
         """Eq. 2 coefficients of a ``(trials, rows, cols)`` PV factor stack.

@@ -10,7 +10,6 @@ from repro.cost.area import Topology
 from repro.device.variation import IDEAL, NonIdealFactors, trial_indices
 from repro.metrics.robustness import (
     evaluate_under_noise,
-    noise_sweep,
     robustness_index,
 )
 from tests import reference_chain as oracle
@@ -62,14 +61,9 @@ class TestNoiseSweep:
     def test_error_grows_with_sigma(self, rng):
         x = rng.uniform(0, 1, (50, 2))
         noises = [NonIdealFactors(sigma_pv=s, seed=0) for s in (0.01, 0.1, 0.5)]
-        results = noise_sweep(_NoisySystem(), x, x, _mae, noises, trials=10)
-        means = [r.mean for r in results]
+        means = [evaluate_under_noise(_NoisySystem(), x, x, _mae, n, trials=10).mean
+                 for n in noises]
         assert means == sorted(means)
-
-    def test_one_result_per_level(self, rng):
-        x = rng.uniform(0, 1, (10, 1))
-        noises = [NonIdealFactors(sigma_pv=s, seed=0) for s in (0.0, 0.1)]
-        assert len(noise_sweep(_NoisySystem(), x, x, _mae, noises, trials=3)) == 2
 
 
 def _train_data(rng, n=200):

@@ -15,8 +15,7 @@ import pytest
 
 from repro.core.dse import DSEConfig, _make_candidate_mei, search_hidden_size
 from repro.core.runner import repeat_with_seeds
-from repro.device.variation import NonIdealFactors, trial_indices
-from repro.metrics.robustness import noise_sweep
+from repro.device.variation import NonIdealFactors
 from repro.nn.trainer import TrainConfig
 from repro.parallel import (
     RetryPolicy,
@@ -62,16 +61,6 @@ def _weighted_sum(item):
 def _seeded_value(seed):
     """A deterministic per-seed scalar (stands in for an experiment)."""
     return float(np.random.default_rng(seed).normal())
-
-
-class _NoisyIdentity:
-    """A fake system: identity plus seeded per-trial noise (module-level
-    so process pools can pickle it)."""
-
-    def predict_trials(self, x, noise, trials):
-        scale = noise.sigma_pv + noise.sigma_sf + 1e-12
-        return np.stack([x + noise.rng(t).normal(0.0, scale, x.shape)
-                         for t in trial_indices(trials)])
 
 
 def _mae(pred, true):
@@ -245,28 +234,6 @@ class TestRepeatWithSeeds:
     def test_rejects_empty_seeds(self):
         with pytest.raises(ValueError):
             repeat_with_seeds(_seeded_value, [])
-
-
-class TestNoiseSweepExecutors:
-    def test_parallel_sweep_matches_serial(self, rng):
-        x = rng.uniform(0, 1, (40, 2))
-        noises = [NonIdealFactors(sigma_pv=s, seed=3) for s in (0.02, 0.1, 0.3)]
-        serial = noise_sweep(_NoisyIdentity(), x, x, _mae, noises, trials=6)
-        threaded = noise_sweep(
-            _NoisyIdentity(), x, x, _mae, noises, trials=6,
-            executor=get_executor(3, kind="thread"),
-        )
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a.values, b.values)
-
-    def test_workers_argument(self, rng, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV, "thread")
-        x = rng.uniform(0, 1, (20, 2))
-        noises = [NonIdealFactors(sigma_pv=s, seed=3) for s in (0.05, 0.2)]
-        serial = noise_sweep(_NoisyIdentity(), x, x, _mae, noises, trials=4)
-        parallel = noise_sweep(_NoisyIdentity(), x, x, _mae, noises, trials=4, workers=2)
-        for a, b in zip(serial, parallel):
-            assert np.array_equal(a.values, b.values)
 
 
 class TestFaultedTrialEquivalence:

@@ -141,7 +141,9 @@ class TestInjectedFaults:
         pair = analog.crossbars[0]
         # discretize() clipped at construction; simulate post-program
         # drift (what a fault campaign or a bug would produce)
-        pair.positive.conductances[0, 0] = pair.device.g_max * 10
+        drifted = pair.positive.conductances.copy()
+        drifted[0, 0] = pair.device.g_max * 10
+        pair.positive.conductances = drifted
         noise = NonIdealFactors(sigma_pv=0.05, seed=1)
         if path == "apply":
             pair.apply(np.ones(3))

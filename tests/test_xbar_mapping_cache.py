@@ -88,7 +88,7 @@ class TestIsolation:
         w = _weights()
         first = map_matrix(w)
         baseline = first.positive.conductances.copy()
-        first.positive.conductances[:] = 0.0  # fault injection in place
+        first.positive.conductances = np.zeros_like(baseline)  # fault injection
         second = map_matrix(w)
         assert np.array_equal(second.positive.conductances, baseline)
 
