@@ -178,11 +178,11 @@ class Crossbar:
 
     @property
     def rows(self) -> int:
-        return self.conductances.shape[0]
+        return self._conductances.shape[0]
 
     @property
     def cols(self) -> int:
-        return self.conductances.shape[1]
+        return self._conductances.shape[1]
 
     def coefficients(self) -> np.ndarray:
         """Effective (noise-free) coefficient matrix of Eq. 2, read-only.
@@ -193,7 +193,7 @@ class Crossbar:
         """
         c = self._coefficients
         if c is None or c.dtype != active_dtype():
-            g = effective_conductances(self.conductances, self.wire_resistance)
+            g = effective_conductances(self._conductances, self.wire_resistance)
             c = coefficients_from_conductance(g, self.g_s)
             c.flags.writeable = False
             self._coefficients = c
@@ -210,10 +210,10 @@ class Crossbar:
         then the column-sum normalization — all in the factor stack
         itself when it is writable scratch of the right dtype.
         """
-        if fits_in_place(factors, self.conductances):
-            factors *= self.conductances
+        if fits_in_place(factors, self._conductances):
+            factors *= self._conductances
         else:
-            factors = factors * self.conductances
+            factors = factors * self._conductances
         g = _astype(factors)
         self.device.clip_conductance(g, out=g)
         if self.wire_resistance > 0:
@@ -226,7 +226,7 @@ class Crossbar:
 
     def pv_shapes(self) -> "list":
         """Conductance-array shapes, in per-trial PV draw order."""
-        return [self.conductances.shape]
+        return [self._conductances.shape]
 
     def consume_pv_factors(self, chunks) -> np.ndarray:
         """Take this array's PV factor stack from an ordered iterator.
@@ -275,7 +275,7 @@ class Crossbar:
             # any post-construction drift (fault injection, manual edits)
             # that left the physical window before it silently skews Eq. 2.
             sanitize_guards.check_range(
-                "crossbar", "conductances", self.conductances,
+                "crossbar", "conductances", self._conductances,
                 self.device.g_min, self.device.g_max,
             )
             sanitize_guards.check_finite("crossbar", "v_in", v_in)

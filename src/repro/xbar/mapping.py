@@ -33,7 +33,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.config.dtype import astype as _astype, fits_in_place
+from repro.config.dtype import astype as _astype
 from repro.device.rram import HFOX_DEVICE, RRAMDevice
 # Unused here; perfbench's device.sf_draw probe wraps this name in this module.
 from repro.device.variation import lognormal_factor_stack  # noqa: F401
@@ -335,8 +335,10 @@ class DifferentialCrossbar:
         pv_pos, pv_neg = pv_factors if pv_factors is not None else (None, None)
         pos = self.positive.apply_trials(x, pv_pos)
         neg = self.negative.apply_trials(x, pv_neg)
-        # (pos - neg) * gain, built in pos (a fresh apply_trials output).
-        if not fits_in_place(pos, neg, self.gain):
+        # (pos - neg) * gain, built in pos: both are fresh apply_trials
+        # outputs of one shape and dtype, so only a gain that promotes
+        # pos (a float64 gain on a float32 stack) needs a new buffer.
+        if np.result_type(pos, self.gain) != pos.dtype:
             return (pos - neg) * self.gain
         pos -= neg
         pos *= self.gain
