@@ -288,9 +288,11 @@ register(
     "REPRO_TASK_TIMEOUT",
     "float",
     None,
-    "Resilient-map stall timeout in seconds: if no task completes within this "
-    "window the pool is declared hung, rebuilt, and the unfinished tasks "
-    "resubmitted. Unset = wait forever.",
+    "Stall timeout in seconds. When no task of a resilient map completes "
+    "within it, the pool is declared hung, rebuilt, and the unfinished tasks "
+    "resubmitted; when a serving batch evaluation runs past it, the batcher "
+    "retires that dispatcher and re-evaluates the batch on a fresh one. "
+    "Unset = wait forever.",
 )
 register(
     "REPRO_TASK_RETRIES",
