@@ -29,7 +29,7 @@ from repro.serve import BackgroundServer, load_artifact, save_artifact
 from repro.serve import service as service_module
 
 TINY = MEIConfig(in_groups=2, out_groups=1, hidden=6, bits=4)
-READ_TIMEOUT_S = 0.2
+READ_TIMEOUT_S = 0.1
 DEADLINE_S = 10.0
 FUZZ = settings(max_examples=40, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
