@@ -373,7 +373,7 @@ class MicroBatcher:
         outputs = self._evaluate(values, dispatcher)
         done = time.monotonic()
         with self._cond:
-            if dispatcher.retired:  # stalled: the batch went to a fresh dispatcher
+            if outputs is None or dispatcher.retired:  # stalled: a fresh dispatcher has the batch
                 return
         obs_metrics.histogram("serve_compute_seconds").observe(done - started)
         latency = obs_metrics.histogram("serve_request_latency_seconds")

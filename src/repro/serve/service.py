@@ -270,6 +270,7 @@ class _Connection(asyncio.Protocol):
                 self._header_lines += 1
                 name, _, value = line.decode("latin-1").partition(":")
                 self._headers[name.strip().lower()] = value.strip()
+        assert self._request_line is not None and self._body_length is not None
         end = self._offset + self._body_length
         if len(self._buffer) < end:
             return None
