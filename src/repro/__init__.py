@@ -22,47 +22,16 @@ Quick start::
 from repro.core import (
     MEI,
     SAAB,
-    AnalogMLP,
     DSEConfig,
-    DSEResult,
     MEIConfig,
     SAABConfig,
     TraditionalRCS,
     explore,
 )
-from repro.cost import (
-    LITERATURE_AREA,
-    LITERATURE_POWER,
-    CostParams,
-    MEITopology,
-    Topology,
-    breakdown,
-    fit_cost_params,
-    savings,
-)
-from repro.device import HFOX_DEVICE, IDEAL, NonIdealFactors, RRAMDevice
-from repro.nn import MLP, TrainConfig, Trainer
-from repro.parallel import (
-    derive_seed,
-    derive_seeds,
-    ensure_rng,
-    fresh_rng,
-    get_executor,
-    resolve_workers,
-)
-from repro.quant import FixedPointCodec
-from repro.serialization import (
-    load_mei,
-    load_mlp,
-    load_rcs,
-    load_saab,
-    save_mei,
-    save_mlp,
-    save_rcs,
-    save_saab,
-)
-from repro.workloads import BENCHMARK_NAMES, PAPER_TABLE1, all_benchmarks, make_benchmark
-from repro.xbar import Crossbar, DifferentialCrossbar, MNACrossbar
+from repro.cost import LITERATURE_AREA, LITERATURE_POWER, Topology, savings
+from repro.device import IDEAL, NonIdealFactors
+from repro.nn import TrainConfig
+from repro.workloads import make_benchmark
 
 __version__ = "1.0.0"
 
@@ -72,46 +41,15 @@ __all__ = [
     "SAAB",
     "SAABConfig",
     "TraditionalRCS",
-    "AnalogMLP",
     "DSEConfig",
-    "DSEResult",
     "explore",
     "Topology",
-    "MEITopology",
-    "CostParams",
     "LITERATURE_AREA",
     "LITERATURE_POWER",
-    "breakdown",
     "savings",
-    "fit_cost_params",
-    "RRAMDevice",
-    "HFOX_DEVICE",
     "NonIdealFactors",
     "IDEAL",
-    "MLP",
-    "Trainer",
     "TrainConfig",
-    "get_executor",
-    "resolve_workers",
-    "derive_seed",
-    "derive_seeds",
-    "ensure_rng",
-    "fresh_rng",
-    "FixedPointCodec",
-    "Crossbar",
-    "DifferentialCrossbar",
-    "MNACrossbar",
     "make_benchmark",
-    "all_benchmarks",
-    "BENCHMARK_NAMES",
-    "PAPER_TABLE1",
-    "save_mlp",
-    "load_mlp",
-    "save_mei",
-    "load_mei",
-    "save_rcs",
-    "load_rcs",
-    "save_saab",
-    "load_saab",
     "__version__",
 ]

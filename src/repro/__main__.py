@@ -20,9 +20,10 @@ wraps it in the micro-batched request path and answers value-domain
 predictions over HTTP (``POST /v1/predict``), with the ``serve_*``
 metric families on ``GET /metrics``.  ``--save-only`` just builds the
 load-once model artifact; ``--smoke`` starts an ephemeral server,
-drives a quick loadgen through it, differential-checks one response
-against the in-process prediction and exits non-zero on any failure
-(the CI serve-smoke step).  See ``docs/serving.md``.
+differential-checks one response against the in-process prediction,
+sends 40 concurrent requests that must all answer, validates
+``/metrics`` and exits non-zero on any failure (the CI serve-smoke
+step).  See ``docs/serving.md``.
 
 Observability: tables go to **stdout**, diagnostics to **stderr**, so
 ``python -m repro table1 > results.txt`` captures clean tables.  Use
@@ -297,6 +298,90 @@ def _run_faults(args) -> int:
     return 0
 
 
+_SMOKE_REQUESTS = 40
+_SMOKE_THREADS = 4
+
+
+def _post_predict(url, inputs):
+    """POST ``inputs`` to ``url``'s ``/v1/predict``: the outputs as an
+    array, or the failure as text."""
+    import urllib.error
+    import urllib.request
+
+    import numpy as np
+
+    request = urllib.request.Request(
+        url + "/v1/predict", data=json.dumps({"inputs": inputs.tolist()}).encode(),
+        headers={"Content-Type": "application/json"},
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=30) as fh:
+            return np.asarray(json.loads(fh.read())["outputs"])
+    except urllib.error.HTTPError as exc:
+        exc.close()
+        return f"HTTP {exc.code}"
+    except (OSError, ValueError, KeyError) as exc:
+        return repr(exc)
+
+
+def _serve_smoke(model, seed) -> int:
+    """Serve ``model`` on an ephemeral port and check it end to end.
+
+    One served response must equal the in-process prediction bit for
+    bit; ``_SMOKE_REQUESTS`` requests from ``_SMOKE_THREADS`` threads
+    (concurrent, so the micro-batcher fuses some) must all answer 200
+    with one output row per sample; ``/metrics`` must validate.  Prints
+    a JSON summary and returns 0, or 2 on any failure.
+    """
+    import urllib.request
+    from concurrent.futures import ThreadPoolExecutor
+
+    import numpy as np
+
+    from repro.obs import openmetrics
+    from repro.serve.service import BackgroundServer
+
+    failures = []
+    with BackgroundServer(model, port=0) as server:
+        with urllib.request.urlopen(server.url + "/healthz", timeout=10) as fh:
+            health = json.loads(fh.read())
+        if health.get("status") != "ok":
+            failures.append(f"healthz: {health}")
+        engine = server.service.engine
+        rng = np.random.default_rng(seed)
+        probe = rng.uniform(0.0, 1.0, size=(4, engine.in_dim))
+        served = _post_predict(server.url, probe)
+        if isinstance(served, str):
+            failures.append(f"differential check: {served}")
+        elif not np.array_equal(served, model.system.predict(probe)):
+            failures.append("differential check: served != in-process prediction")
+        payloads = rng.uniform(0.0, 1.0, size=(_SMOKE_REQUESTS, 2, engine.in_dim))
+        with ThreadPoolExecutor(_SMOKE_THREADS) as pool:
+            answers = list(pool.map(lambda x: _post_predict(server.url, x), payloads))
+        ok = sum(not isinstance(a, str) and a.shape == (2, engine.out_dim) for a in answers)
+        if ok != _SMOKE_REQUESTS:
+            errors = sorted({a for a in answers if isinstance(a, str)})
+            failures.append(f"requests: {ok}/{_SMOKE_REQUESTS} ok {errors}")
+        with urllib.request.urlopen(server.url + "/metrics", timeout=10) as fh:
+            exposition = fh.read().decode()
+        openmetrics.validate(exposition)
+        for family in ("serve_requests", "serve_request_latency_seconds",
+                       "serve_queue_depth", "serve_batch_size"):
+            if family not in exposition:
+                failures.append(f"/metrics missing the {family} family")
+    summary = {
+        "artifact": str(model.path),
+        "system": model.kind,
+        "interface": model.interface,
+        "requests": {"sent": _SMOKE_REQUESTS, "ok": ok},
+        "failures": failures,
+    }
+    print(json.dumps(summary, indent=2))
+    for failure in failures:
+        print(f"serve --smoke: {failure}", file=sys.stderr)
+    return 2 if failures else 0
+
+
 def _run_serve(args) -> int:
     """The inference service: artifact -> micro-batched HTTP request path.
 
@@ -307,8 +392,6 @@ def _run_serve(args) -> int:
     (``docs/serving.md``).
     """
     import pathlib
-
-    import numpy as np
 
     from repro.config import knobs
     from repro.serve import load_artifact, save_artifact, train_serve_system
@@ -337,62 +420,7 @@ def _run_serve(args) -> int:
         return 0
 
     if args.smoke:
-        import urllib.request
-
-        from repro.obs import openmetrics
-        from repro.serve.loadgen import run_loadgen
-        from repro.serve.service import BackgroundServer
-
-        failures = []
-        with BackgroundServer(model, port=0) as server:
-            with urllib.request.urlopen(server.url + "/healthz", timeout=10) as fh:
-                health = json.loads(fh.read())
-            if health.get("status") != "ok":
-                failures.append(f"healthz: {health}")
-            # Differential check: one served response must equal the
-            # in-process prediction bit for bit.
-            engine = server.service.engine
-            rng = np.random.default_rng(args.seed)
-            probe = rng.uniform(0.0, 1.0, size=(4, engine.in_dim))
-            body = json.dumps({"inputs": probe.tolist()}).encode()
-            request = urllib.request.Request(
-                server.url + "/v1/predict", data=body,
-                headers={"Content-Type": "application/json"},
-            )
-            with urllib.request.urlopen(request, timeout=30) as fh:
-                served = np.asarray(json.loads(fh.read())["outputs"])
-            direct = model.system.predict(probe)
-            if not np.array_equal(served, direct):
-                failures.append("differential check: served != in-process prediction")
-            result = run_loadgen(
-                server.url, engine.in_dim, requests=40, concurrency=4,
-                samples_per_request=2, seed=args.seed,
-            )
-            if result.ok != result.requests:
-                failures.append(
-                    f"loadgen: {result.ok}/{result.requests} ok "
-                    f"({result.shed} shed, {result.errors} errors)"
-                )
-            with urllib.request.urlopen(server.url + "/metrics", timeout=10) as fh:
-                exposition = fh.read().decode()
-            openmetrics.validate(exposition)
-            for family in ("serve_requests", "serve_request_latency_seconds",
-                           "serve_queue_depth", "serve_batch_size"):
-                if family not in exposition:
-                    failures.append(f"/metrics missing the {family} family")
-        summary = {
-            "artifact": str(model.path),
-            "system": model.kind,
-            "interface": model.interface,
-            "loadgen": result.as_dict(),
-            "failures": failures,
-        }
-        print(json.dumps(summary, indent=2))
-        if failures:
-            for failure in failures:
-                print(f"serve --smoke: {failure}", file=sys.stderr)
-            return 2
-        return 0
+        return _serve_smoke(model, args.seed)
 
     from repro.serve.service import run_service
 
@@ -590,9 +618,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="build/write the model artifact and exit without "
                           "starting the server")
     sub.add_argument("--smoke", action="store_true",
-                     help="self-test: serve on an ephemeral port, run a quick "
-                          "loadgen, validate /metrics and the differential "
-                          "check, then exit (non-zero on failure)")
+                     help="self-test: serve on an ephemeral port, run the "
+                          "differential check and 40 concurrent requests, "
+                          "validate /metrics, then exit (non-zero on failure)")
     return parser
 
 

@@ -1,6 +1,1 @@
 """Behavioural analog periphery: AD/DA converters, neurons, comparators."""
-
-from repro.analog.converters import ADC, DAC
-from repro.analog.periphery import Comparator, SigmoidNeuron
-
-__all__ = ["ADC", "DAC", "SigmoidNeuron", "Comparator"]

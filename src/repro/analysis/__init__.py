@@ -1,21 +1,1 @@
 """Post-hoc analyses over deployed systems (error-budget attribution)."""
-
-from repro.analysis.errorbudget import (
-    STAGES,
-    ErrorBudgetConfig,
-    ErrorBudgetResult,
-    StageAttribution,
-    StageKnobs,
-    attribute_error,
-    publish_metrics,
-)
-
-__all__ = [
-    "STAGES",
-    "ErrorBudgetConfig",
-    "ErrorBudgetResult",
-    "StageAttribution",
-    "StageKnobs",
-    "attribute_error",
-    "publish_metrics",
-]

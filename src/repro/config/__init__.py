@@ -7,35 +7,3 @@ enforces that no other module touches ``os.environ`` directly, so the
 registry (and the knob table it renders into the docs) is guaranteed
 to be complete.
 """
-
-from repro.config.knobs import (
-    TRUTHY,
-    Knob,
-    UnknownKnobError,
-    all_knobs,
-    docs_table,
-    get_bool,
-    get_int,
-    get_path,
-    get_raw,
-    get_str,
-    knob,
-    snapshot,
-    unregistered,
-)
-
-__all__ = [
-    "TRUTHY",
-    "Knob",
-    "UnknownKnobError",
-    "all_knobs",
-    "docs_table",
-    "get_bool",
-    "get_int",
-    "get_path",
-    "get_raw",
-    "get_str",
-    "knob",
-    "snapshot",
-    "unregistered",
-]

@@ -81,8 +81,7 @@ def astype(x: object) -> np.ndarray:
     """``np.asarray`` at the active dtype (no copy when already right).
 
     This is the single conversion helper behind the former scattered
-    ``np.asarray(x, dtype=float)`` call sites; ``repro.nn`` re-exports
-    it as ``_astype``.
+    ``np.asarray(x, dtype=float)`` call sites.
     """
     return np.asarray(x, dtype=active_dtype())
 

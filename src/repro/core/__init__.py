@@ -1,34 +1,16 @@
 """The paper's contributions: MEI, SAAB and the design space exploration."""
 
-from repro.core.calibration import CalibrationReport, ice_calibrate
-from repro.core.deploy import AnalogMLP
-from repro.core.dse import DSEConfig, DSEResult, explore, search_hidden_size
+from repro.core.dse import DSEConfig, explore
 from repro.core.mei import MEI, MEIConfig
-from repro.core.pruning import PruneResult, prune_input_bits, prune_lsbs, prune_output_bits
 from repro.core.rcs import TraditionalRCS
-from repro.core.saab import SAAB, BoostableLearner, SAABConfig
-from repro.core.tradeoff import DesignPoint, TradeoffResult, enumerate_tradeoffs, pareto_front
+from repro.core.saab import SAAB, SAABConfig
 
 __all__ = [
-    "AnalogMLP",
-    "CalibrationReport",
-    "ice_calibrate",
     "TraditionalRCS",
     "MEI",
     "MEIConfig",
     "SAAB",
     "SAABConfig",
-    "BoostableLearner",
-    "PruneResult",
-    "prune_input_bits",
-    "prune_output_bits",
-    "prune_lsbs",
     "DSEConfig",
-    "DSEResult",
     "explore",
-    "search_hidden_size",
-    "DesignPoint",
-    "TradeoffResult",
-    "enumerate_tradeoffs",
-    "pareto_front",
 ]

@@ -18,7 +18,7 @@ requirement ``gamma``:
    "Mission Impossible" (the paper's literal Line 13);
 5. prune interface LSBs within the error budget (Line 22).
 
-Robustness is quantified with :func:`repro.metrics.robustness_index`
+Robustness is quantified with :func:`repro.metrics.robustness.robustness_index`
 (clean error / noisy error, larger = more robust).
 """
 

@@ -12,7 +12,7 @@ masks: a pruned input port is driven with a constant 0 and a pruned
 output port is excluded from decoding.  For accuracy this is exactly
 equivalent to physically removing the crossbar rows/columns and
 re-mapping the remaining coefficients, while the cost model
-(:class:`repro.cost.MEITopology`) counts only the kept ports.
+(:class:`repro.cost.area.MEITopology`) counts only the kept ports.
 """
 
 from __future__ import annotations

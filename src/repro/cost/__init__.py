@@ -1,38 +1,12 @@
 """Area/power cost models for RCS architectures (Sec. 4.1)."""
 
-from repro.cost.area import MEITopology, Topology, cost_mei, cost_traditional
-from repro.cost.breakdown import Breakdown, breakdown, breakdown_mei
-from repro.cost.calibration import calibration_residuals, fit_cost_params
-from repro.cost.params import LITERATURE_AREA, LITERATURE_POWER, CostParams
-from repro.cost.power import SavingsReport, cost_ratio, max_saab_learners, savings
-from repro.cost.timing import (
-    TimingParams,
-    energy_per_inference,
-    latency_mei,
-    latency_traditional,
-    speedup,
-)
+from repro.cost.area import Topology
+from repro.cost.params import LITERATURE_AREA, LITERATURE_POWER
+from repro.cost.power import savings
 
 __all__ = [
-    "CostParams",
     "LITERATURE_AREA",
     "LITERATURE_POWER",
     "Topology",
-    "MEITopology",
-    "cost_traditional",
-    "cost_mei",
-    "Breakdown",
-    "breakdown",
-    "breakdown_mei",
-    "SavingsReport",
     "savings",
-    "cost_ratio",
-    "max_saab_learners",
-    "fit_cost_params",
-    "calibration_residuals",
-    "TimingParams",
-    "latency_traditional",
-    "latency_mei",
-    "speedup",
-    "energy_per_inference",
 ]

@@ -38,45 +38,22 @@ the full catalogue, the layering contract and the rationale.
 
 from repro.lintrules.engine import (
     SCHEMA_VERSION,
-    Finding,
     check_source,
-    iter_python_files,
     render_human,
     render_json,
     run_paths,
-    run_program,
     suppressed_lines,
 )
-from repro.lintrules.graph import (
-    LAYER_RANKS,
-    REPRO_CONTRACT,
-    ImportGraph,
-    LayeringContract,
-    build_graph,
-    find_cycles,
-)
-from repro.lintrules.program import ALL_PROGRAM_RULES, ProgramRule
-from repro.lintrules.rules import ALL_RULES, Rule, rule_catalogue
+from repro.lintrules.program import ALL_PROGRAM_RULES
+from repro.lintrules.rules import ALL_RULES
 
 __all__ = [
     "ALL_PROGRAM_RULES",
     "ALL_RULES",
-    "Finding",
-    "ImportGraph",
-    "LAYER_RANKS",
-    "LayeringContract",
-    "ProgramRule",
-    "REPRO_CONTRACT",
-    "Rule",
     "SCHEMA_VERSION",
-    "build_graph",
     "check_source",
-    "find_cycles",
-    "iter_python_files",
     "render_human",
     "render_json",
-    "rule_catalogue",
     "run_paths",
-    "run_program",
     "suppressed_lines",
 ]

@@ -21,78 +21,3 @@ The pillars (see ``docs/observability.md`` and ``docs/benchmarking.md``):
 Everything is dependency-free (stdlib only) and safe to import from
 any layer of the package.
 """
-
-from repro.obs.compare import (
-    ComparisonResult,
-    MetricVerdict,
-    Tolerance,
-    compare_history,
-    compare_metrics,
-    resolve_baseline,
-)
-from repro.obs.history import (
-    HISTORY_ENV,
-    append_entry,
-    build_entry,
-    load_history,
-)
-from repro.obs.log import LOG_ENV, LOG_JSON_ENV, configure, get_logger
-from repro.obs.metrics import (
-    BUCKET_BOUNDS,
-    REGISTRY,
-    MetricsRegistry,
-    counter,
-    gauge,
-    histogram,
-    quantile_from_summary,
-    reset,
-)
-from repro.obs.openmetrics import (
-    CONTENT_TYPE,
-    render,
-    validate,
-)
-from repro.obs.report import render_html, render_markdown, write_report
-from repro.obs.runinfo import (
-    RUN_DIR_ENV,
-    build_manifest,
-    environment_info,
-    provenance_header,
-    write_manifest,
-)
-
-__all__ = [
-    "LOG_ENV",
-    "LOG_JSON_ENV",
-    "RUN_DIR_ENV",
-    "HISTORY_ENV",
-    "configure",
-    "get_logger",
-    "MetricsRegistry",
-    "REGISTRY",
-    "BUCKET_BOUNDS",
-    "counter",
-    "gauge",
-    "histogram",
-    "quantile_from_summary",
-    "reset",
-    "CONTENT_TYPE",
-    "render",
-    "validate",
-    "append_entry",
-    "build_entry",
-    "load_history",
-    "Tolerance",
-    "MetricVerdict",
-    "ComparisonResult",
-    "compare_metrics",
-    "compare_history",
-    "resolve_baseline",
-    "render_markdown",
-    "render_html",
-    "write_report",
-    "build_manifest",
-    "environment_info",
-    "provenance_header",
-    "write_manifest",
-]

@@ -8,18 +8,15 @@ Configure with ``REPRO_WORKERS`` / ``REPRO_EXECUTOR`` or explicit
 """
 
 from repro.parallel.executor import (
-    EXECUTOR_ENV,
     TASK_RETRIES_ENV,
     TASK_TIMEOUT_ENV,
-    WORKERS_ENV,
-    Executor,
     ResilienceReport,
     RetryPolicy,
     TaskError,
     get_executor,
     resolve_workers,
 )
-from repro.parallel.seeding import derive_seed, derive_seeds, ensure_rng, fresh_rng
+from repro.parallel.seeding import derive_seed, derive_seeds
 
 __all__ = [
     "TASK_TIMEOUT_ENV",
@@ -27,13 +24,8 @@ __all__ = [
     "RetryPolicy",
     "TaskError",
     "ResilienceReport",
-    "WORKERS_ENV",
-    "EXECUTOR_ENV",
-    "Executor",
     "resolve_workers",
     "get_executor",
     "derive_seed",
     "derive_seeds",
-    "ensure_rng",
-    "fresh_rng",
 ]

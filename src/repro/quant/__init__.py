@@ -1,14 +1,1 @@
 """Fixed-point quantization and bit-array utilities for MEI."""
-
-from repro.quant.binarray import bit_error_rate, harden, msb_match, msb_weights
-from repro.quant.fixedpoint import FixedPointCodec, bit_place_values, quantize_unit
-
-__all__ = [
-    "FixedPointCodec",
-    "bit_place_values",
-    "quantize_unit",
-    "msb_weights",
-    "harden",
-    "msb_match",
-    "bit_error_rate",
-]

@@ -22,22 +22,9 @@ CLI: ``python -m repro faults --scale fast``; driver:
 ``docs/robustness.md``.
 """
 
-from repro.robustness.campaign import (
-    FAST_CAMPAIGN_SCALE,
-    CampaignConfig,
-    CampaignResult,
-    CampaignRow,
-    run_campaign,
-)
-from repro.robustness.mitigation import FaultedMEI, chip_fault_model, fault_aware_saab
+from repro.robustness.campaign import CampaignConfig, run_campaign
 
 __all__ = [
-    "FAST_CAMPAIGN_SCALE",
     "CampaignConfig",
-    "CampaignResult",
-    "CampaignRow",
     "run_campaign",
-    "FaultedMEI",
-    "chip_fault_model",
-    "fault_aware_saab",
 ]

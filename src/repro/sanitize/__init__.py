@@ -120,13 +120,3 @@ def reset() -> None:
     _enabled = None
     rng._reset()
 
-
-from repro.sanitize.guards import check_finite, check_range  # noqa: E402  (public re-exports)
-from repro.sanitize.rng import note_rng, scan_items  # noqa: E402
-
-__all__ += [
-    "check_finite",
-    "check_range",
-    "note_rng",
-    "scan_items",
-]

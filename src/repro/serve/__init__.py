@@ -13,9 +13,7 @@ This package is the request path around it:
   shedding, per-request deadlines and a resilient batch worker;
 * :mod:`repro.serve.service` — the asyncio HTTP front
   (``python -m repro serve``) plus a background-thread harness for
-  tests and benchmarks;
-* :mod:`repro.serve.loadgen` — a closed-loop load generator used by
-  the serve benchmark and the CI smoke step.
+  tests and benchmarks.
 
 See ``docs/serving.md`` for the artifact format and the knob table.
 """
@@ -23,7 +21,6 @@ See ``docs/serving.md`` for the artifact format and the knob table.
 from repro.serve.artifact import (
     ARTIFACT_KIND,
     ARTIFACT_SCHEMA_VERSION,
-    LoadedModel,
     load_artifact,
     save_artifact,
     train_serve_system,
@@ -37,8 +34,7 @@ from repro.serve.batcher import (
     RequestError,
     ServeError,
 )
-from repro.serve.loadgen import LoadgenResult, run_loadgen
-from repro.serve.service import BackgroundServer, InferenceService
+from repro.serve.service import BackgroundServer
 
 __all__ = [
     "ARTIFACT_KIND",
@@ -47,15 +43,11 @@ __all__ = [
     "BatchPolicy",
     "DeadlineExceeded",
     "InferenceEngine",
-    "InferenceService",
-    "LoadedModel",
-    "LoadgenResult",
     "MicroBatcher",
     "QueueOverflow",
     "RequestError",
     "ServeError",
     "load_artifact",
-    "run_loadgen",
     "save_artifact",
     "train_serve_system",
 ]

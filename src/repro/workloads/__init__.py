@@ -1,77 +1,5 @@
 """The six NPU-suite benchmarks, rebuilt from scratch (Table 1)."""
 
-from repro.workloads.base import Benchmark, BenchmarkSpec, Dataset
-from repro.workloads.expfit import ExpFitBenchmark, gaussian_kernel
-from repro.workloads.fft import FFTBenchmark, approximate_fft, radix2_fft, twiddle
-from repro.workloads.inversek2j import (
-    InverseK2JBenchmark,
-    forward_kinematics,
-    inverse_kinematics,
-)
-from repro.workloads.jmeint import JmeintBenchmark, triangles_intersect
-from repro.workloads.jpeg import (
-    JPEGBenchmark,
-    block_dct,
-    block_idct,
-    blocks_to_image,
-    codec_roundtrip,
-    image_to_blocks,
-    quantization_table,
-    synthetic_image,
-    zigzag_indices,
-)
-from repro.workloads.kmeans import (
-    KMeansBenchmark,
-    KMeansClusterer,
-    rgb_distance,
-    segment_image,
-    synthetic_rgb_image,
-)
-from repro.workloads.registry import (
-    BENCHMARK_NAMES,
-    PAPER_TABLE1,
-    PaperRow,
-    all_benchmarks,
-    make_benchmark,
-)
-from repro.workloads.sobel import SobelBenchmark, extract_windows, sobel_image, sobel_window
+from repro.workloads.registry import make_benchmark
 
-__all__ = [
-    "Benchmark",
-    "BenchmarkSpec",
-    "Dataset",
-    "ExpFitBenchmark",
-    "gaussian_kernel",
-    "FFTBenchmark",
-    "InverseK2JBenchmark",
-    "JmeintBenchmark",
-    "JPEGBenchmark",
-    "KMeansBenchmark",
-    "SobelBenchmark",
-    "twiddle",
-    "radix2_fft",
-    "approximate_fft",
-    "forward_kinematics",
-    "inverse_kinematics",
-    "triangles_intersect",
-    "block_dct",
-    "block_idct",
-    "codec_roundtrip",
-    "quantization_table",
-    "zigzag_indices",
-    "synthetic_image",
-    "image_to_blocks",
-    "blocks_to_image",
-    "rgb_distance",
-    "KMeansClusterer",
-    "segment_image",
-    "synthetic_rgb_image",
-    "sobel_window",
-    "sobel_image",
-    "extract_windows",
-    "make_benchmark",
-    "all_benchmarks",
-    "BENCHMARK_NAMES",
-    "PaperRow",
-    "PAPER_TABLE1",
-]
+__all__ = ["make_benchmark"]

@@ -15,18 +15,10 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.device.rram import HFOX_DEVICE, RRAMDevice
-
-# The cheap closed-form counterpart of the MNA sweep below: it lives in
-# repro.xbar.crossbar (numpy-only, no scipy) so the behavioural model
-# can apply IR drop per Monte-Carlo trial, and is re-exported here as
-# the natural home for everything IR-drop.  sweep_ir_drop measures what
-# the first-order model misses (sneak-path coupling).
-from repro.xbar.crossbar import effective_conductances
 from repro.xbar.mna import MNACrossbar
 
 __all__ = [
     "IRDropPoint",
-    "effective_conductances",
     "sweep_ir_drop",
     "wire_resistance_for_node",
 ]

@@ -5,25 +5,24 @@ every advertised name importable, every example at least syntactically
 sound.
 """
 
+import ast
 import importlib
 import inspect
 import pathlib
 import py_compile
+import re
 
 import pytest
 
 PACKAGES = [
     "repro",
-    "repro.quant",
     "repro.nn",
     "repro.device",
     "repro.xbar",
-    "repro.analog",
     "repro.cost",
     "repro.workloads",
     "repro.core",
     "repro.metrics",
-    "repro.experiments",
     "repro.serialization",
 ]
 
@@ -114,6 +113,86 @@ def test_public_callables_documented(name):
             assert obj.__doc__ and obj.__doc__.strip(), (
                 f"{name}.{attr_name} lacks a docstring"
             )
+
+
+SRC = pathlib.Path("src")
+CALLER_ROOTS = ("src", "tests", "benchmarks", "examples", "perfbench")
+
+
+def _dotted(node):
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return [node.id, *reversed(parts)] if isinstance(node, ast.Name) else []
+
+
+def _package_paths(source):
+    """Every dotted ``repro...`` path the source imports or references.
+
+    Covers ``from pkg import name``, attribute chains off an imported
+    module (``repro.core.MEI``) and dotted paths in string literals
+    (patch targets); docstrings do not count.
+    """
+    tree = ast.parse(source)
+    docstrings = {
+        id(node.value) for node in ast.walk(tree)
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+    }
+    aliases, paths = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                paths.add(f"{node.module}.{alias.name}")
+                aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                head = alias.name.split(".")[0]
+                aliases[alias.asname or head] = alias.name if alias.asname else head
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            paths.update(re.findall(r"\brepro(?:\.\w+)+", node.value))
+    for node in ast.walk(tree):
+        chain = _dotted(node) if isinstance(node, ast.Attribute) else []
+        if chain and chain[0] in aliases:
+            paths.add(".".join([aliases[chain[0]], *chain[1:]]))
+    return paths
+
+
+def _reexports(init):
+    """Names a package ``__init__`` imports from ``repro`` modules and
+    does not use in its own body."""
+    tree = ast.parse(init.read_text())
+    imported = {
+        alias.asname or alias.name for node in tree.body
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro")
+        for alias in node.names
+    }
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_every_reexport_has_a_caller():
+    """A package re-exports a name only if some caller reaches it through
+    the package path (or README's quick start does); a name that also
+    names a submodule never counts as reached."""
+    readme = pathlib.Path("README.md").read_text()
+    paths = _package_paths(re.search(r"## Quickstart\s+```python\n(.*?)```", readme, re.S)[1])
+    for root in CALLER_ROOTS:
+        for path in pathlib.Path(root).rglob("*.py"):
+            paths |= _package_paths(path.read_text())
+    reached = set()
+    for dotted in paths:
+        parts = dotted.split(".")
+        reached.update((".".join(parts[:i]), parts[i]) for i in range(1, len(parts)))
+    unused = []
+    for init in sorted((SRC / "repro").rglob("__init__.py")):
+        package = ".".join(init.parent.relative_to(SRC).parts)
+        for name in sorted(_reexports(init)):
+            submodule = init.parent / name
+            if ((package, name) not in reached or submodule.is_dir()
+                    or submodule.with_suffix(".py").is_file()):
+                unused.append(f"{package}.{name}")
+    assert not unused, f"{len(unused)} names re-exported without a caller: {unused}"
 
 
 def test_examples_compile():

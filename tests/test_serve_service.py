@@ -95,6 +95,7 @@ class TestPredictRoute:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
         assert excinfo.value.code == 400
+        excinfo.value.close()
 
     def test_deeply_nested_body_is_400(self, server):
         request = urllib.request.Request(
@@ -103,6 +104,7 @@ class TestPredictRoute:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
         assert excinfo.value.code == 400
+        excinfo.value.close()
 
     def test_unexpected_error_is_500_and_server_keeps_serving(
             self, server, monkeypatch):
@@ -249,3 +251,31 @@ class TestBackgroundServerStop:
             socket.create_connection(address, timeout=5).close()
         server.stop()  # no-op
         assert loop.is_closed()
+
+
+class TestServeSmoke:
+    """``python -m repro serve --smoke``: the CI serve check, in process."""
+
+    def _smoke(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        code = main(["serve", "--bench", "fft", "--smoke", "--run-dir", str(tmp_path)])
+        return code, json.loads(capsys.readouterr().out)
+
+    def test_every_request_answers(self, tmp_path, capsys):
+        code, summary = self._smoke(tmp_path, capsys)
+        assert code == 0
+        assert summary["failures"] == []
+        assert summary["requests"] == {"sent": 40, "ok": 40}
+
+    def test_failing_engine_exits_2(self, tmp_path, capsys, monkeypatch):
+        from repro.serve.batcher import InferenceEngine
+
+        def broken(self, values):
+            raise RuntimeError("engine fault")
+
+        monkeypatch.setattr(InferenceEngine, "validate", broken)
+        code, summary = self._smoke(tmp_path, capsys)
+        assert code == 2
+        assert summary["requests"] == {"sent": 40, "ok": 0}
+        assert any(f.startswith("differential check: HTTP 500") for f in summary["failures"])
