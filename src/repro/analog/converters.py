@@ -20,7 +20,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.config.dtype import astype as _astype
 from repro.parallel.seeding import ensure_rng
 from repro.quant.fixedpoint import quantize_unit
 from repro.sanitize import guards as sanitize_guards
@@ -102,8 +101,7 @@ class ADC:
         )
 
     def convert(self, analog: np.ndarray, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        """Analog voltages -> quantized unit-interval digital values."""
-        analog = _astype(analog)
+        """Analog voltages (at the chip's dtype) -> quantized unit-interval digital values."""
         sanitize_guards.check_finite("adc", "analog_in", analog)
         if self.noise_lsb > 0:
             rng = ensure_rng(rng if rng is not None else self._rng, "analog.ADC")

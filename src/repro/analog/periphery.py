@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.config.dtype import astype as _astype, fits_in_place
+from repro.config.dtype import astype as _astype
 from repro.parallel.seeding import ensure_rng
 from repro.sanitize import guards as sanitize_guards
 
@@ -54,6 +54,7 @@ class SigmoidNeuron:
     rng: Optional[np.random.Generator] = None
 
     def __post_init__(self) -> None:
+        # The bank's dtype is the bias's, fixed when it is built.
         self.bias = np.atleast_1d(_astype(self.bias))
         if self.offset_sigma < 0:
             raise ValueError("offset_sigma must be >= 0")
@@ -62,6 +63,7 @@ class SigmoidNeuron:
             self._offsets = rng.normal(0.0, self.offset_sigma, self.bias.shape)
         else:
             self._offsets = np.zeros_like(self.bias)
+        self._gain_keeps_dtype = np.result_type(self.bias, -self.gain) == self.bias.dtype
 
     def apply(self, analog_in: np.ndarray) -> np.ndarray:
         """Gain, bias, static mismatch offset, then sigmoid.
@@ -83,7 +85,7 @@ class SigmoidNeuron:
         dtype) about 0 the sigmoid is hundreds of ulps away from 0.5,
         so the sign of ``z`` decides; the rare elements inside it are
         re-decided with :meth:`apply`'s own formula.  ``analog_in`` is
-        consumed as scratch: a writable stack of the active dtype is
+        consumed as scratch: a writable stack of the bank's dtype is
         overwritten with ``-z`` and then with the decision, 1.0 or 0.0,
         which is returned in it (else in a fresh buffer).
         """
@@ -106,27 +108,30 @@ class SigmoidNeuron:
         subtracted.  With ``scratch``, a writable ``analog_in`` of the
         result's dtype is the buffer; otherwise it is only read.
         """
-        analog_in = _astype(analog_in)
+        # A float64 mapping gain promotes a float32 pair: round it once.
+        if analog_in.dtype != self.bias.dtype:
+            analog_in, scratch = analog_in.astype(self.bias.dtype), True
         sanitize_guards.check_finite("periphery", "neuron_in", analog_in)
         neg_gain = -self.gain
-        if scratch and fits_in_place(analog_in, neg_gain):
+        if scratch and self._gain_keeps_dtype and analog_in.flags.writeable:
             arg = np.multiply(analog_in, neg_gain, out=analog_in)
         else:
             arg = neg_gain * analog_in
-        terms = (self.bias, self._offsets) if self.offset_sigma > 0 else (self.bias,)
-        if fits_in_place(arg, *terms):
-            for term in terms:
-                arg -= term
+        arg -= self.bias
+        if self.offset_sigma == 0:
             return arg
-        # Promotes, e.g. float64 mismatch offsets on a float32 stack.
-        for term in terms:
-            arg = arg - term
-        return arg
+        # The mismatch offsets are float64 draws: on a float32 stack
+        # they promote, which depends on the data.
+        if self._offsets.dtype == arg.dtype:
+            arg -= self._offsets
+            return arg
+        return arg - self._offsets
 
 
 def _sigmoid_in_place(arg: np.ndarray) -> np.ndarray:
     """``1 / (1 + exp(clip(arg)))`` built in ``arg``; ``arg`` is the negated pre-activation."""
-    np.clip(arg, -60.0, 60.0, out=arg)
+    # np.clip's ufunc pair, without its Python-level wrapper.
+    np.minimum(np.maximum(arg, -60.0, out=arg), 60.0, out=arg)
     np.exp(arg, out=arg)
     arg += 1.0
     return np.divide(1.0, arg, out=arg)
@@ -184,11 +189,11 @@ class Comparator:
         if neuron is not None:
             if not self.is_ideal:
                 raise ValueError("only an ideal comparator decides on a neuron's input")
-            return _astype(neuron.at_least_half(analog_in))
-        analog_in = _astype(analog_in)
+            return neuron.at_least_half(analog_in)
+        analog_in = np.asarray(analog_in)
         sanitize_guards.check_finite("periphery", "comparator_in", analog_in)
         threshold = self.threshold
         if self.offset_sigma > 0:
             rng = ensure_rng(rng if rng is not None else self._rng, "analog.Comparator")
             threshold = threshold + rng.normal(0.0, self.offset_sigma, analog_in.shape)
-        return _astype(analog_in >= threshold)
+        return (analog_in >= threshold).astype(analog_in.dtype)

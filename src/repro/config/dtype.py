@@ -1,19 +1,20 @@
 """The ``REPRO_DTYPE`` knob: one floating dtype for the data path.
 
-The numeric substrate (``repro.nn``, ``repro.xbar``, ``repro.quant``)
-runs in float64 by default — every equivalence test in the repository
-asserts bit-identical float64 results across serial/vectorized paths.
-``REPRO_DTYPE=float32`` opts the deterministic data path into single
-precision, halving memory traffic for large sweeps; its accuracy cost
-is not yet measured per benchmark (see ``docs/performance.md``).
+The numeric substrate (``repro.nn``, ``repro.xbar``, ``repro.quant``,
+``repro.analog``) runs in float64 by default — every equivalence test
+asserts bit-identical float64 results.  ``REPRO_DTYPE=float32`` opts
+the deterministic data path into single precision, halving memory
+traffic; its accuracy cost is not yet measured per benchmark (see
+``docs/performance.md``).
 
-Monte-Carlo noise draws stay float64 (the RNG streams are part of the
-reproducibility contract), so noisy inference upcasts; the training,
-mapping and ideal-inference paths honour the knob end to end.
-
-The resolved dtype is cached per process: the knob is read once, on
-first use.  Tests override with :func:`set_active_dtype` (or reset
-with ``None`` to re-read the environment).
+The knob is read when a chip is programmed (``AnalogMLP``; restored
+conductances are cast to the chip's dtype) or a network is built, not
+per call: stages compute at their arrays' dtype and entry points
+coerce inputs once, so a later switch leaves a chip unchanged.
+Monte-Carlo draws stay float64; on a float32 chip the fluctuated
+inputs, the PV-scaled conductances and the float64 mapping gain's
+product are each rounded once.  The resolved dtype is cached per
+process; tests override it with :func:`set_active_dtype`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 from typing import Optional, Union
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from repro.config import knobs
 
@@ -30,7 +30,6 @@ __all__ = [
     "DTYPE_NAMES",
     "active_dtype",
     "astype",
-    "fits_in_place",
     "resolve_dtype",
     "set_active_dtype",
 ]
@@ -80,38 +79,7 @@ def set_active_dtype(dtype: Union[str, np.dtype, None]) -> None:
 def astype(x: object) -> np.ndarray:
     """``np.asarray`` at the active dtype (no copy when already right).
 
-    This is the single conversion helper behind the former scattered
-    ``np.asarray(x, dtype=float)`` call sites.
+    Where a chip, network or other data-path object is built, this
+    fixes its dtype; later calls follow that object's arrays.
     """
     return np.asarray(x, dtype=active_dtype())
-
-
-def fits_in_place(buf: np.ndarray, *operands: ArrayLike) -> bool:
-    """Whether ``buf`` can take elementwise ops with ``operands`` in place.
-
-    An in-place ufunc (``buf *= g``) casts its result back to
-    ``buf.dtype`` and cannot grow ``buf``; the out-of-place form
-    (``buf * g``) promotes and broadcasts.  The two give the same bits
-    when ``buf`` is writable, already has the promoted dtype (not, e.g.,
-    a float32 stack scaled by a ``np.float64`` gain) and each operand's
-    shape is a trailing part of ``buf``'s.  Cheap enough for the
-    one-sample serving path: no broadcast object is built, and the
-    shapes are checked before the (slower) dtype promotion.
-    """
-    if not buf.flags.writeable:
-        return False
-    ndim = buf.ndim
-    for operand in operands:
-        shape = _shape(operand)
-        if len(shape) > ndim or buf.shape[ndim - len(shape):] != shape:
-            return False
-    return np.result_type(buf, *operands) == buf.dtype
-
-
-def _shape(operand: ArrayLike) -> tuple:
-    """``np.shape(operand)``, without its call for arrays, numpy and Python scalars."""
-    if isinstance(operand, (np.ndarray, np.generic)):
-        return operand.shape
-    if isinstance(operand, (bool, int, float, complex)):
-        return ()
-    return np.shape(operand)

@@ -279,7 +279,8 @@ register(
     "REPRO_DTYPE",
     "enum",
     "float64",
-    "Floating dtype of the deterministic data path (nn / xbar / quant). "
+    "Floating dtype of the deterministic data path (nn / xbar / quant / analog), "
+    "fixed when a chip is programmed or a network is built. "
     "`float32` halves memory traffic (its accuracy cost is not yet measured "
     "per benchmark); float64 keeps every equivalence test bit-exact.",
     choices=("float64", "float32"),

@@ -22,6 +22,7 @@ import numpy as np
 from typing import TYPE_CHECKING
 
 from repro.analog.periphery import Comparator, SigmoidNeuron
+from repro.config.dtype import active_dtype
 from repro.device.rram import HFOX_DEVICE, RRAMDevice
 from repro.device.variation import (
     IDEAL,
@@ -94,6 +95,8 @@ class AnalogMLP:
             )
         self.digital_input = digital_input
         self.exact_mapping = exact_mapping
+        self.dtype = active_dtype()
+        """The data-path dtype, fixed when the chip is programmed."""
         self.layer_sizes = mlp.layer_sizes
         self.crossbars: List[DifferentialCrossbar] = []
         self.neurons: List[SigmoidNeuron] = []
@@ -122,6 +125,8 @@ class AnalogMLP:
             # The crossbar's apply() restores the mapping gain, so the
             # neuron only contributes the trained bias and the sigmoid.
             self.neurons.append(SigmoidNeuron(gain=1.0, bias=layer.bias.copy()))
+        self.device_count = sum(xbar.device_count for xbar in self.crossbars)
+        """Total RRAM cells across all layers."""
         obs_metrics.counter("deployments").inc()
         obs_metrics.counter("rram_devices_programmed").inc(self.device_count)
 
@@ -155,7 +160,7 @@ class AnalogMLP:
         return [array.conductances.copy() for array in self.arrays()]
 
     def restore_conductances(self, snapshot: "List[np.ndarray]") -> None:
-        """Reprogram every array from a :meth:`conductance_snapshot`."""
+        """Reprogram every array from a :meth:`conductance_snapshot`, cast to the chip's dtype."""
         arrays = list(self.arrays())
         if len(snapshot) != len(arrays):
             raise ValueError(
@@ -226,11 +231,6 @@ class AnalogMLP:
     def out_dim(self) -> int:
         return self.layer_sizes[-1]
 
-    @property
-    def device_count(self) -> int:
-        """Total RRAM cells across all layers."""
-        return sum(xbar.device_count for xbar in self.crossbars)
-
     def forward(
         self, x: np.ndarray, noise: NonIdealFactors = IDEAL, trial: int = 0
     ) -> np.ndarray:
@@ -261,7 +261,8 @@ class AnalogMLP:
         Parameters
         ----------
         x:
-            Inputs of shape ``(samples, ports)`` (or ``(ports,)``).
+            Inputs of shape ``(samples, ports)`` (or ``(ports,)``),
+            taken at the chip's :attr:`dtype`.
         noise:
             Non-ideal factors shared by all trials.
         trials:
@@ -279,9 +280,10 @@ class AnalogMLP:
         Stack of shape ``(trials, samples, out_dim)``; slice ``[t]``
         depends only on ``noise.rng(trial)`` for that trial's index.
         """
-        base = np.atleast_2d(np.asarray(x, dtype=float))
-        if base.shape[1] != self.in_dim:
-            raise ValueError(f"input has {base.shape[1]} ports, network expects {self.in_dim}")
+        base = np.atleast_2d(np.asarray(x, dtype=self.dtype))
+        in_dim = self.layer_sizes[0]
+        if base.shape[1] != in_dim:
+            raise ValueError(f"input has {base.shape[1]} ports, network expects {in_dim}")
         indices = trial_indices(trials)
         rngs = None if noise.is_ideal else noise.rngs(indices)
         # Trial t's input is out[which[t]].
@@ -298,8 +300,11 @@ class AnalogMLP:
             # crosses the logic threshold survives — MEI's Fig. 5
             # advantage.
             out, which = regenerated_bit_stack(base, noise.sigma_sf, rngs)
+            out = out.astype(self.dtype, copy=False)
         elif rngs is not None and noise.sigma_sf > 0:
+            # The SF draws are float64: round the fluctuated inputs once.
             out = base * lognormal_factor_stack(base.shape, noise.sigma_sf, rngs)
+            out = out.astype(self.dtype, copy=False)
             which = np.arange(len(indices))
         pv_factor_args: "List" = [None] * len(self.crossbars)
         if rngs is not None and noise.sigma_pv > 0:
@@ -328,7 +333,8 @@ class AnalogMLP:
                 out = neuron.apply(analog)
         if self.output_correction is not None:
             gain, offset = self.output_correction
-            out = np.clip(gain * out + offset, 0.0, 1.0)
+            # A float64 correction promotes: round the levels back once.
+            out = np.clip(gain * out + offset, 0.0, 1.0).astype(self.dtype, copy=False)
         obs_metrics.histogram("forward_latency_seconds").observe(
             time.perf_counter() - t0
         )

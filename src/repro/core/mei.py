@@ -211,20 +211,25 @@ class MEI:
 
     # -- codecs ----------------------------------------------------------
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The data-path dtype the codecs take inputs at: the chip's, else the network's."""
+        return self.network.dtype if self.analog is None else self.analog.dtype
+
     def encode_inputs(self, x: np.ndarray) -> np.ndarray:
         """Unit values -> full-width input bit array, pruned ports zeroed."""
-        bits = self.codec.encode(np.asarray(x, dtype=float))
+        bits = self.codec.encode(np.asarray(x, dtype=self.dtype))
         if self.in_bits < self.bits:
             bits = bits * self.in_mask
         return bits
 
     def encode_targets(self, y: np.ndarray) -> np.ndarray:
         """Unit values -> full-width target bit array (no masking)."""
-        return self.codec.encode(np.asarray(y, dtype=float))
+        return self.codec.encode(np.asarray(y, dtype=self.dtype))
 
     def decode_outputs(self, bits: np.ndarray) -> np.ndarray:
         """Output bit array -> unit values, pruned ports excluded."""
-        bits = np.asarray(bits, dtype=float)
+        bits = np.asarray(bits, dtype=self.dtype)
         if self.out_bits < self.bits:
             bits = bits * self.out_mask
         return self.codec.decode(bits)
@@ -321,7 +326,7 @@ class MEI:
 
     def _decode_kept(self, bits: np.ndarray) -> np.ndarray:
         """:meth:`decode_outputs` of predicted bits, whose pruned ports are already 0."""
-        return self.codec.decode(np.asarray(bits, dtype=float))
+        return self.codec.decode(bits)
 
     def predict_digital(self, x: np.ndarray) -> np.ndarray:
         """Software-network prediction (pre-deployment check)."""
@@ -330,7 +335,7 @@ class MEI:
 
     def mse(self, x: np.ndarray, y: np.ndarray, noise: NonIdealFactors = IDEAL) -> float:
         """MSE of decoded unit values against unit targets."""
-        return mse(self.predict(x, noise), self.codec.quantize(np.asarray(y, dtype=float)))
+        return mse(self.predict(x, noise), self.codec.quantize(np.asarray(y, dtype=self.dtype)))
 
     # -- SAAB bit interface --------------------------------------------------
 

@@ -78,10 +78,9 @@ class TraditionalRCS:
         interface it will actually be driven through.
         """
         config = config if config is not None else TrainConfig(shuffle_seed=self.seed)
-        x_q = self.codec.quantize(np.asarray(x, dtype=float))
+        x_q = self.codec.quantize(np.asarray(x, dtype=self.network.dtype))
         trainer = Trainer(loss=WeightedMSE(), config=config)
-        trainer.fit(self.network, x_q, np.asarray(y, dtype=float),
-                    sample_weights=sample_weights)
+        trainer.fit(self.network, x_q, y, sample_weights=sample_weights)
         self.deploy()
         return self
 
@@ -90,6 +89,11 @@ class TraditionalRCS:
         self.analog = AnalogMLP(self.network, self.mapping_config, self.device)
 
     # -- inference -------------------------------------------------------
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The data-path dtype: the deployed chip's, else the network's."""
+        return self.network.dtype if self.analog is None else self.analog.dtype
 
     def predict(
         self, x: np.ndarray, noise: NonIdealFactors = IDEAL, trial: int = 0
@@ -111,7 +115,7 @@ class TraditionalRCS:
         """
         if self.analog is None:
             raise RuntimeError("train() or deploy() must run before predict_trials()")
-        analog_in = self.dac.convert(np.asarray(x, dtype=float))
+        analog_in = self.dac.convert(np.asarray(x, dtype=self.analog.dtype))
         analog_out = self.analog.forward_trials(analog_in, noise, trials)
         return self.adc.convert(analog_out)
 
@@ -139,7 +143,7 @@ class TraditionalRCS:
 
     def target_bits(self, y: np.ndarray) -> np.ndarray:
         """Unit targets encoded on the interface grid."""
-        return self.codec.encode(np.asarray(y, dtype=float))
+        return self.codec.encode(np.asarray(y, dtype=self.dtype))
 
     @property
     def out_groups(self) -> int:

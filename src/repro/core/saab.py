@@ -27,7 +27,6 @@ from typing import Callable, List, Optional, Protocol
 
 import numpy as np
 
-from repro.config.dtype import fits_in_place
 from repro.device.variation import IDEAL, NonIdealFactors, TrialSpec, trial_indices
 from repro.nn.datasets import resample
 from repro.nn.trainer import TrainConfig
@@ -301,16 +300,16 @@ class SAAB:
             bits = learner.predict_bits_trials(
                 x, noise, trials=[t * n_learners + k for t in indices]
             )
-            if fits_in_place(bits, weight):
+            # The vote weights are float64: a float32 learner's bits
+            # promote, which depends on the learner, not the ensemble.
+            if bits.dtype == vote_weights.dtype:
                 bits *= weight
             else:
                 bits = weight * bits
             if votes is None:
                 votes = bits
-            elif fits_in_place(votes, bits):
-                votes += bits
             else:
-                votes = votes + bits
+                votes += bits
         return (votes >= 0.5 * total).astype(float)
 
     def predict(
@@ -338,7 +337,8 @@ class SAAB:
             return decode(bits)
         from repro.quant.fixedpoint import FixedPointCodec
 
-        return FixedPointCodec(self.learners[0].bits_per_group).decode(bits)
+        first = self.learners[0]
+        return FixedPointCodec(first.bits_per_group).decode(np.asarray(bits, dtype=first.dtype))
 
     def __len__(self) -> int:
         return len(self.learners)

@@ -20,8 +20,8 @@ RPR005    no hand-rolled ``isinstance(rng, Generator)``
           normalization — use ``seeding.ensure_rng()``
 RPR006    the package DAG honours the layering contract
           (``lintrules.graph``) and is cycle-free at module scope
-RPR007    hot-path packages (nn/xbar/quant/analog) allocate through
-          ``repro.config.dtype.astype``, never raw float dtype
+RPR007    hot-path packages (nn/xbar/quant/analog) allocate at the
+          chip's or the array's dtype, never with raw float dtype
           literals
 RPR008    knob lifecycle: every registered ``REPRO_*`` knob is read
           (lazily, never at import time) and documented

@@ -261,7 +261,9 @@ def _check_rpr005(tree: ast.AST, imports: ImportMap, is_library: bool) -> Iterat
 
 HOT_PATH_PACKAGES = frozenset({"nn", "xbar", "quant", "analog"})
 """Subpackages whose array allocations must honour ``REPRO_DTYPE``
-via ``repro.config.dtype.astype`` (the deterministic data path)."""
+(the deterministic data path): they follow the dtype of the chip,
+network or array they work on, which ``repro.config.dtype.astype``
+fixes when that is built."""
 
 _FLOAT_DTYPE_STRINGS = frozenset({"float", "float64", "float32"})
 
@@ -286,8 +288,9 @@ def _is_float_dtype_literal(node: ast.AST, imports: ImportMap) -> bool:
 
 def _check_rpr007(tree: ast.AST, imports: ImportMap, is_library: bool) -> Iterator[RawFinding]:
     message = (
-        "raw float dtype literal bypasses REPRO_DTYPE; allocate through "
-        "repro.config.dtype.astype() so the float32 data path stays honest"
+        "raw float dtype literal bypasses REPRO_DTYPE; allocate at the chip's, "
+        "network's or array's dtype (fixed through repro.config.dtype.astype) "
+        "so the float32 data path stays honest"
     )
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -438,13 +441,15 @@ ALL_RULES: Tuple[Rule, ...] = (
     Rule(
         code="RPR007",
         summary=(
-            "hot-path packages (nn/xbar/quant/analog) allocate through "
-            "repro.config.dtype.astype, not raw float dtype literals"
+            "hot-path packages (nn/xbar/quant/analog) allocate at the chip's "
+            "or the array's dtype, not with raw float dtype literals"
         ),
         rationale=(
             "REPRO_DTYPE=float32 halves memory traffic only if every "
-            "allocation honours it; one stray dtype=float silently promotes "
-            "the whole downstream pipeline back to float64."
+            "allocation honours it.  A chip or network takes the knob once, "
+            "through repro.config.dtype.astype, when it is built; later "
+            "allocations follow its arrays' dtype.  One stray dtype=float "
+            "silently promotes the whole downstream pipeline back to float64."
         ),
         check=_check_rpr007,
         applies=_is_hot_path,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.config.dtype import astype as _astype
 
 __all__ = ["Activation", "Sigmoid", "Tanh", "Relu", "Identity", "get_activation"]
 
@@ -89,7 +88,7 @@ class Identity(Activation):
     name = "identity"
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return _astype(x)
+        return x
 
     def derivative(self, y: np.ndarray) -> np.ndarray:
         return np.ones_like(y)

@@ -71,8 +71,7 @@ class DenseLayer:
         self._out: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        """Run the layer; cache inputs/outputs when training."""
-        x = _astype(x)
+        """Run the layer on ``x`` at the layer's dtype; cache inputs/outputs when training."""
         pre = x @ self.weights
         pre += self.bias
         out = self.activation.forward(pre)

@@ -19,7 +19,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.config.dtype import active_dtype
 from repro.config.dtype import astype as _astype
 
 __all__ = ["Loss", "WeightedMSE", "mse"]
@@ -74,10 +73,11 @@ class WeightedMSE(Loss):
         self.port_weights = port_weights
         self._sq = None if port_weights is None else port_weights**2
 
-    def _sq_weights(self, n_ports: int) -> np.ndarray:
+    def _sq_weights(self, predicted: np.ndarray) -> np.ndarray:
         sq = self._sq
+        n_ports = predicted.shape[1]
         if sq is None:
-            return np.ones(n_ports, dtype=active_dtype())
+            return np.ones(n_ports, dtype=predicted.dtype)
         if sq.shape[0] != n_ports:
             raise ValueError(
                 f"loss has {sq.shape[0]} port weights "
@@ -102,7 +102,7 @@ class WeightedMSE(Loss):
         sample_weights: Optional[np.ndarray] = None,
     ) -> float:
         predicted, target = self._check(predicted, target)
-        sq = self._sq_weights(predicted.shape[1])
+        sq = self._sq_weights(predicted)
         per_sample = ((predicted - target) ** 2) @ sq
         if sample_weights is not None:
             per_sample = per_sample * _astype(sample_weights)
@@ -115,7 +115,7 @@ class WeightedMSE(Loss):
         sample_weights: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         predicted, target = self._check(predicted, target)
-        sq = self._sq_weights(predicted.shape[1])
+        sq = self._sq_weights(predicted)
         # 2 * (p - t) * sq / n [* w], one buffer, same operation order.
         grad = np.subtract(predicted, target)
         grad *= 2.0

@@ -12,7 +12,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.config.dtype import astype as _astype
 from repro.nn.layers import DenseLayer
 from repro.parallel.seeding import ensure_rng
 
@@ -66,9 +65,14 @@ class MLP:
     def out_dim(self) -> int:
         return self.layer_sizes[-1]
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The data-path dtype, fixed when the network is built (or restored)."""
+        return self.layers[0].weights.dtype
+
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        """Run the full network on a batch ``(n, in_dim)``."""
-        out = _astype(x)
+        """Run the full network on a batch ``(n, in_dim)``, taken at :attr:`dtype`."""
+        out = np.asarray(x, dtype=self.layers[0].weights.dtype)
         for layer in self.layers:
             out = layer.forward(out, train=train)
         return out

@@ -18,7 +18,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.config.dtype import astype as _astype
 from repro.nn.datasets import minibatches
 from repro.nn.layers import flatten
 from repro.nn.losses import Loss, WeightedMSE
@@ -144,9 +143,13 @@ class Trainer:
         y_val: Optional[np.ndarray] = None,
         sample_weights: Optional[np.ndarray] = None,
     ) -> TrainResult:
-        """Train ``model`` in place and return the loss history."""
-        x = _astype(x)
-        y = _astype(y)
+        """Train ``model`` in place and return the loss history.
+
+        ``x``, ``y`` and ``sample_weights`` are taken at the model's dtype.
+        """
+        dtype = model.dtype
+        x = np.asarray(x, dtype=dtype)
+        y = np.asarray(y, dtype=dtype)
         if x.shape[0] != y.shape[0]:
             raise ValueError(f"x and y lengths differ: {x.shape[0]} vs {y.shape[0]}")
         if x.shape[1] != model.in_dim:
@@ -154,7 +157,7 @@ class Trainer:
         if y.shape[1] != model.out_dim:
             raise ValueError(f"y has {y.shape[1]} ports, model expects {model.out_dim}")
         if sample_weights is not None:
-            sample_weights = _astype(sample_weights)
+            sample_weights = np.asarray(sample_weights, dtype=dtype)
             if sample_weights.shape[0] != x.shape[0]:
                 raise ValueError("sample_weights length mismatch")
 
@@ -207,7 +210,7 @@ class Trainer:
 
             stop = False
             if x_val is not None and y_val is not None:
-                val = self.loss.value(model.predict(x_val), _astype(y_val))
+                val = self.loss.value(model.predict(x_val), np.asarray(y_val, dtype=dtype))
                 result.val_losses.append(val)
                 if self.config.patience:
                     if val < best_val - self.config.min_delta:

@@ -32,14 +32,17 @@ __all__ = ["FixedPointCodec", "quantize_unit", "bit_place_values"]
 
 
 @functools.lru_cache(maxsize=None)
-def bit_place_values(bits: int) -> np.ndarray:
+def bit_place_values(bits: int, like: "np.dtype | None" = None) -> np.ndarray:
     """Place values ``2**-1 ... 2**-bits`` of a ``bits``-bit fraction, read-only.
 
-    The first entry corresponds to the MSB.
+    The first entry corresponds to the MSB.  They are float64, or the
+    float dtype that ``like`` (e.g. a bit array's dtype) promotes to.
     """
     if bits < 1:
         raise ValueError(f"bits must be >= 1, got {bits}")
     values = np.ldexp(1.0, -np.arange(1, bits + 1))
+    if like is not None:
+        values = values.astype(np.result_type(like, 0.5))
     values.flags.writeable = False
     return values
 
@@ -88,30 +91,33 @@ class FixedPointCodec:
 
         An input of shape ``(..., d)`` produces bits of shape
         ``(..., d * bits)``; each value expands into a contiguous
-        MSB-first group.
+        MSB-first group.  The bits take the values' float dtype.
         """
-        values = np.atleast_1d(_astype(values))
+        values = np.atleast_1d(values)
         levels = 2**self.bits
-        codes = np.clip(np.floor(values * levels), 0, levels - 1)
-        codes = codes.astype(np.int64)
+        scaled = np.floor(values * levels)
+        # np.clip's ufunc pair, without its Python-level wrapper.
+        np.maximum(scaled, 0, out=scaled)
+        codes = np.minimum(scaled, levels - 1, out=scaled).astype(np.int64)
         shifts = np.arange(self.bits - 1, -1, -1)
         bits = (codes[..., None] >> shifts) & 1
-        return _astype(bits.reshape(*values.shape[:-1], values.shape[-1] * self.bits))
+        return bits.reshape(*values.shape[:-1], values.shape[-1] * self.bits).astype(scaled.dtype)
 
     def decode(self, bits: np.ndarray) -> np.ndarray:
         """Decode 0/1 bit arrays back into values in ``[0, 1)``.
 
         Accepts soft bits in ``[0, 1]`` as well (e.g. raw analog
         outputs before the comparator); they contribute fractionally.
-        The trailing axis must be a multiple of ``self.bits``.
+        The trailing axis must be a multiple of ``self.bits``; the
+        values take the bits' float dtype.
         """
-        bits = _astype(bits)
+        bits = np.asarray(bits)
         if bits.shape[-1] % self.bits:
             raise ValueError(
                 f"trailing axis {bits.shape[-1]} is not a multiple of word length {self.bits}"
             )
         groups = bits.reshape(*bits.shape[:-1], bits.shape[-1] // self.bits, self.bits)
-        return groups @ _astype(self.place_values)
+        return groups @ bit_place_values(self.bits, bits.dtype)
 
     def ports(self, dims: int) -> int:
         """Number of crossbar ports needed for ``dims`` values."""

@@ -27,7 +27,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.config.dtype import active_dtype, astype as _astype, fits_in_place
+from repro.config.dtype import astype as _astype
 from repro.device.rram import HFOX_DEVICE, RRAMDevice
 # Unused here; perfbench's device.sf_draw probe wraps this name in this module.
 from repro.device.variation import lognormal_factor_stack  # noqa: F401
@@ -59,7 +59,7 @@ def effective_conductances(g: np.ndarray, wire_resistance: float) -> np.ndarray:
     """
     if wire_resistance < 0:
         raise ValueError(f"wire resistance must be >= 0, got {wire_resistance}")
-    g = _astype(g)
+    g = np.asarray(g)
     if g.ndim < 2:
         raise ValueError(f"conductance array must be at least 2-D, got shape {g.shape}")
     if wire_resistance == 0:
@@ -83,7 +83,7 @@ def sinh_nonlinearity(v: np.ndarray, alpha: float) -> np.ndarray:
     """
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    v = _astype(v)
+    v = np.asarray(v)
     if alpha == 0:
         return v
     return np.sinh(alpha * v) / np.sinh(alpha)
@@ -98,8 +98,8 @@ def one_trial_apply(self: Any, x: np.ndarray) -> np.ndarray:
 
 
 def coefficients_from_conductance(g: np.ndarray, g_s: float) -> np.ndarray:
-    """Compute the coefficient matrix ``c`` of Eq. 2 from conductances."""
-    g = _astype(g)
+    """Compute the coefficient matrix ``c`` of Eq. 2 from conductances, at their dtype."""
+    g = np.asarray(g)
     if g.ndim != 2:
         raise ValueError(f"conductance matrix must be 2-D, got shape {g.shape}")
     if np.any(g < 0):
@@ -151,6 +151,8 @@ class Crossbar:
         self.g_s = float(g_s)
         self.nonlinearity = float(nonlinearity)
         self.wire_resistance = float(wire_resistance)
+        self.dtype = conductances.dtype
+        """The data-path dtype, fixed when the array is programmed."""
         self.conductances = device.discretize(conductances)
 
     @property
@@ -159,14 +161,14 @@ class Crossbar:
 
         Reprogram a chip by assigning a new array (fault injection,
         restore, spare repair and write-verify programming all do);
-        the setter makes that array read-only and drops the memoized
-        :meth:`coefficients`, so no write can leave them stale.
+        the setter casts it to :attr:`dtype`, makes it read-only and
+        drops the memoized :meth:`coefficients`, so none goes stale.
         """
         return self._conductances
 
     @conductances.setter
     def conductances(self, g: np.ndarray) -> None:
-        g = np.asarray(g)
+        g = np.asarray(g, dtype=self.dtype)
         g.flags.writeable = False
         self._conductances = g
         self._coefficients = None
@@ -189,10 +191,10 @@ class Crossbar:
 
         A function of the programmed conductances alone (Sec. 2.1:
         the mapping is fixed at program time), so it is computed once
-        per programming and data-path dtype, not once per inference.
+        per programming, at the array's dtype, not once per inference.
         """
         c = self._coefficients
-        if c is None or c.dtype != active_dtype():
+        if c is None:
             g = effective_conductances(self._conductances, self.wire_resistance)
             c = coefficients_from_conductance(g, self.g_s)
             c.flags.writeable = False
@@ -210,12 +212,14 @@ class Crossbar:
         then the column-sum normalization — all in the factor stack
         itself when it is writable scratch of the right dtype.
         """
-        if fits_in_place(factors, self._conductances):
+        # The factors are float64 draws whatever the array's dtype: the
+        # product fits in them unless they are read-only or narrower.
+        if factors.flags.writeable and np.promote_types(factors.dtype, self.dtype) == factors.dtype:
             factors *= self._conductances
         else:
             factors = factors * self._conductances
-        g = _astype(factors)
-        self.device.clip_conductance(g, out=g)
+        g = factors.astype(self.dtype, copy=False)
+        np.clip(g, self.device.g_min, self.device.g_max, out=g)
         if self.wire_resistance > 0:
             g = effective_conductances(g, self.wire_resistance)
         denominator = g.sum(axis=-2, keepdims=True)
@@ -263,12 +267,12 @@ class Crossbar:
         Returns
         -------
         Output voltages of shape ``(trials, batch, cols)``, computed
-        with one stacked matmul.
+        with one stacked matmul.  ``v_in`` is taken at the array's
+        :attr:`dtype`, as every stage of the chain hands it on.
         """
-        v_in = _astype(v_in)
         if v_in.ndim != 3:
             raise ValueError(f"trial stack must be 3-D, got shape {v_in.shape}")
-        if v_in.shape[2] != self.rows:
+        if v_in.shape[2] != self._conductances.shape[0]:
             raise ValueError(f"input has {v_in.shape[2]} ports, crossbar has {self.rows} rows")
         if sanitize_enabled():
             # The programmed states were clipped at construction; catch

@@ -286,11 +286,11 @@ class DifferentialCrossbar:
             nonlinearity=self.config.input_nonlinearity,
             wire_resistance=self.config.wire_resistance,
         )
-
-    @property
-    def gain(self) -> float:
+        self.gain = 1.0 / self.scale
         """Periphery gain restoring the pre-mapping weight magnitude."""
-        return 1.0 / self.scale
+        # A float64 gain on a float32 pair yields a float64 stack (the
+        # neuron bank rounds it back); known once the pair is programmed.
+        self._gain_promotes = np.result_type(self.positive.dtype, self.gain) != self.positive.dtype
 
     @property
     def in_dim(self) -> int:
@@ -329,7 +329,6 @@ class DifferentialCrossbar:
         ``pv_factors`` is the optional ``(positive, negative)`` process
         variation factor pair from :meth:`consume_pv_factors`.
         """
-        x = _astype(x)
         if x.ndim != 3:
             raise ValueError(f"trial stack must be 3-D, got shape {x.shape}")
         pv_pos, pv_neg = pv_factors if pv_factors is not None else (None, None)
@@ -337,8 +336,8 @@ class DifferentialCrossbar:
         neg = self.negative.apply_trials(x, pv_neg)
         # (pos - neg) * gain, built in pos: both are fresh apply_trials
         # outputs of one shape and dtype, so only a gain that promotes
-        # pos (a float64 gain on a float32 stack) needs a new buffer.
-        if np.result_type(pos, self.gain) != pos.dtype:
+        # the pair's dtype needs a new buffer.
+        if self._gain_promotes:
             return (pos - neg) * self.gain
         pos -= neg
         pos *= self.gain
@@ -381,11 +380,6 @@ class ExactDifferentialCrossbar:
         self.w_neg = np.maximum(-weights, 0.0)
 
     @property
-    def gain(self) -> float:
-        """No scale was applied, so no periphery gain to restore."""
-        return 1.0
-
-    @property
     def in_dim(self) -> int:
         return self.weights.shape[0]
 
@@ -418,7 +412,6 @@ class ExactDifferentialCrossbar:
         ``pv_factors`` is the optional ``(positive, negative)`` factor
         pair from :meth:`consume_pv_factors`.
         """
-        x = _astype(x)
         if x.ndim != 3:
             raise ValueError(f"trial stack must be 3-D, got shape {x.shape}")
         if x.shape[2] != self.in_dim:

@@ -369,10 +369,12 @@ class MNACrossbar:
 
     def ideal_outputs(self, v_in: np.ndarray) -> np.ndarray:
         """Reference outputs from the zero-wire-resistance model."""
+        from repro.config.dtype import astype
         from repro.xbar.crossbar import coefficients_from_conductance
 
         v_in = np.atleast_2d(np.asarray(v_in, dtype=float))  # repro-lint: disable=RPR007
-        return v_in @ coefficients_from_conductance(self.g, self.g_s)
+        # The ideal model is the behavioural one, at the data-path dtype.
+        return v_in @ coefficients_from_conductance(astype(self.g), self.g_s)
 
     def ir_drop_error(self, v_in: np.ndarray) -> float:
         """Mean |MNA - ideal| output deviation for given inputs."""

@@ -75,11 +75,6 @@ class TiledDifferentialCrossbar:
         """Total RRAM cells across tiles (equals the untiled count)."""
         return sum(tile.device_count for tile in self.tiles)
 
-    @property
-    def gain(self) -> float:  # pragma: no cover - interface parity
-        """Tiles restore their own gains; the stack needs none."""
-        return 1.0
-
     apply = one_trial_apply
 
     def pv_shapes(self) -> "list":
@@ -100,7 +95,6 @@ class TiledDifferentialCrossbar:
         ``pv_factors`` is the optional per-tile list from
         :meth:`consume_pv_factors`.
         """
-        x = _astype(x)
         if x.ndim != 3:
             raise ValueError(f"trial stack must be 3-D, got shape {x.shape}")
         if x.shape[2] != self.in_dim:

@@ -1,10 +1,18 @@
-"""The ``REPRO_DTYPE`` knob: resolution, caching, and data-path effect."""
+"""The ``REPRO_DTYPE`` knob: resolution, caching, data-path effect, and a
+programmed chip keeping its dtype."""
+
+import sys
 
 import numpy as np
 import pytest
 
 from repro.config import dtype as cfg_dtype
+from repro.core.mei import MEI, MEIConfig
+from repro.device.variation import IDEAL, NonIdealFactors
 from repro.nn import MLP, TrainConfig, Trainer
+from repro.obs import metrics as obs_metrics
+from repro.serve import load_artifact, save_artifact
+from tests import reference_chain as oracle
 
 
 @pytest.fixture(autouse=True)
@@ -83,3 +91,74 @@ class TestDataPath:
         # within a loose bound.
         assert np.allclose(pred32, pred64, rtol=1e-3, atol=1e-4)
         assert res32.train_losses[-1] == pytest.approx(res64.train_losses[-1], rel=1e-3)
+
+
+def _programmed_mei():
+    """A small deployed MEI, trained just enough to have uneven weights."""
+    rng = np.random.default_rng(3)
+    x = rng.uniform(size=(48, 2))
+    y = 0.2 + 0.5 * x[:, :1] * x[:, 1:]
+    return MEI(MEIConfig(2, 1, 6, bits=6), seed=4).train(
+        x, y, TrainConfig(epochs=3, batch_size=16, shuffle_seed=0)
+    ), x[:10]
+
+
+NOISY = NonIdealFactors(sigma_pv=0.08, sigma_sf=0.05, seed=11)
+
+
+class TestProgrammedChipHoldsItsDtype:
+    """A chip's dtype is fixed when it is programmed, not re-read per call."""
+
+    def test_switch_after_programming_changes_nothing(self):
+        mei, probe = _programmed_mei()
+        clean = mei.predict_trials(probe)
+        noisy = mei.predict_trials(probe, NOISY, trials=3)
+        coefficients = [array.coefficients() for array in mei.analog.arrays()]
+        cfg_dtype.set_active_dtype("float32")
+        assert mei.dtype == np.float64
+        for array, before in zip(mei.analog.arrays(), coefficients):
+            assert array.conductances.dtype == np.float64
+            assert array.coefficients().dtype == np.float64
+            assert np.array_equal(array.coefficients(), before)
+        assert np.array_equal(mei.predict_trials(probe), clean)
+        assert np.array_equal(mei.predict_trials(probe, NOISY, trials=3), noisy)
+
+    @pytest.mark.parametrize("saved, loaded", [("float32", "float64"), ("float64", "float32")])
+    def test_artifact_takes_the_loading_dtype(self, saved, loaded, tmp_path):
+        cfg_dtype.set_active_dtype(saved)
+        mei, probe = _programmed_mei()
+        snapshot = mei.analog.conductance_snapshot()
+        path = save_artifact(mei, tmp_path / "chip.npz")
+        cfg_dtype.set_active_dtype(loaded)
+        restored = load_artifact(path).system
+        assert restored.dtype == np.dtype(loaded)
+        for array, g in zip(restored.analog.arrays(), snapshot):
+            assert array.conductances.dtype == np.dtype(loaded)
+            assert np.array_equal(array.conductances, g.astype(loaded))
+        # Eq. 2 from the saved states rounded to the loading dtype: the
+        # coefficients an unconverted array got from a cast in coefficients().
+        bits = oracle.mei_bits(restored, probe, IDEAL, 0)
+        assert bits.dtype == np.dtype(loaded)
+        assert np.array_equal(restored.predict_bits(probe), bits)
+
+    def test_noise_free_predict_reads_no_dtype(self, monkeypatch):
+        mei, probe = _programmed_mei()
+        mei.predict(probe)  # memoize the coefficients
+        calls = []
+        original = cfg_dtype.active_dtype
+
+        def counting():
+            calls.append(1)
+            return original()
+
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("repro") \
+                    and getattr(module, "active_dtype", None) is original:
+                monkeypatch.setattr(module, "active_dtype", counting)
+        before = obs_metrics.snapshot()["counters"].get("crossbar_macs", 0.0)
+        mei.predict(probe)
+        after = obs_metrics.snapshot()["counters"].get("crossbar_macs", 0.0)
+        assert calls == []
+        cells = sum(array.conductances.size for array in mei.analog.arrays())
+        assert mei.analog.device_count == cells
+        assert after - before == cells * len(probe)

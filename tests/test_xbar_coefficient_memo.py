@@ -112,16 +112,23 @@ class TestReadOnly:
         assert np.array_equal(array.coefficients(), _fresh(array))
 
 
-def test_memo_follows_the_data_path_dtype(analog):
+def test_memo_keeps_the_programmed_dtype(analog):
+    """A programmed array keeps its dtype: switching ``REPRO_DTYPE``
+    afterwards changes neither its conductances nor its memo."""
     array = analog.crossbars[1].positive
+    before = array.coefficients()
     try:
         cfg_dtype.set_active_dtype("float32")
-        assert array.coefficients().dtype == np.float32
+        assert array.conductances.dtype == np.float64
+        assert array.coefficients() is before
+        assert array.coefficients().dtype == np.float64
+        assert np.array_equal(array.coefficients(), _fresh(array))
+        # A reprogramming write is stored at the array's dtype too.
+        array.conductances = array.conductances.astype(np.float32)
+        assert array.conductances.dtype == np.float64
         assert np.array_equal(array.coefficients(), _fresh(array))
     finally:
         cfg_dtype.set_active_dtype(None)
-    assert array.coefficients().dtype == np.float64
-    assert np.array_equal(array.coefficients(), _fresh(array))
 
 
 def test_memo_serves_the_noise_free_mac(analog):
